@@ -1,9 +1,11 @@
 """Byte-exact result cache for CLI runs.
 
-A cache entry stores the exact serialized output bytes and the process exit
-code for one fully-specified run.  The key hashes every input that affects
-the output: command, canonical diagram text, modulus, guards, words, output
-format, and the package version (stale entries die on upgrade).
+A cache entry stores the exact serialized output bytes for one
+fully-specified run, and beside them the process exit code and the sha256
+of those bytes; an entry whose bytes no longer match the digest is a miss.
+The key hashes every input that affects the output: command, canonical
+diagram text, modulus, guards, words, output format, and the package
+version (stale entries die on upgrade).
 """
 
 import hashlib
@@ -23,10 +25,13 @@ def load(cache_dir, key):
     base = os.path.join(cache_dir, key)
     try:
         with open(base + ".code", "r", encoding="ascii") as fh:
-            code = int(fh.read().strip())
+            code, digest = fh.read().split()
+            code = int(code)
         with open(base + ".out", "rb") as fh:
             data = fh.read()
     except (OSError, ValueError):
+        return None
+    if hashlib.sha256(data).hexdigest() != digest:
         return None
     return data, code
 
@@ -35,7 +40,8 @@ def store(cache_dir, key, data, code):
     os.makedirs(cache_dir, exist_ok=True)
     base = os.path.join(cache_dir, key)
     # temp-file + rename so a concurrent reader never sees a torn entry
-    for suffix, payload in ((".out", data), (".code", b"%d\n" % code)):
+    meta = b"%d %s\n" % (code, hashlib.sha256(data).hexdigest().encode("ascii"))
+    for suffix, payload in ((".out", data), (".code", meta)):
         fd, tmp = tempfile.mkstemp(dir=cache_dir)
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

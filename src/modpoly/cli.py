@@ -92,7 +92,7 @@ def build_parser():
     p = sub.add_parser("reproduce", parents=[out_opts],
                        help="recompute the golden-case registry")
     p.add_argument("--long", action="store_true",
-                   help="run the minutes-long degree-4096 cases too")
+                   help="run the degree-4096 cases too")
     p.add_argument("--case", action="append", metavar="ID",
                    help="run only this case id (repeatable)")
     p.set_defaults(func=cmd_reproduce)

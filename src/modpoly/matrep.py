@@ -10,10 +10,9 @@ mod d takes entries into [0, d).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
-from sympy import Matrix, Rational
 
 from .diagram import Branch, INFINITY
 
@@ -53,16 +52,33 @@ class ModularRep:
 
 
 def gram_matrix(diagram):
-    """Exact Gram form of the basis: b_i.b_i = a_i, b_i.b_j = -m_ij a_i / 2."""
+    """Exact Gram form as rows of Fractions: b_i.b_i = a_i, b_i.b_j = -m_ij a_i / 2."""
     n = diagram.rank
-    g = Matrix.zeros(n, n)
     cart = diagram.cartan_matrix()
+    g = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        g[i, i] = Rational(diagram.labels[i])
+        g[i][i] = Fraction(diagram.labels[i])
         for j in range(n):
             if i != j:
-                g[i, j] = Rational(-cart[i][j] * diagram.labels[i], 2)
+                g[i][j] = Fraction(-cart[i][j] * diagram.labels[i], 2)
     return g
+
+
+def rref(rows):
+    """Exact reduced row echelon form: (nonzero rows as Fraction lists, pivot columns)."""
+    pool = [[Fraction(x) for x in r] for r in rows]
+    out, pivots = [], []
+    for col in range(len(pool[0]) if pool else 0):
+        hit = next((r for r in pool if r[col]), None)
+        if hit is not None:
+            pool.remove(hit)
+            hit = [x / hit[col] for x in hit]
+            for r in pool + out:
+                f = r[col]
+                r[:] = [a - f * b for a, b in zip(r, hit)]
+            out.append(hit)
+            pivots.append(col)
+    return out, tuple(pivots)
 
 
 def gram_matrix_mod(diagram, d):
@@ -81,21 +97,6 @@ def gram_matrix_mod(diagram, d):
     return g
 
 
-def inner_product(diagram, x, y):
-    """Exact pairing of two integer vectors under the Gram form (a Fraction)."""
-    g = gram_matrix(diagram)
-    total = Fraction(0)
-    n = diagram.rank
-    for i in range(n):
-        if x[i] == 0:
-            continue
-        for j in range(n):
-            if y[j]:
-                q = g[i, j]
-                total += Fraction(int(x[i]) * int(y[j]) * q.p, q.q)
-    return total
-
-
 def radical_vector(diagram, window=None):
     """Primitive integer spanning vector of the window Gram form's radical.
 
@@ -106,24 +107,20 @@ def radical_vector(diagram, window=None):
     if window is None:
         window = range(diagram.rank)
     sub = diagram.subdiagram(window)
-    g = gram_matrix(sub)
-    null = g.nullspace()
-    if len(null) != 1:
-        raise ValueError("radical is %d-dimensional, expected 1" % len(null))
-    v = null[0]
-    denoms = [Rational(x).q for x in v]
-    scale = 1
-    for q in denoms:
-        scale = scale * q // gcd(scale, q)
-    ints = [int(Rational(x) * scale) for x in v]
-    content = 0
-    for x in ints:
-        content = gcd(content, x)
-    ints = [x // content for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    red, pivots = rref(gram_matrix(sub))
+    free = [c for c in range(sub.rank) if c not in pivots]
+    if len(free) != 1:
+        raise ValueError("radical is %d-dimensional, expected 1" % len(free))
+    v = [Fraction(0)] * sub.rank
+    v[free[0]] = Fraction(1)
+    for row, p in zip(red, pivots):
+        v[p] = -row[free[0]]
+    scale = lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    content = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        content = -content
+    return tuple(x // content for x in ints)
 
 
 def embed_window_vector(vec, window, rank):

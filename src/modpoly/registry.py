@@ -4,8 +4,8 @@ Each case pins the expected outcome of one fully-specified run: a diagram,
 a modulus, optionally a derived-generator word list, and the values a
 correct implementation must measure.  Orders are stored as decimal strings
 (they are compared exactly, never approximately).  Cases flagged long need
-stabilizer chains on degree-4096 point spaces and run for minutes; the
-reproduce command skips them unless asked not to.
+stabilizer chains on degree-4096 point spaces; the reproduce command skips
+them unless asked not to.
 """
 
 from dataclasses import dataclass

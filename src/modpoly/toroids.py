@@ -32,10 +32,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from sympy import Matrix
 
 from .diagram import Branch, Diagram, INFINITY
-from .engine import StabChain, element_period, enumerate_small
+from .engine import StabChain, element_period
 from .matrep import (
     embed_window_vector,
     is_transvection,
@@ -44,6 +43,7 @@ from .matrep import (
     radical_vector,
     reduce_mod,
     reflection_matrices,
+    rref,
 )
 from .polytopality import verify_diagram
 
@@ -162,10 +162,6 @@ def _check_window(diagram, window):
     return win
 
 
-def _flip_window(window, rank):
-    return tuple(rank - 1 - i for i in reversed(tuple(window)))
-
-
 def _ratios(labels):
     g = math.gcd(*labels)
     return tuple(l // g for l in labels)
@@ -202,17 +198,6 @@ def _euclidean_system(diagram, window):
     return None
 
 
-def _euclidean_match(diagram, window):
-    """(system, flipped) for a Euclidean window, preferring the printed frame."""
-    sysid = _euclidean_system(diagram, window)
-    if sysid is not None:
-        return sysid, False
-    sysid = _euclidean_system(diagram.flip(), _flip_window(window, diagram.rank))
-    if sysid is not None:
-        return sysid, True
-    return None
-
-
 def _spherical_system(diagram, window):
     """(kind, node count) of the spherical pattern in printed orientation, or None."""
     sub = diagram.subdiagram(window)
@@ -236,13 +221,19 @@ def _spherical_system(diagram, window):
     return None
 
 
-def _spherical_match(diagram, window):
-    got = _spherical_system(diagram, window)
+def _match(diagram, window, system):
+    """(match, flipped, frame diagram, frame window) for the first frame,
+    printed then flipped, in which system(diagram, window) matches; None when
+    neither does.
+    """
+    got = system(diagram, window)
     if got is not None:
-        return got, False
-    got = _spherical_system(diagram.flip(), _flip_window(window, diagram.rank))
+        return got, False, diagram, window
+    frame_d = diagram.flip()
+    frame_w = tuple(diagram.rank - 1 - i for i in reversed(window))
+    got = system(frame_d, frame_w)
     if got is not None:
-        return got, True
+        return got, True, frame_d, frame_w
     return None
 
 
@@ -347,25 +338,26 @@ class TranslationSubgroup:
 # ---------------------------------------------------------------------------
 # translation generator construction
 
-def _closure(mats, bound):
-    """Exact BFS closure of a finite integer matrix group, sorted for determinism."""
-    n = mats[0].shape[0]
-    eye = np.eye(n, dtype=np.int64)
-    seen = {eye.tobytes(): eye}
-    frontier = [eye]
+def _orbit(start, images, bound, error):
+    """Breadth-first orbit of an integer array, sorted for determinism.
+
+    images(x) lists the neighbours of x; raises ValueError(error) once the
+    orbit would exceed bound elements.
+    """
+    seen = {start.tobytes(): start}
+    frontier = [start]
     while frontier:
         step = []
         for x in frontier:
-            for g in mats:
-                y = x @ g
+            for y in images(x):
                 key = y.tobytes()
                 if key not in seen:
                     if len(seen) >= bound:
-                        raise ValueError("point-group closure exceeded bound %d" % bound)
+                        raise ValueError(error)
                     seen[key] = y
                     step.append(y)
         frontier = step
-    return sorted(seen.values(), key=lambda m: m.tobytes())
+    return sorted(seen.values(), key=lambda a: a.tobytes())
 
 
 def _translation_row(mat, c_ambient, window):
@@ -395,22 +387,10 @@ def _conj_orbit(mat, gens, c_ambient, window):
     Returns {w row: matrix}; the char-0 window action is faithful, so the
     translation vector determines the matrix.
     """
-    seen = {mat.tobytes(): mat}
-    frontier = [mat]
-    while frontier:
-        step = []
-        for x in frontier:
-            for g in gens:
-                y = g @ x @ g
-                key = y.tobytes()
-                if key not in seen:
-                    if len(seen) >= _ORBIT_BOUND:
-                        raise ValueError("translation orbit exceeded bound")
-                    seen[key] = y
-                    step.append(y)
-        frontier = step
+    seen = _orbit(mat, lambda x: [g @ x @ g for g in gens], _ORBIT_BOUND,
+                  "translation orbit exceeded bound")
     out = {}
-    for x in seen.values():
+    for x in seen:
         w = _translation_row(x, c_ambient, window)
         if w is None:
             raise AssertionError("conjugate of a translation failed the translation test")
@@ -418,24 +398,6 @@ def _conj_orbit(mat, gens, c_ambient, window):
             raise AssertionError("two distinct translations share a translation vector")
         out[w] = x
     return out
-
-
-def _vec_orbit(vec, mats):
-    """Orbit of an integer vector under a list of integer matrices."""
-    start = tuple(int(x) for x in vec)
-    seen = {start}
-    frontier = [np.array(start, dtype=np.int64)]
-    while frontier:
-        step = []
-        for v in frontier:
-            for a in mats:
-                w = a @ v
-                key = tuple(int(x) for x in w)
-                if key not in seen:
-                    seen.add(key)
-                    step.append(w)
-        frontier = step
-    return sorted(seen)
 
 
 def _expected_sigma_index(kind, m, k):
@@ -470,13 +432,11 @@ def translation_generators(diagram, window):
     [3,3,4,3] the last two generators complete the orbit to a basis.
     """
     win = _check_window(diagram, window)
-    match = _euclidean_match(diagram, win)
+    match = _match(diagram, win, _euclidean_system)
     if match is None:
         raise ValueError("window does not match a Euclidean basic system")
-    system, flipped = match
+    system, flipped, frame_d, frame_w = match
     kind = _FAMILY_KIND[system]
-    frame_d = diagram.flip() if flipped else diagram
-    frame_w = _flip_window(win, diagram.rank) if flipped else win
     m = len(frame_w) - 1
     j = frame_w[0]
 
@@ -488,7 +448,9 @@ def translation_generators(diagram, window):
 
     point_nodes = tuple(frame_w[1:])
     point_gens = [refl[i] for i in point_nodes]
-    h_els = _closure(point_gens, _POINT_BOUND)
+    eye = np.eye(frame_d.rank, dtype=np.int64)
+    h_els = _orbit(eye, lambda x: [x @ g for g in point_gens], _POINT_BOUND,
+                   "point-group closure exceeded bound %d" % _POINT_BOUND)
 
     cands = []
     for h in h_els:
@@ -561,11 +523,9 @@ def translation_generators(diagram, window):
             raise AssertionError("translation generators do not commute")
     inverses = [_unipotent_inverse(t) for t in mats]
 
-    # conjugation action of each point reflection, in exponent coordinates
-    wmat = Matrix([list(r) for r in w_rows])
-    piv_cols = wmat.rref()[1]
-    square = wmat[:, list(piv_cols)]
-    square_inv = square.inv()
+    # conjugation action of each point reflection, in exponent coordinates:
+    # the w rows are independent, so row reducing [W^T | w(x)^T] leaves the
+    # coordinates of w(x) in the last column of the first m rows
     conj = {}
     for l in point_nodes:
         cols = []
@@ -574,12 +534,12 @@ def translation_generators(diagram, window):
             wx = _translation_row(x, c_amb, frame_w)
             if wx is None:
                 raise AssertionError("point conjugate left the translation subgroup")
-            sol = Matrix([[wx[c] for c in piv_cols]]) * square_inv
+            red, _ = rref([[w[c] for w in w_rows] + [wx[c]] for c in range(m + 1)])
             coeffs = []
-            for v in sol:
-                if v.q != 1:
+            for row in red[:m]:
+                if row[m].denominator != 1:
                     raise AssertionError("conjugation coordinates are not integral")
-                coeffs.append(int(v))
+                coeffs.append(int(row[m]))
             if tuple(sum(coeffs[i] * w_rows[i][t2] for i in range(m)) for t2 in range(m + 1)) != wx:
                 raise AssertionError("conjugation coordinates do not reproduce the vector")
             cols.append(coeffs)
@@ -589,8 +549,10 @@ def translation_generators(diagram, window):
     sigma_lattices = {}
     for k in legal:
         sigma = (1,) * k + (0,) * (m - k)
-        orb = _vec_orbit(sigma, list(conj.values()))
-        h, p = _row_hnf(orb, m)
+        orb = _orbit(np.array(sigma, dtype=np.int64),
+                     lambda v: [a @ v for a in conj.values()], _POINT_BOUND,
+                     "sigma orbit exceeded bound %d" % _POINT_BOUND)
+        h, p = _row_hnf(sorted(tuple(int(x) for x in v) for v in orb), m)
         idx = _lattice_index(h, p, m)
         want = _expected_sigma_index(kind, m, k)
         if idx != want:
@@ -742,20 +704,6 @@ def _spherical_char0(kind, k, diagram=None, window=None):
     raise AssertionError(kind)
 
 
-def _measured_order(mats, modulus, bound):
-    """Order of the mod-s matrix group: stabilizer chain when the generators
-    are involutions, BFS closure otherwise (degenerate mod-2 cases)."""
-    n = mats[0].shape[0]
-    eye = np.eye(n, dtype=np.int64)
-    invol = all(
-        np.array_equal(g @ g % modulus, eye) and not np.array_equal(g % modulus, eye)
-        for g in mats
-    )
-    if invol:
-        return StabChain(mats, modulus).order()
-    return int(enumerate_small(mats, modulus, bound).shape[0])
-
-
 def _spherical_predict(kind, k, frame_d, frame_w, s):
     """(family, order, collapsed, row id, annotation) for a spherical window."""
     j = frame_w[0]
@@ -815,17 +763,13 @@ def classify_spherical(diagram, window, modulus):
     s = int(modulus)
     if s < 2:
         raise ValueError("modulus must be at least 2")
-    got = _spherical_match(diagram, win)
+    got = _match(diagram, win, _spherical_system)
     if got is None:
         raise ValueError("window does not match a spherical basic system")
-    (kind, k), flipped = got
-    frame_d = diagram.flip() if flipped else diagram
-    frame_w = _flip_window(win, diagram.rank) if flipped else win
+    (kind, k), flipped, frame_d, frame_w = got
     family, order, collapsed, row_id, note = _spherical_predict(kind, k, frame_d, frame_w, s)
-    char0 = _spherical_char0(kind, k, frame_d, frame_w)
     refl = reflection_matrices(frame_d)
-    mats = reduce_mod([refl[i] for i in frame_w], s)
-    measured = _measured_order(mats, s, bound=char0)
+    measured = StabChain(reduce_mod([refl[i] for i in frame_w], s), s).order()
     return SectionClass(
         window=(win[0], win[-1]), kind="Spherical", family=family, modulus=s,
         flipped=flipped, collapsed=collapsed, predicted_order=order,
@@ -941,12 +885,10 @@ _OTHER_NOTE = ("no toroid row applies: the reduction either fails to have "
 def predicted_type_vector(diagram, window, modulus):
     """(row id, predicted q) from the classification tables, or (None, None)."""
     win = _check_window(diagram, window)
-    match = _euclidean_match(diagram, win)
+    match = _match(diagram, win, _euclidean_system)
     if match is None:
         raise ValueError("window does not match a Euclidean basic system")
-    system, flipped = match
-    frame_d = diagram.flip() if flipped else diagram
-    frame_w = _flip_window(win, diagram.rank) if flipped else win
+    system, _, frame_d, frame_w = match
     s = int(modulus)
     m = len(win) - 1
     cj = frame_d.node_parity(frame_w[0])
@@ -964,10 +906,10 @@ def classify_euclidean(diagram, window, modulus):
     s = int(modulus)
     if s < 2:
         raise ValueError("modulus must be at least 2")
-    match = _euclidean_match(diagram, win)
+    match = _match(diagram, win, _euclidean_system)
     if match is None:
         raise ValueError("window does not match a Euclidean basic system")
-    _, flipped = match
+    flipped = match[1]
     row_id, predicted_q = predicted_type_vector(diagram, win, s)
     tsub = translation_generators(diagram, win)
     tv = type_vector(tsub, s)
@@ -998,9 +940,9 @@ def classify(diagram, modulus):
             win = tuple(range(start, start + length))
             if any(a <= win[0] and win[-1] <= b for a, b, _ in kept):
                 continue
-            if _euclidean_match(diagram, win) is not None:
+            if _match(diagram, win, _euclidean_system) is not None:
                 kept.append((win[0], win[-1], "E"))
-            elif _spherical_match(diagram, win) is not None:
+            elif _match(diagram, win, _spherical_system) is not None:
                 kept.append((win[0], win[-1], "S"))
     kept.sort()
     out = []
@@ -1016,26 +958,21 @@ def classify(diagram, modulus):
 # ---------------------------------------------------------------------------
 # splitting, faithfulness, and the quotient criterion
 
-def _membership_oracle(mats, modulus, bound=200000):
-    """(member test, order) for the group generated by mats mod modulus."""
-    n = mats[0].shape[0]
-    eye = np.eye(n, dtype=np.int64)
-    invol = all(
-        np.array_equal(g @ g % modulus, eye) and not np.array_equal(g % modulus, eye)
-        for g in mats
-    )
-    if invol:
-        chain = StabChain(mats, modulus)
-        return chain.member, chain.order()
-    els = enumerate_small(mats, modulus, bound)
-    keys = {np.ascontiguousarray(x).tobytes() for x in els}
-    return (lambda x: np.ascontiguousarray(x % modulus).tobytes() in keys), len(keys)
+def _translation_scan(tsub, s, member):
+    """Scan the nontrivial classes of T^s for a translation that passes member.
 
-
-def _coset_reps(basis, pivots, m):
-    """One exponent vector per class of Z^m modulo the kernel lattice."""
-    diag = [basis[i][pivots[i]] for i in range(m)]
-    return itertools.product(*(range(d) for d in diag))
+    Walks one exponent vector per class of Z^m modulo the kernel lattice and
+    returns (classes checked, exponents of the first hit or None).
+    """
+    _, pows, basis, pivots, _ = _kernel_data(tsub, s)
+    checked = 0
+    for rep_a in itertools.product(*(range(r[p]) for r, p in zip(basis, pivots))):
+        if not any(rep_a):
+            continue
+        checked += 1
+        if member(_chain_power(pows, rep_a, s)):
+            return checked, list(rep_a)
+    return checked, None
 
 
 def check_translation_splitting(diagram, window, modulus):
@@ -1057,9 +994,9 @@ def check_translation_splitting(diagram, window, modulus):
 
     e_mats = reduce_mod([refl[i] for i in frame_w], s)
     h_mats = reduce_mod([refl[i] for i in tsub.point_nodes], s)
-    order_e = _measured_order(e_mats, s, bound=200000)
-    order_h = _measured_order(h_mats, s, bound=2 * _POINT_BOUND)
-    periods, pows, basis, pivots, order_t = _kernel_data(tsub, s)
+    order_e = StabChain(e_mats, s).order()
+    order_h = StabChain(h_mats, s).order()
+    periods, _, basis, _, order_t = _kernel_data(tsub, s)
     splitting = {
         "order_E": order_e,
         "order_H": order_h,
@@ -1088,20 +1025,12 @@ def check_translation_splitting(diagram, window, modulus):
     }
 
     right = tuple(range(frame_w[0] + 1, n))
-    member, right_order = _membership_oracle(reduce_mod([refl[i] for i in right], s), s)
-    witness = None
-    checked = 0
-    for rep_a in _coset_reps(basis, pivots, m):
-        if not any(rep_a):
-            continue
-        checked += 1
-        if member(_chain_power(pows, rep_a, s)):
-            witness = list(rep_a)
-            break
+    right_chain = StabChain(reduce_mod([refl[i] for i in right], s), s)
+    checked, witness = _translation_scan(tsub, s, right_chain.member)
     intersection = {
         "with_nodes": list(right),
         "frame_coordinates": tsub.flipped,
-        "subgroup_order": right_order,
+        "subgroup_order": right_chain.order(),
         "translations_checked": checked,
         "trivial": witness is None,
         "witness_exponents": witness,
@@ -1146,23 +1075,13 @@ class QuotientResult:
 
 def _condition10(tsub, di, modulus):
     """Intersection of T^d with the subgroup dropping node 0, in di coordinates."""
-    periods, pows, basis, pivots, index = _kernel_data(tsub, modulus)
     refl = reflection_matrices(di)
-    sub = reduce_mod([refl[i] for i in range(1, di.rank)], modulus)
-    member, sub_order = _membership_oracle(sub, modulus)
-    witness = None
-    checked = 0
-    for rep_a in _coset_reps(basis, pivots, tsub.m):
-        if not any(rep_a):
-            continue
-        checked += 1
-        x = tsub.frame_to_original(_chain_power(pows, rep_a, modulus))
-        if member(x):
-            witness = list(rep_a)
-            break
+    chain = StabChain(reduce_mod([refl[i] for i in range(1, di.rank)], modulus), modulus)
+    checked, witness = _translation_scan(
+        tsub, modulus, lambda x: chain.member(tsub.frame_to_original(x)))
     return {
-        "t_order": index,
-        "subgroup_order": sub_order,
+        "t_order": _kernel_data(tsub, modulus)[4],
+        "subgroup_order": chain.order(),
         "translations_checked": checked,
         "trivial": witness is None,
         "witness_exponents": witness,
@@ -1198,13 +1117,11 @@ def quotient_criterion(diagram, base, modulus):
             n = di.rank
             facet = tuple(range(0, n - 1))
             refl = reflection_matrices(di)
-            sph = _spherical_match(di, facet)
+            sph = _match(di, facet, _spherical_system)
             if sph is not None:
-                (kind, k), fl = sph
-                fd = di.flip() if fl else di
-                fw = _flip_window(facet, n) if fl else facet
+                (kind, k), _, fd, fw = sph
                 char0 = _spherical_char0(kind, k, fd, fw)
-                mo = _measured_order(reduce_mod([refl[i] for i in facet], s), s, bound=char0)
+                mo = StabChain(reduce_mod([refl[i] for i in facet], s), s).order()
                 ok = mo == char0
                 checks.append({
                     "name": tag + "facet subgroup is spherical with full order mod %d" % s,
@@ -1215,7 +1132,7 @@ def quotient_criterion(diagram, base, modulus):
                     return QuotientResult("StringCGroup-by-criterion", "a", dual, s, d,
                                           tuple(checks))
                 continue
-            if _euclidean_match(di, facet) is None:
+            if _match(di, facet, _euclidean_system) is None:
                 checks.append({
                     "name": tag + "facet subgroup matches no spherical or Euclidean system",
                     "passed": False,
@@ -1223,7 +1140,7 @@ def quotient_criterion(diagram, base, modulus):
                 })
                 continue
             point = tuple(range(1, n - 1))
-            psph = _spherical_match(di, point)
+            psph = _match(di, point, _spherical_system)
             if psph is None:
                 checks.append({
                     "name": tag + "point group matches no spherical system",
@@ -1231,11 +1148,9 @@ def quotient_criterion(diagram, base, modulus):
                     "detail": {},
                 })
                 continue
-            (pkind, pk), pfl = psph
-            pfd = di.flip() if pfl else di
-            pfw = _flip_window(point, n) if pfl else point
+            (pkind, pk), _, pfd, pfw = psph
             pchar0 = _spherical_char0(pkind, pk, pfd, pfw)
-            pmo = _measured_order(reduce_mod([refl[i] for i in point], s), s, bound=pchar0)
+            pmo = StabChain(reduce_mod([refl[i] for i in point], s), s).order()
             pok = pmo == pchar0
             checks.append({
                 "name": tag + "point group is spherical with full order mod %d" % s,

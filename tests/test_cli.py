@@ -216,11 +216,26 @@ def test_cache_roundtrip(tmp_path, capsys):
     outs[0].write_bytes(b"TAMPERED")
     code, replay, _ = run_cli(argv, capsys)
     assert code == 0
-    assert replay == "TAMPERED"
+    assert replay == cold
     code, fresh, _ = run_cli(
         ["verify", "-d", "1 - 2 - 4", "-m", "2", "--format", "json",
          "--cache", cache_dir], capsys)
     assert json.loads(fresh)["modulus"] == 2
+
+
+def test_cache_truncated_entry_is_recomputed(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    argv = ["verify", "-d", "2 - 1 - 3 - 6", "-m", "3", "--format", "json",
+            "--cache", str(cache_dir)]
+    code, cold, _ = run_cli(argv, capsys)
+    assert code == 0
+    [out_file] = cache_dir.glob("*.out")
+    stored = out_file.read_bytes()
+    out_file.write_bytes(stored[: len(stored) // 2])
+    code, rerun, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert rerun == cold
+    assert out_file.read_bytes() == stored
 
 
 def test_cache_preserves_exit_code(tmp_path, capsys):
@@ -311,3 +326,16 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == "32"
+
+
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import modpoly.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "extra = new - set(sys.stdlib_module_names) - {'modpoly', 'numpy'}\n"
+        "assert not extra, sorted(extra)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

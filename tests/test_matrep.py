@@ -1,6 +1,7 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from sympy import Matrix
 
 from modpoly.diagram import parse_diagram
 from modpoly.matrep import (
@@ -12,6 +13,7 @@ from modpoly.matrep import (
     radical_vector,
     reduce_mod,
     reflection_matrices,
+    rref,
 )
 
 SAMPLES = ["1", "1 - 1", "1 - 2", "1 - 3", "1 - 4", "1 = 1", "1 , 1",
@@ -87,13 +89,17 @@ def test_modular_rep_select():
 def test_gram_is_preserved_by_generators():
     for text in SAMPLES:
         d = parse_diagram(text)
+        n = d.rank
         g = gram_matrix(d)
-        assert g.T == g
-        for i in range(d.rank):
-            assert g[i, i] == d.labels[i]
+        assert all(isinstance(x, Fraction) for row in g for x in row)
+        assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
+        assert [g[i][i] for i in range(n)] == list(d.labels)
         for r in reflection_matrices(d):
-            rm = Matrix(r.tolist())
-            assert rm.T * g * rm == g
+            r = r.tolist()
+            rt_g_r = [[sum(r[k][i] * g[k][l] * r[l][j]
+                           for k in range(n) for l in range(n))
+                       for j in range(n)] for i in range(n)]
+            assert rt_g_r == g
 
 
 def test_gram_mod_regime():
@@ -104,6 +110,16 @@ def test_gram_mod_regime():
         gm = gram_matrix_mod(d, modulus)
         for r in reduce_mod(reflection_matrices(d), modulus):
             assert np.array_equal(r.T @ gm @ r % modulus, gm)
+
+
+def test_rref_is_exact():
+    rows, pivots = rref([[2, 4, 1], [1, 2, 0], [3, 6, 1]])
+    assert pivots == (0, 2)
+    assert rows == [[1, 2, 0], [0, 0, 1]]
+    assert all(isinstance(x, Fraction) for row in rows for x in row)
+    rows, pivots = rref([[3, 1], [1, 3]])
+    assert (rows, pivots) == ([[1, 0], [0, 1]], (0, 1))
+    assert rref([[0, 0]]) == ([], ())
 
 
 def test_radical_vectors():
