@@ -23,7 +23,6 @@ from .engine import (
     PointSpace,
     PointSpaceOverflow,
     StabChain,
-    as_permutations,
     element_period,
     enumerate_small,
     intersection_order,

@@ -251,7 +251,8 @@ def cmd_subgroup(args):
                            order_guard=guards.get("order_guard"))
         sub = verify_words(diagram, args.modulus, words, **guards)
         index, rem = divmod(parent.order(), sub.order)
-        assert rem == 0, "subgroup order does not divide the parent order"
+        if rem:
+            raise RuntimeError("subgroup order does not divide the parent order")
         payloads.append(report.subgroup_payload(parent.order(), sub, index))
         if not sub.ok:
             code = EXIT_NEGATIVE

@@ -16,13 +16,33 @@ cursors over the append-only orbits; a nontrivial sift residue becomes a
 strong generator at the level where it sticks, or opens a new level.  The
 resulting chain is verified by construction; `check()` re-derives the
 Schreier condition from scratch for use in tests.
-"""
 
-from math import lcm
+Orbit index.  Each level maps encoded points to orbit slots, a whole stack
+of points per call.  While the chain is built that map is a dense int32
+table over the point space (-1 where a point is not in the orbit), so the
+lookups of sifting and orbit growth are plain array indexing.  When the
+build returns the table is dropped, because a caller may keep many chains
+(the verifier keeps one per generator segment): a finished chain looks
+points up by binary search in a sorted copy of each orbit.  Spaces of more
+than _DENSE_POINTS points never get a table; their sorted copy is kept up
+to date during the build instead.
+
+Arithmetic.  Every product of chain elements goes through
+`StabChain._mul`.  Entries lie in [0, d), so an entry of a product is a
+sum of n terms of at most (d-1)^2.  When n*(d-1)^2 < 2^24 the chain stores
+its matrices as int32 and every partial sum is an integer that float32
+holds exactly: large products run in float32 (BLAS) and are converted back
+to integers before the reduction mod d, small ones in int32.  Otherwise
+the chain stores and multiplies int64.  The choice depends on n and d
+alone.
+"""
 
 import numpy as np
 
 _CHUNK = 16384
+_FLOAT32_EXACT = 2 ** 24   # float32 holds every integer below this
+_DENSE_POINTS = 2 ** 22   # largest point space given a dense build-time index
+_BLAS_WORK = 2048         # multiply-adds from which float32 BLAS beats int32 matmul
 
 
 class PointSpaceOverflow(ValueError):
@@ -87,29 +107,63 @@ class _Store:
 
 
 class _Level:
-    __slots__ = ("beta_col", "pos", "points", "vecs", "trans", "trans_inv", "cursors")
+    """One basic orbit: slots in discovery order, slot 0 the base point.
 
-    def __init__(self, beta_col, n, space):
+    Slot i holds the encoded point, its vector, and the transversal element
+    carrying the base point there together with that element's inverse;
+    slot 0 holds the identity.
+    """
+
+    __slots__ = ("beta_col", "table", "sorted_pts", "sorted_slots",
+                 "points", "vecs", "trans", "trans_inv", "cursors")
+
+    def __init__(self, beta_col, space, identity):
+        n = identity.shape[0]
         self.beta_col = beta_col
-        self.pos = {}
+        self.table = (np.full(space.size, -1, dtype=np.int32)
+                      if space.size <= _DENSE_POINTS else None)
+        self.sorted_pts = np.empty(0, dtype=np.int64)
+        self.sorted_slots = np.empty(0, dtype=np.int64)
         self.points = _Store(())
-        self.vecs = _Store((n,))
-        self.trans = _Store((n, n))
-        self.trans_inv = _Store((n, n))
+        self.vecs = _Store((n,), identity.dtype)
+        self.trans = _Store((n, n), identity.dtype)
+        self.trans_inv = _Store((n, n), identity.dtype)
         self.cursors = {}
-        ident = np.eye(n, dtype=np.int64) % space.d
-        beta_vec = np.zeros(n, dtype=np.int64)
-        beta_vec[beta_col] = 1 % space.d
-        pt = int(space.encode(beta_vec))
-        self.pos[pt] = 0
-        self.points.append(np.array([pt]))
-        self.vecs.append(beta_vec[None])
-        self.trans.append(ident[None])
-        self.trans_inv.append(ident[None])
+        # the base point is the basis vector e_beta, whose code is d^beta
+        self.add(space.weights[beta_col:beta_col + 1], identity[None], identity[None])
 
     @property
     def orbit_size(self):
         return self.points.length
+
+    def add(self, pts, mats, invs):
+        """Append new orbit points with their transversal elements."""
+        slots = np.arange(self.points.length, self.points.length + pts.shape[0])
+        self.points.append(pts)
+        self.vecs.append(mats[:, :, self.beta_col])
+        self.trans.append(mats)
+        self.trans_inv.append(invs)
+        if self.table is not None:
+            self.table[pts] = slots
+        else:
+            order = np.argsort(pts)
+            at = np.searchsorted(self.sorted_pts, pts[order])
+            self.sorted_pts = np.insert(self.sorted_pts, at, pts[order])
+            self.sorted_slots = np.insert(self.sorted_slots, at, slots[order])
+
+    def finish(self):
+        """Swap the dense table for the sorted orbit once the chain is built."""
+        if self.table is not None:
+            self.table = None
+            self.sorted_slots = np.argsort(self.points.view())
+            self.sorted_pts = self.points.view()[self.sorted_slots]
+
+    def lookup(self, pts):
+        """Orbit slots of encoded points, -1 where a point is not in the orbit."""
+        if self.table is not None:
+            return self.table[pts]
+        at = np.minimum(np.searchsorted(self.sorted_pts, pts), self.orbit_size - 1)
+        return np.where(self.sorted_pts[at] == pts, self.sorted_slots[at], -1)
 
 
 class StabChain:
@@ -124,17 +178,19 @@ class StabChain:
         self.modulus = modulus
         self.n = n
         self.space = PointSpace(modulus, n) if n else None
-        self.identity = np.eye(n, dtype=np.int64) % modulus
+        self._narrow = n * (modulus - 1) ** 2 < _FLOAT32_EXACT
+        self.dtype = np.int32 if self._narrow else np.int64
+        self.identity = np.eye(n, dtype=self.dtype)
         self.gens = []  # (mat, inv, level)
         self.levels = []
-        self.input_gens = gens
+        self.input_gens = [g.astype(self.dtype) for g in gens]
         seed = []
-        for g in gens:
+        for g in self.input_gens:
             if not np.array_equal(g, self.identity):
                 # involutory input: the matrix is its own inverse mod d
-                if np.any(g @ g % modulus != self.identity):
+                if not np.array_equal(self._mul(g, g), self.identity):
                     raise ValueError("chain input generators must be involutions")
-                seed.append((g, g))
+                seed.append((g[None], g[None]))
         self._build(seed)
         self._order = 1
         for lev in self.levels:
@@ -145,69 +201,91 @@ class StabChain:
     def order(self):
         return self._order
 
+    def _mul(self, a, b):
+        """a @ b mod d, exact (see "Arithmetic" in the module docstring)."""
+        if self._narrow and max(a.size, b.size) * a.shape[-1] >= _BLAS_WORK:
+            prod = np.matmul(a.astype(np.float32), b.astype(np.float32)).astype(np.int32)
+            d = np.int32(self.modulus)
+            quot = np.floor_divide(prod, d)
+            quot *= d
+            prod -= quot
+            return prod
+        return np.matmul(a, b) % self.modulus
+
+    def _own(self, mats):
+        """A fresh copy of matrices, reduced mod d, in the chain's dtype."""
+        return (np.asarray(mats, dtype=np.int64) % self.modulus).astype(self.dtype)
+
     # -- construction ----------------------------------------------------
 
     def _build(self, stash):
         while True:
             residues = self._sift_stash(stash)
-            stash = []
-            if residues:
-                mat, inv, lvl = residues[0]
-                self._install(mat, inv, lvl)
-                stash = [(m, i) for (m, i, _) in residues[1:]]
-            fresh = self._process_schreier()
-            stash.extend(fresh)
-            if not stash and not residues:
-                return
+            stash = []  # blocks (mats, invs)
+            if residues is not None:
+                mats, invs, lvls = residues
+                self._install(mats[0].copy(), invs[0].copy(), int(lvls[0]))
+                if len(lvls) > 1:
+                    stash.append((mats[1:], invs[1:]))
+            self._process_schreier(stash)
+            if residues is None and not stash:
+                break
+        for lev in self.levels:
+            lev.finish()
 
     def _sift_stash(self, stash):
+        """Sift the stashed (mats, invs) blocks; None if all reach the identity.
+
+        Otherwise (mats, invs, levels): the nontrivial residues in stash
+        order, levels[i] being the level where residue i sticks.
+        """
         if not stash:
-            return []
-        d = self.modulus
-        arr = np.stack([m for m, _ in stash])
-        inv = np.stack([i for _, i in stash])
-        idx = np.arange(len(stash))
-        out = {}
+            return None
+        mats = np.concatenate([m for m, _ in stash])
+        invs = np.concatenate([i for _, i in stash])
+        stash.clear()  # free the blocks while their copy is sifted
+        # rows sift independently; chunks bound the temporaries of a product
+        lvls = np.concatenate([self._sift(mats[at:at + _CHUNK], invs[at:at + _CHUNK])
+                               for at in range(0, mats.shape[0], _CHUNK)])
+        # an element that sticks moves a base point, so it is nontrivial too
+        keep = (mats != self.identity).any(axis=(1, 2))
+        if not keep.any():
+            return None
+        return mats[keep], invs[keep], lvls[keep]
+
+    def _sift(self, mats, invs=None):
+        """Sift a stack of matrices (and their inverses) in place.
+
+        Level by level, each row is divided by the transversal element of its
+        base-point image until that image leaves the orbit.  Returns the level
+        where each row stuck, len(self.levels) for rows that passed them all.
+        """
+        stuck = np.full(mats.shape[0], len(self.levels))
+        live = np.arange(mats.shape[0])
         for li, lev in enumerate(self.levels):
-            if arr.shape[0] == 0:
+            if not live.size:
                 break
-            pts = arr[:, :, lev.beta_col] @ self.space.weights
-            slots = np.fromiter(
-                (lev.pos.get(int(p), -1) for p in pts), dtype=np.int64, count=len(pts))
-            stuck = slots < 0
-            if stuck.any():
-                for j in np.nonzero(stuck)[0]:
-                    out[int(idx[j])] = (arr[j], inv[j], li)
-                keep = ~stuck
-                arr, inv, idx, slots = arr[keep], inv[keep], idx[keep], slots[keep]
-            if arr.shape[0] == 0:
-                break
-            arr = lev.trans_inv.view()[slots] @ arr % d
-            inv = inv @ lev.trans.view()[slots] % d
-        if arr.shape[0]:
-            nontrivial = (arr != self.identity).any(axis=(1, 2))
-            for j in np.nonzero(nontrivial)[0]:
-                out[int(idx[j])] = (arr[j], inv[j], len(self.levels))
-        return [out[k] for k in sorted(out)]
+            slots = lev.lookup(mats[live, :, lev.beta_col] @ self.space.weights)
+            stuck[live[slots < 0]] = li
+            # slot 0 holds the identity: nothing to divide out
+            move = slots > 0
+            if move.any():
+                rows, slots_moved = live[move], slots[move]
+                mats[rows] = self._mul(lev.trans_inv.view()[slots_moved], mats[rows])
+                if invs is not None:
+                    invs[rows] = self._mul(invs[rows], lev.trans.view()[slots_moved])
+            live = live[slots >= 0]
+        return stuck
 
     def _install(self, mat, inv, level):
         if level == len(self.levels):
-            beta = -1
-            for j in range(self.n):
-                col = mat[:, j]
-                unit = np.zeros(self.n, dtype=np.int64)
-                unit[j] = 1 % self.modulus
-                if not np.array_equal(col, unit):
-                    beta = j
-                    break
-            if beta < 0:
+            moved = np.nonzero((mat != self.identity).any(axis=0))[0]
+            if not moved.size:
                 raise AssertionError("residue is identity; nothing to install")
-            self.levels.append(_Level(beta, self.n, self.space))
+            self.levels.append(_Level(int(moved[0]), self.space, self.identity))
         self.gens.append((mat, inv, level))
 
-    def _process_schreier(self):
-        out = []
-        d = self.modulus
+    def _process_schreier(self, stash):
         for li, lev in enumerate(self.levels):
             moved = True
             while moved:
@@ -221,63 +299,40 @@ class StabChain:
                     moved = True
                     while start < lev.orbit_size:
                         end = min(start + _CHUNK, lev.orbit_size)
-                        self._expand_block(li, lev, gmat, ginv, start, end, out)
+                        self._expand_block(lev, gmat, ginv, start, end, stash)
                         start = end
                     lev.cursors[gi] = lev.orbit_size
-        return out
 
-    def _expand_block(self, li, lev, gmat, ginv, start, end, out):
-        d = self.modulus
-        cand = gmat @ lev.trans.view()[start:end] % d
-        cand_inv = lev.trans_inv.view()[start:end] @ ginv % d
+    def _expand_block(self, lev, gmat, ginv, start, end, stash):
+        """Apply one strong generator to orbit slots [start, end).
+
+        Images not yet in the orbit join it in order of first appearance;
+        every image gives a Schreier generator, stashed if nontrivial (those
+        of the new points are the identity).
+        """
+        cand = self._mul(gmat, lev.trans.view()[start:end])
+        cand_inv = self._mul(lev.trans_inv.view()[start:end], ginv)
         pts = cand[:, :, lev.beta_col] @ self.space.weights
-        known_j, known_slot = [], []
-        new_j, new_pts = [], []
-        base = lev.orbit_size
-        local = {}
-        for j, p in enumerate(pts):
-            p = int(p)
-            slot = lev.pos.get(p)
-            if slot is None:
-                slot = local.get(p)
-            if slot is None:
-                local[p] = base + len(new_j)
-                new_j.append(j)
-                new_pts.append(p)
-            else:
-                known_j.append(j)
-                known_slot.append(slot)
-        if new_j:
-            sel = np.array(new_j)
-            lev.points.append(np.array(new_pts, dtype=np.int64))
-            lev.vecs.append(cand[sel][:, :, lev.beta_col])
-            lev.trans.append(cand[sel])
-            lev.trans_inv.append(cand_inv[sel])
-            for off, p in enumerate(new_pts):
-                lev.pos[p] = base + off
-        if known_j:
-            sel = np.array(known_j)
-            slots = np.array(known_slot, dtype=np.int64)
-            sg = lev.trans_inv.view()[slots] @ cand[sel] % d
-            nontrivial = (sg != self.identity).any(axis=(1, 2))
-            if nontrivial.any():
-                sg_inv = cand_inv[sel] @ lev.trans.view()[slots] % d
-                for j in np.nonzero(nontrivial)[0]:
-                    out.append((sg[j], sg_inv[j]))
+        fresh = np.nonzero(lev.lookup(pts) < 0)[0]
+        if fresh.size > 1:
+            _, first = np.unique(pts[fresh], return_index=True)
+            fresh = fresh[np.sort(first)]
+        if fresh.size:
+            lev.add(pts[fresh], cand[fresh], cand_inv[fresh])
+        slots = lev.lookup(pts)
+        sg = self._mul(lev.trans_inv.view()[slots], cand)
+        nontrivial = (sg != self.identity).any(axis=(1, 2))
+        if nontrivial.any():
+            sg_inv = self._mul(cand_inv[nontrivial], lev.trans.view()[slots[nontrivial]])
+            stash.append((sg[nontrivial], sg_inv))
 
     # -- queries ---------------------------------------------------------
 
     def sift(self, mat):
         """(stuck level, residue); residue == identity iff mat is a member."""
-        d = self.modulus
-        h = np.asarray(mat, dtype=np.int64) % d
-        for li, lev in enumerate(self.levels):
-            pt = int(h[:, lev.beta_col] @ self.space.weights)
-            slot = lev.pos.get(pt)
-            if slot is None:
-                return li, h
-            h = lev.trans_inv.view()[slot] @ h % d
-        return len(self.levels), h
+        h = self._own(mat)[None]
+        stuck = self._sift(h)
+        return int(stuck[0]), h[0]
 
     def member(self, mat):
         _, h = self.sift(mat)
@@ -285,67 +340,47 @@ class StabChain:
 
     def member_mask(self, mats):
         """Vectorized membership for a stack of matrices (k, n, n)."""
-        d = self.modulus
-        arr = np.asarray(mats, dtype=np.int64) % d
-        idx = np.arange(arr.shape[0])
-        mask = np.zeros(arr.shape[0], dtype=bool)
-        for lev in self.levels:
-            if arr.shape[0] == 0:
-                break
-            pts = arr[:, :, lev.beta_col] @ self.space.weights
-            slots = np.fromiter(
-                (lev.pos.get(int(p), -1) for p in pts), dtype=np.int64, count=len(pts))
-            keep = slots >= 0
-            arr, idx, slots = arr[keep], idx[keep], slots[keep]
-            if arr.shape[0] == 0:
-                break
-            arr = lev.trans_inv.view()[slots] @ arr % d
-        if arr.shape[0]:
-            ok = (arr == self.identity).all(axis=(1, 2))
-            mask[idx[ok]] = True
-        return mask
+        arr = self._own(mats).reshape(-1, self.n, self.n)
+        self._sift(arr)
+        # a matrix that sticks moves a base point, so only members sift to 1
+        return (arr == self.identity).all(axis=(1, 2))
 
     def elements(self, bound=None):
         """All group elements as one (order, n, n) array, deterministic order."""
         if bound is not None and self._order > bound:
             raise BoundExceeded("order %d exceeds enumeration bound %d" % (self._order, bound))
-        d = self.modulus
         arr = self.identity[None]
         for lev in self.levels:
             t = lev.trans.view()
             # membership decomposition is g = u_0 u_1 ... u_k, so deeper
             # transversals multiply on the right
-            arr = np.matmul(arr[:, None], t[None, :]) % d
+            arr = self._mul(arr[:, None], t[None, :])
             arr = arr.reshape(-1, self.n, self.n)
         return arr
 
     def check(self):
         """Re-derive the Schreier condition from scratch (test support)."""
-        d = self.modulus
         for g in self.input_gens:
             if not self.member(g):
                 raise AssertionError("input generator fails membership")
         for li, lev in enumerate(self.levels):
-            beta_vec = lev.vecs.view()[0]
-            for slot in range(lev.orbit_size):
-                u = lev.trans.view()[slot]
-                if int(self.space.encode(u @ beta_vec % d)) != int(lev.points.view()[slot]):
-                    raise AssertionError("transversal does not reach its point")
-                if not np.array_equal(u @ lev.trans_inv.view()[slot] % d, self.identity):
-                    raise AssertionError("stored inverse is wrong")
-            for gi, (gmat, _, glvl) in enumerate(self.gens):
+            trans, trans_inv = lev.trans.view(), lev.trans_inv.view()
+            if not np.array_equal(lev.lookup(lev.points.view()), np.arange(lev.orbit_size)):
+                raise AssertionError("orbit index does not give each point its slot")
+            reached = self.space.encode(self._mul(trans, lev.vecs.view()[0]))
+            if not np.array_equal(reached, lev.points.view()):
+                raise AssertionError("transversal does not reach its point")
+            if not (self._mul(trans, trans_inv) == self.identity).all():
+                raise AssertionError("stored inverse is wrong")
+            for gmat, _, glvl in self.gens:
                 if glvl < li:
                     continue
-                cand = gmat @ lev.trans.view() % d
-                pts = cand[:, :, lev.beta_col] @ self.space.weights
-                for j, p in enumerate(pts):
-                    slot = lev.pos.get(int(p))
-                    if slot is None:
-                        raise AssertionError("orbit not closed under visible generator")
-                    sg = lev.trans_inv.view()[slot] @ cand[j] % d
-                    stuck, res = self.sift(sg)
-                    if not np.array_equal(res, self.identity):
-                        raise AssertionError("Schreier generator fails to sift")
+                cand = self._mul(gmat, trans)
+                slots = lev.lookup(self.space.encode(cand[:, :, lev.beta_col]))
+                if (slots < 0).any():
+                    raise AssertionError("orbit not closed under visible generator")
+                if not self.member_mask(self._mul(trans_inv[slots], cand)).all():
+                    raise AssertionError("Schreier generator fails to sift")
         return True
 
 
@@ -365,7 +400,6 @@ def intersection_order(a, b, orbit_guard=1_000_000, enum_bound=20_000):
     if small.order() <= enum_bound:
         elems = small.elements()
         return int(np.count_nonzero(large.member_mask(elems)))
-    d = large.modulus
     start = _canonical_coset_rep(large, small.identity.copy())
     visited = {start.tobytes(): None}
     frontier = [start]
@@ -374,7 +408,7 @@ def intersection_order(a, b, orbit_guard=1_000_000, enum_bound=20_000):
         nxt = []
         for rep in frontier:
             for g in gens:
-                cand = _canonical_coset_rep(large, g @ rep % d)
+                cand = _canonical_coset_rep(large, large._mul(g, rep))
                 key = cand.tobytes()
                 if key not in visited:
                     visited[key] = None
@@ -390,12 +424,9 @@ def intersection_order(a, b, orbit_guard=1_000_000, enum_bound=20_000):
 
 
 def _canonical_coset_rep(chain, g):
-    d = chain.modulus
     for lev in chain.levels:
-        imgs = lev.vecs.view() @ g.T % d
-        pts = imgs @ chain.space.weights
-        best = int(np.argmin(pts))
-        g = g @ lev.trans.view()[best] % d
+        pts = chain._mul(lev.vecs.view(), g.T) @ chain.space.weights
+        g = chain._mul(g, lev.trans.view()[int(np.argmin(pts))])
     return g
 
 
@@ -443,33 +474,3 @@ def enumerate_small(mats, modulus, bound=1_000_000):
                     raise BoundExceeded("enumeration exceeds bound %d" % bound)
         frontier = np.stack(fresh) if fresh else np.empty((0, n, n), dtype=np.int64)
     return np.stack(rows)
-
-
-def as_permutations(mats, modulus, limit=2 ** 22):
-    """Materialize the permutation action on Z_d^n (small spaces only)."""
-    mats = [np.asarray(m, dtype=np.int64) % modulus for m in mats]
-    n = mats[0].shape[0]
-    space = PointSpace(modulus, n, limit=limit)
-    vecs = space.decode(np.arange(space.size))
-    out = []
-    for m in mats:
-        out.append(np.asarray(space.encode(vecs @ m.T % modulus), dtype=np.int32))
-    return out
-
-
-def permutation_order(perm):
-    """Order of a permutation via cycle lengths (oracle for element_period)."""
-    perm = np.asarray(perm)
-    seen = np.zeros(perm.shape[0], dtype=bool)
-    total = 1
-    for start in range(perm.shape[0]):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = int(perm[j])
-            length += 1
-        total = lcm(total, length)
-    return total

@@ -1110,7 +1110,8 @@ def quotient_criterion(diagram, base, modulus):
         "passed": base_rep.ok,
         "detail": {"verdict": base_rep.verdict, "order": base_rep.order},
     })
-    if base_rep.ok:
+    # a rank-1 diagram has an empty facet window: neither case applies
+    if base_rep.ok and diagram.rank > 1:
         for dual in (False, True):
             di = diagram.flip() if dual else diagram
             tag = "dual " if dual else ""

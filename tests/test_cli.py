@@ -159,6 +159,20 @@ def test_subgroup_non_involutory(capsys):
     assert failing[0]["witness"]["reason"] == "square is not the identity"
 
 
+def test_subgroup_order_not_dividing_parent_raises(monkeypatch):
+    real = cli.verify_words
+
+    def bad_order(*args, **kwargs):
+        sub = real(*args, **kwargs)
+        sub.order = 5  # the parent order is 32
+        return sub
+
+    monkeypatch.setattr(cli, "verify_words", bad_order)
+    with pytest.raises(RuntimeError, match="does not divide the parent order"):
+        main(["subgroup", "-d", "1 - 2 - 1", "-m", "4", "--word", "0",
+              "--word", "2"])
+
+
 def test_parse_output(capsys):
     code, out, _ = run_cli(["parse", "-d", "2-1-3-6", "--format", "json"],
                            capsys)

@@ -1,3 +1,5 @@
+from math import lcm
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,41 @@ from modpoly.engine import (
     PointSpace,
     PointSpaceOverflow,
     StabChain,
-    as_permutations,
     element_period,
     enumerate_small,
     intersection_order,
-    permutation_order,
 )
 from modpoly.matrep import ModularRep
+
+
+def as_permutations(mats, modulus, limit=2 ** 22):
+    """Materialize the permutation action on Z_d^n (small spaces only)."""
+    mats = [np.asarray(m, dtype=np.int64) % modulus for m in mats]
+    n = mats[0].shape[0]
+    space = PointSpace(modulus, n, limit=limit)
+    vecs = space.decode(np.arange(space.size))
+    out = []
+    for m in mats:
+        out.append(np.asarray(space.encode(vecs @ m.T % modulus), dtype=np.int32))
+    return out
+
+
+def permutation_order(perm):
+    """Order of a permutation via cycle lengths (oracle for element_period)."""
+    perm = np.asarray(perm)
+    seen = np.zeros(perm.shape[0], dtype=bool)
+    total = 1
+    for start in range(perm.shape[0]):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = int(perm[j])
+            length += 1
+        total = lcm(total, length)
+    return total
 
 
 def chain_for(text, modulus, indices=None):
@@ -66,6 +96,53 @@ def test_chain_order_matches_bfs():
 def test_chain_structure_check():
     for text, modulus in [("2 - 1 - 2", 4), ("1 - 1 - 1", 5), ("1 = 1", 8)]:
         assert chain_for(text, modulus).check()
+
+
+# n*(d-1)^2 = 2*2896^2 < 2^24 <= 2*2897^2: the last modulus with float32
+# products and the first with int64 ones, for 2-by-2 matrices
+NARROW_EDGE, WIDE_EDGE = 2897, 2898
+
+
+@pytest.mark.parametrize("text,modulus,expected", [
+    ("1 = 1", 4099, 8198),
+    ("1 - 1", 5003, 6),
+    ("1 - 2", 6007, 8),
+    ("1", 100000007, 2),
+])
+def test_chain_order_exact_past_the_float32_bound(text, modulus, expected):
+    chain = chain_for(text, modulus)
+    assert chain.n * (modulus - 1) ** 2 >= 2 ** 24
+    assert chain.order() == brute_order(text, modulus) == expected
+
+
+@pytest.mark.parametrize("modulus,dtype", [(NARROW_EDGE, np.int32), (WIDE_EDGE, np.int64)])
+def test_chain_check_at_the_float32_bound(modulus, dtype):
+    chain = chain_for("1 = 1", modulus)
+    assert chain.dtype is dtype
+    assert chain.check()
+    assert chain.order() == brute_order("1 = 1", modulus)
+    # every entry of top @ low is (d-1)^2 + (d-1)(d-2), odd and, past the
+    # bound, above 2^24, where float32 would round it; 1024 products are
+    # enough work for the float32 path
+    top = np.full((512, 2, 2), modulus - 1)
+    low = np.broadcast_to([[modulus - 1] * 2, [modulus - 2] * 2], (512, 2, 2))
+    rng = np.random.default_rng(0)
+    a = np.concatenate([top, rng.integers(0, modulus, (512, 2, 2))])
+    b = np.concatenate([low, rng.integers(0, modulus, (512, 2, 2))])
+    assert np.array_equal(chain._mul(a.astype(dtype), b.astype(dtype)), a @ b % modulus)
+
+
+def test_finished_chain_drops_the_dense_index():
+    for text, modulus in [("1 - 1 - 1", 5), ("2 - 1 - 2", 6)]:
+        chain = chain_for(text, modulus)
+        assert chain.check()
+        size = chain.space.size
+        for lev in chain.levels:
+            for name in lev.__slots__:
+                value = getattr(lev, name, None)
+                value = getattr(value, "buf", value)
+                if isinstance(value, np.ndarray):
+                    assert value.size != size, (text, modulus, name)
 
 
 def test_known_dihedral_orders():

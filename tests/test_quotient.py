@@ -127,3 +127,19 @@ def test_result_dict():
     assert d["case"] == "b"
     assert d["base_modulus"] == 3 and d["modulus"] == 6
     assert all(isinstance(c["name"], str) for c in d["checks"])
+
+
+@pytest.mark.parametrize("base,target", [(2, 2), (2, 4), (3, 3), (3, 6)])
+def test_rank_one_falls_through_to_direct_verification(base, target):
+    # the facet window of a rank-1 diagram is empty, so only the direct
+    # verification can decide
+    d = parse_diagram("1")
+    res = quotient_criterion(d, base, target)
+    direct = verify_diagram(d, target)
+    assert res.case == "direct"
+    assert res.verdict == direct.verdict
+    assert res.ok == direct.ok
+    assert [c["name"] for c in res.checks] == [
+        "base modulus %d gives a string C-group" % base,
+        "direct verification mod %d" % target,
+    ]
