@@ -18,14 +18,13 @@ resulting chain is verified by construction; `check()` re-derives the
 Schreier condition from scratch for use in tests.
 
 Orbit index.  Each level maps encoded points to orbit slots, a whole stack
-of points per call.  While the chain is built that map is a dense int32
-table over the point space (-1 where a point is not in the orbit), so the
-lookups of sifting and orbit growth are plain array indexing.  When the
-build returns the table is dropped, because a caller may keep many chains
-(the verifier keeps one per generator segment): a finished chain looks
-points up by binary search in a sorted copy of each orbit.  Spaces of more
-than _DENSE_POINTS points never get a table; their sorted copy is kept up
-to date during the build instead.
+of points per call, by binary search in sorted runs of (point, slot)
+pairs, so the lookups of sifting and orbit growth are array operations
+and the index takes memory in proportion to the orbit, not to the point
+space (the verifier keeps one chain per generator segment).  New points go
+into a tail run of fewer than _TAIL points, which is merged into the main
+run when it fills: an orbit that grows one point per step copies the
+short tail, not the whole index, on each step.
 
 Arithmetic.  Every product of chain elements goes through
 `StabChain._mul`.  Entries lie in [0, d), so an entry of a product is a
@@ -40,9 +39,11 @@ alone.
 import numpy as np
 
 _CHUNK = 16384
-_FLOAT32_EXACT = 2 ** 24   # float32 holds every integer below this
-_DENSE_POINTS = 2 ** 22   # largest point space given a dense build-time index
+_FLOAT32_EXACT = 2 ** 24  # float32 holds every integer below this
+_TAIL = 1024              # points in an orbit index's tail run before it is merged
 _BLAS_WORK = 2048         # multiply-adds from which float32 BLAS beats int32 matmul
+# every run ends in a key above all points, so a search never runs off its end
+_EMPTY_RUN = (np.array([2 ** 63 - 1]), np.array([-1]))
 
 
 class PointSpaceOverflow(ValueError):
@@ -111,19 +112,17 @@ class _Level:
 
     Slot i holds the encoded point, its vector, and the transversal element
     carrying the base point there together with that element's inverse;
-    slot 0 holds the identity.
+    slot 0 holds the identity.  The orbit index is two sorted runs of
+    (point, slot) pairs, a main run and a tail of recent points.
     """
 
-    __slots__ = ("beta_col", "table", "sorted_pts", "sorted_slots",
+    __slots__ = ("beta_col", "main", "tail",
                  "points", "vecs", "trans", "trans_inv", "cursors")
 
     def __init__(self, beta_col, space, identity):
         n = identity.shape[0]
         self.beta_col = beta_col
-        self.table = (np.full(space.size, -1, dtype=np.int32)
-                      if space.size <= _DENSE_POINTS else None)
-        self.sorted_pts = np.empty(0, dtype=np.int64)
-        self.sorted_slots = np.empty(0, dtype=np.int64)
+        self.main = self.tail = _EMPTY_RUN
         self.points = _Store(())
         self.vecs = _Store((n,), identity.dtype)
         self.trans = _Store((n, n), identity.dtype)
@@ -143,27 +142,32 @@ class _Level:
         self.vecs.append(mats[:, :, self.beta_col])
         self.trans.append(mats)
         self.trans_inv.append(invs)
-        if self.table is not None:
-            self.table[pts] = slots
-        else:
-            order = np.argsort(pts)
-            at = np.searchsorted(self.sorted_pts, pts[order])
-            self.sorted_pts = np.insert(self.sorted_pts, at, pts[order])
-            self.sorted_slots = np.insert(self.sorted_slots, at, slots[order])
-
-    def finish(self):
-        """Swap the dense table for the sorted orbit once the chain is built."""
-        if self.table is not None:
-            self.table = None
-            self.sorted_slots = np.argsort(self.points.view())
-            self.sorted_pts = self.points.view()[self.sorted_slots]
+        self.tail = _merge(self.tail, pts, slots)
+        if self.tail[0].size > _TAIL:
+            keys, slots = self.tail
+            self.main = _merge(self.main, keys[:-1], slots[:-1])  # one end key
+            self.tail = _EMPTY_RUN
 
     def lookup(self, pts):
         """Orbit slots of encoded points, -1 where a point is not in the orbit."""
-        if self.table is not None:
-            return self.table[pts]
-        at = np.minimum(np.searchsorted(self.sorted_pts, pts), self.orbit_size - 1)
-        return np.where(self.sorted_pts[at] == pts, self.sorted_slots[at], -1)
+        slots = _search(self.tail, pts)
+        if self.main[0].size > 1:  # more than the end key
+            slots = np.maximum(slots, _search(self.main, pts))
+        return slots
+
+
+def _merge(run, pts, slots):
+    """The sorted run (points, slots) with the given pairs added."""
+    keys = np.concatenate((run[0], pts))
+    order = keys.argsort(kind="stable")  # timsort: the run is already sorted
+    return keys[order], np.concatenate((run[1], slots))[order]
+
+
+def _search(run, pts):
+    """Slots of pts in a sorted run, -1 where absent."""
+    keys, slots = run
+    at = keys.searchsorted(pts)
+    return np.where(keys[at] == pts, slots[at], -1)
 
 
 class StabChain:
@@ -230,8 +234,6 @@ class StabChain:
             self._process_schreier(stash)
             if residues is None and not stash:
                 break
-        for lev in self.levels:
-            lev.finish()
 
     def _sift_stash(self, stash):
         """Sift the stashed (mats, invs) blocks; None if all reach the identity.
@@ -311,20 +313,25 @@ class StabChain:
         of the new points are the identity).
         """
         cand = self._mul(gmat, lev.trans.view()[start:end])
-        cand_inv = self._mul(lev.trans_inv.view()[start:end], ginv)
         pts = cand[:, :, lev.beta_col] @ self.space.weights
-        fresh = np.nonzero(lev.lookup(pts) < 0)[0]
-        if fresh.size > 1:
-            _, first = np.unique(pts[fresh], return_index=True)
-            fresh = fresh[np.sort(first)]
-        if fresh.size:
-            lev.add(pts[fresh], cand[fresh], cand_inv[fresh])
         slots = lev.lookup(pts)
+        fresh = np.nonzero(slots < 0)[0]
+        if fresh.size:
+            # one slot per new point, numbered in order of first appearance
+            base, slot_of, new = lev.orbit_size, {}, []
+            fresh_pts = pts[fresh].tolist()
+            for j, p in zip(fresh.tolist(), fresh_pts):
+                if p not in slot_of:
+                    slot_of[p] = base + len(new)
+                    new.append(j)
+            slots[fresh] = [slot_of[p] for p in fresh_pts]
+            new = np.array(new)
+            lev.add(pts[new], cand[new], self._mul(lev.trans_inv.view()[start + new], ginv))
         sg = self._mul(lev.trans_inv.view()[slots], cand)
-        nontrivial = (sg != self.identity).any(axis=(1, 2))
-        if nontrivial.any():
-            sg_inv = self._mul(cand_inv[nontrivial], lev.trans.view()[slots[nontrivial]])
-            stash.append((sg[nontrivial], sg_inv))
+        rows = np.nonzero((sg != self.identity).any(axis=(1, 2)))[0]
+        if rows.size:
+            cand_inv = self._mul(lev.trans_inv.view()[start + rows], ginv)
+            stash.append((sg[rows], self._mul(cand_inv, lev.trans.view()[slots[rows]])))
 
     # -- queries ---------------------------------------------------------
 

@@ -132,17 +132,24 @@ def test_chain_check_at_the_float32_bound(modulus, dtype):
     assert np.array_equal(chain._mul(a.astype(dtype), b.astype(dtype)), a @ b % modulus)
 
 
-def test_finished_chain_drops_the_dense_index():
-    for text, modulus in [("1 - 1 - 1", 5), ("2 - 1 - 2", 6)]:
+def test_chain_index_is_sized_by_the_orbit():
+    # ("1 = 1", 1031) has an orbit of 2,062 points, so its index has a main run
+    for text, modulus in [("1 - 1 - 1", 5), ("2 - 1 - 2", 6), ("1 = 1", 1031)]:
         chain = chain_for(text, modulus)
         assert chain.check()
         size = chain.space.size
         for lev in chain.levels:
+            # each orbit point once, and one end key per run
+            keys = np.concatenate([lev.main[0], lev.tail[0]])
+            assert keys.size == lev.orbit_size + 2
+            assert np.array_equal(np.sort(keys[keys < size]),
+                                  np.sort(lev.points.view()))
             for name in lev.__slots__:
                 value = getattr(lev, name, None)
                 value = getattr(value, "buf", value)
-                if isinstance(value, np.ndarray):
-                    assert value.size != size, (text, modulus, name)
+                for arr in value if isinstance(value, tuple) else [value]:
+                    if isinstance(arr, np.ndarray):
+                        assert arr.size != size, (text, modulus, name)
 
 
 def test_known_dihedral_orders():
