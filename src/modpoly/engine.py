@@ -34,6 +34,17 @@ holds exactly: large products run in float32 (BLAS) and are converted back
 to integers before the reduction mod d, small ones in int32.  Otherwise
 the chain stores and multiplies int64.  The choice depends on n and d
 alone.
+
+Coset walk.  `intersection_order` measures |S ∩ L| for a large S by the
+orbit of the trivial coset L under S (orbit-stabilizer).  A coset gL is
+named by a canonical representative: descend L's chain and, at each level,
+multiply g by the transversal element u for which g·u sends the base point
+to the least encoded point of g·(orbit).  The walk goes one BFS layer at a
+time: the products gen·rep of a layer, rep-major then generator, are
+canonicalized as one stack and deduplicated in that order, so cosets are
+visited in the order of a walk that takes one product at a time.  Both
+steps work in blocks whose temporaries hold about _CHUNK*n entries:
+_CHUNK/n candidate matrices, or _CHUNK orbit images.
 """
 
 import numpy as np
@@ -394,47 +405,56 @@ class StabChain:
 def intersection_order(a, b, orbit_guard=1_000_000, enum_bound=20_000):
     """|A ∩ B| for two chains over the same point space.
 
-    If the smaller group is small enough its elements are enumerated and
-    sifted through the other chain in batch.  Otherwise the smaller group's
-    generators act on canonical coset representatives of the larger group:
-    the representative of gB is found by descending B's chain, at each level
-    multiplying by the transversal element whose base-point image is
-    minimal.  That canonical form is a complete coset invariant, so the
-    orbit of the trivial coset has size [S : S ∩ L] and the intersection
-    order follows by orbit-stabilizer.
+    If the smaller group S is small enough its elements are enumerated and
+    sifted through the larger chain L in batch.  Otherwise the orbit of the
+    trivial coset L under S's strong generators is walked breadth first, one
+    BFS layer per step (see "Coset walk" in the module docstring).  The
+    canonical representative is a complete coset invariant, so the orbit has
+    size [S : S ∩ L] and the intersection order follows by orbit-stabilizer.
     """
     small, large = (a, b) if a.order() <= b.order() else (b, a)
     if small.order() <= enum_bound:
         elems = small.elements()
         return int(np.count_nonzero(large.member_mask(elems)))
-    start = _canonical_coset_rep(large, small.identity.copy())
-    visited = {start.tobytes(): None}
-    frontier = [start]
-    gens = [m for m, _, _ in small.gens] or [small.identity]
-    while frontier:
+    n = small.n
+    frontier = _canonical_coset_reps(large, small.identity[None].copy())
+    visited = {frontier[0].tobytes()}
+    gens = np.stack([m for m, _, _ in small.gens] or [small.identity])
+    step = max(1, _CHUNK // (gens.shape[0] * n))  # see "Coset walk"
+    while frontier.shape[0]:
         nxt = []
-        for rep in frontier:
-            for g in gens:
-                cand = _canonical_coset_rep(large, large._mul(g, rep))
+        for at in range(0, frontier.shape[0], step):
+            # candidates rep-major, then generator: gens[j] @ rep
+            cands = large._mul(gens, frontier[at:at + step, None]).reshape(-1, n, n)
+            cands = _canonical_coset_reps(large, cands)
+            keep = []
+            for i, cand in enumerate(cands):
                 key = cand.tobytes()
                 if key not in visited:
-                    visited[key] = None
+                    visited.add(key)
                     if len(visited) > orbit_guard:
                         raise OrbitGuardExceeded(
                             "coset orbit exceeds guard %d" % orbit_guard)
-                    nxt.append(cand)
-        frontier = nxt
+                    keep.append(i)
+            nxt.append(cands[keep])
+        frontier = np.concatenate(nxt)
     orbit = len(visited)
     if small.order() % orbit:
         raise AssertionError("orbit size does not divide group order")
     return small.order() // orbit
 
 
-def _canonical_coset_rep(chain, g):
+def _canonical_coset_reps(chain, gs):
+    """Canonical representatives of the cosets g·L of a stack of matrices,
+    written over gs (see "Coset walk" in the module docstring)."""
     for lev in chain.levels:
-        pts = chain._mul(lev.vecs.view(), g.T) @ chain.space.weights
-        g = chain._mul(g, lev.trans.view()[int(np.argmin(pts))])
-    return g
+        vecs_t, trans = lev.vecs.view().T, lev.trans.view()
+        rows = max(1, _CHUNK // lev.orbit_size)
+        for at in range(0, gs.shape[0], rows):
+            block = gs[at:at + rows]
+            pts = chain.space.weights @ chain._mul(block, vecs_t)
+            gs[at:at + rows] = chain._mul(block, trans[pts.argmin(axis=1)])
+    return gs
 
 
 def element_period(mat, modulus, cap=1_000_000):

@@ -889,8 +889,12 @@ def predicted_type_vector(diagram, window, modulus):
     if match is None:
         raise ValueError("window does not match a Euclidean basic system")
     system, _, frame_d, frame_w = match
-    s = int(modulus)
-    m = len(win) - 1
+    return _predict_row(system, frame_d, frame_w, int(modulus))
+
+
+def _predict_row(system, frame_d, frame_w, s):
+    """predicted_type_vector for a window already resolved to its frame."""
+    m = len(frame_w) - 1
     cj = frame_d.node_parity(frame_w[0])
     ce = frame_d.node_parity(frame_w[-1])
     ml = frame_d.side_integers(frame_w[0])[0]
@@ -906,12 +910,8 @@ def classify_euclidean(diagram, window, modulus):
     s = int(modulus)
     if s < 2:
         raise ValueError("modulus must be at least 2")
-    match = _match(diagram, win, _euclidean_system)
-    if match is None:
-        raise ValueError("window does not match a Euclidean basic system")
-    flipped = match[1]
-    row_id, predicted_q = predicted_type_vector(diagram, win, s)
-    tsub = translation_generators(diagram, win)
+    tsub = translation_generators(diagram, win)  # resolves the frame, once
+    row_id, predicted_q = _predict_row(tsub.system, tsub.frame_diagram, tsub.frame_window, s)
     tv = type_vector(tsub, s)
     measured_q = None if tv is None else tv.vector
     collapsed = any(predict_collapse(diagram, s)[i] for i in win)
@@ -921,7 +921,7 @@ def classify_euclidean(diagram, window, modulus):
         kind, note = "Euclidean", ""
     return SectionClass(
         window=(win[0], win[-1]), kind=kind, family=_family_name(diagram, win),
-        modulus=s, flipped=flipped, collapsed=collapsed,
+        modulus=s, flipped=tsub.flipped, collapsed=collapsed,
         predicted_q=predicted_q, measured_q=measured_q,
         constraints_row_id=row_id, annotation=note,
     )

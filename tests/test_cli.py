@@ -93,6 +93,14 @@ def test_guard_exit_3(capsys):
     assert code == 0
 
 
+def test_guard_orbit_exit_3(capsys):
+    code, _, err = run_cli(
+        ["verify", "-d", "1 - 2 - 2 - 2 - 4 - 4", "-m", "6", "--guard-orbit", "100"],
+        capsys)
+    assert code == 3
+    assert "guard: coset orbit exceeds guard 100" in err
+
+
 def test_mod_range(capsys):
     code, out, _ = run_cli(
         ["verify", "-d", "2 - 1 - 3 - 6", "--mod-range", "2..3",
@@ -301,6 +309,18 @@ def test_reproduce_long_case(capsys):
     payload = json.loads(out)
     assert payload["cases"][0]["status"] == "PASS"
     assert payload["cases"][0]["computed"]["index"] == 5
+
+
+def test_reproduce_coset_walk_case(capsys):
+    # its failing intersection is measured by a coset walk of 648 points
+    code, out, _ = run_cli(
+        ["reproduce", "--case", "rank6-kd-mod6", "--long", "--format", "json"],
+        capsys)
+    assert code == 0
+    case = json.loads(out)["cases"][0]
+    assert case["status"] == "PASS"
+    assert case["computed"]["order"] == "111795240960"
+    assert case["computed"]["witness_index"] == 2
 
 
 def test_reproduce_rows_sorted_by_id(capsys):

@@ -3,6 +3,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+import modpoly.engine as engine
 from modpoly.diagram import parse_diagram
 from modpoly.engine import (
     BoundExceeded,
@@ -11,6 +12,7 @@ from modpoly.engine import (
     PointSpace,
     PointSpaceOverflow,
     StabChain,
+    _canonical_coset_reps,
     element_period,
     enumerate_small,
     intersection_order,
@@ -46,6 +48,15 @@ def permutation_order(perm):
             length += 1
         total = lcm(total, length)
     return total
+
+
+def canonical_coset_rep(chain, g):
+    """Canonical representative of the coset g·L, one matrix at a time
+    (oracle for the batched _canonical_coset_reps)."""
+    for lev in chain.levels:
+        pts = chain._mul(lev.vecs.view(), g.T) @ chain.space.weights
+        g = chain._mul(g, lev.trans.view()[int(np.argmin(pts))])
+    return g
 
 
 def chain_for(text, modulus, indices=None):
@@ -213,29 +224,91 @@ def brute_intersection(text, modulus, left, right):
     return sum(1 for m in a if m.tobytes() in bk)
 
 
-@pytest.mark.parametrize("text,modulus,left,right", [
+INTERSECTION_CASES = [
     ("1 - 1 - 1", 3, [0, 1], [1, 2]),
     ("1 - 1 - 1", 4, [0, 1], [1, 2]),
     ("2 - 1 - 2", 4, [0, 1], [1, 2]),
     ("2 - 1 - 2", 6, [0, 1], [1, 2]),
     ("1 - 1 - 3", 4, [0, 1], [1, 2]),
     ("1 - 1 - 1", 3, [0], [0, 1, 2]),
-])
-def test_intersection_order_both_paths(text, modulus, left, right):
+    # coset orbits of 12 and 20 points, BFS layers of several reps
+    ("1 - 1 - 1 - 1 - 1", 3, [0, 1, 2], [2, 3, 4]),
+    ("1 = 1 - 1 = 1", 5, [0, 1, 2], [1, 2, 3]),
+    # int64 chains: n*(d-1)^2 is past the float32 bound
+    ("1 = 1", 4099, [0], [1]),
+    ("1 - 2", 6007, [1], [0, 1]),
+]
+
+
+@pytest.mark.parametrize("text,modulus,left,right", INTERSECTION_CASES)
+def test_intersection_order_both_paths(text, modulus, left, right, monkeypatch):
     expected = brute_intersection(text, modulus, left, right)
     a = chain_for(text, modulus, left)
     b = chain_for(text, modulus, right)
-    assert intersection_order(a, b, enum_bound=20_000) == expected
-    # force the canonical-coset path
-    assert intersection_order(a, b, enum_bound=1) == expected
-    assert intersection_order(b, a, enum_bound=1) == expected
+    # with a small chunk a BFS layer and a canonicalization span several blocks
+    for chunk in (engine._CHUNK, 3):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        assert intersection_order(a, b, enum_bound=20_000) == expected
+        # force the canonical-coset path
+        assert intersection_order(a, b, enum_bound=1) == expected
+        assert intersection_order(b, a, enum_bound=1) == expected
 
 
-def test_intersection_orbit_guard():
+def test_intersection_orbit_guard(monkeypatch):
     a = chain_for("2 - 1 - 2", 6, [0, 1])
     b = chain_for("2 - 1 - 2", 6, [1, 2])
-    with pytest.raises(OrbitGuardExceeded):
-        intersection_order(a, b, enum_bound=1, orbit_guard=2)
+    for chunk in (engine._CHUNK, 3):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        with pytest.raises(OrbitGuardExceeded):
+            intersection_order(a, b, enum_bound=1, orbit_guard=2)
+
+
+def random_words(chain, mats, count, rng, length=12):
+    """count random products of `length` matrices from mats, in the chain's dtype."""
+    mats = [chain._own(m) for m in mats]
+    out = np.empty((count,) + chain.identity.shape, dtype=chain.dtype)
+    for row in range(count):
+        g = chain.identity
+        for i in rng.integers(len(mats), size=length):
+            g = chain._mul(g, mats[i])
+        out[row] = g
+    return out
+
+
+def coset_chain(text, modulus, large):
+    rep = ModularRep(parse_diagram(text), modulus)
+    if large == "conjugate":
+        # <r0, r1 r0 r1>: a proper subgroup with a base orbit of many points
+        r0, r1 = rep.mats[0], rep.mats[1]
+        mats = [r0, r1 @ r0 @ r1 % modulus]
+    else:
+        mats = rep.select(large)
+    return rep.mats, StabChain(mats, modulus)
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("text,modulus,large,dtype", [
+    ("2 - 1 - 2", 6, [1, 2], np.int32),
+    ("1 - 1 - 1", 4, [0], np.int32),
+    ("1 = 1", 4100, "conjugate", np.int64),
+    ("1 - 2", 6007, [1], np.int64),
+])
+def test_canonical_coset_reps_match_the_scalar_oracle(text, modulus, large, dtype,
+                                                      chunk, monkeypatch):
+    gens, chain = coset_chain(text, modulus, large)
+    assert chain.dtype == dtype
+    rng = np.random.default_rng(11)
+    gs = random_words(chain, gens, 40, rng)
+    hs = random_words(chain, chain.input_gens, 40, rng)
+    if chunk:
+        # fewer rows per block than the stack has, one row where an orbit
+        # is longer than the chunk
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+    reps = _canonical_coset_reps(chain, gs.copy())
+    for g, rep in zip(gs, reps):
+        assert np.array_equal(rep, canonical_coset_rep(chain, g))
+    # a coset invariant: g and g·h (h in L) have the same representative
+    assert np.array_equal(_canonical_coset_reps(chain, chain._mul(gs, hs)), reps)
 
 
 def test_element_period_against_permutation_oracle():
