@@ -18,9 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 from . import __version__, cache, report
 from .diagram import ParseError, parse_diagram, parse_file
 from .engine import (BoundExceeded, OrbitGuardExceeded, OrderGuardExceeded,
-                     PointSpaceOverflow, StabChain)
+                     PointSpaceOverflow)
 from .matrep import ModularRep
-from .polytopality import verify_diagram, verify_words
+from .polytopality import Verifier, verify_diagram, verify_words
 from .registry import registry
 from .toroids import classify
 
@@ -149,28 +149,26 @@ def _guards(args):
     return out
 
 
-def _emit(args, payloads, code, cache_parts=None):
-    """Render, consult/fill the cache, write bytes, return the exit code."""
-    payload = payloads[0] if len(payloads) == 1 else {"results": payloads}
-    data = report.render(args.command, payload, args.format)
+def _run(args, compute, cache_parts=None):
+    """Write a run's output bytes and return its exit code.
+
+    With cache_parts and a cache directory a stored run is replayed;
+    otherwise compute() gives (payloads, exit code), which are rendered,
+    stored when cache_parts is given, and written.
+    """
     cache_dir = os.environ.get("MODPOLY_CACHE") or getattr(args, "cache", None)
+    key = None
     if cache_dir and cache_parts is not None:
         key = cache.cache_key(cache_parts + [args.format, __version__])
-        cache.store(cache_dir, key, data, code)
-    sys.stdout.buffer.write(data)
-    sys.stdout.buffer.flush()
-    return code
-
-
-def _cache_replay(args, cache_parts):
-    cache_dir = os.environ.get("MODPOLY_CACHE") or getattr(args, "cache", None)
-    if not cache_dir:
-        return None
-    key = cache.cache_key(cache_parts + [args.format, __version__])
-    hit = cache.load(cache_dir, key)
+    hit = cache.load(cache_dir, key) if key else None
     if hit is None:
-        return None
-    data, code = hit
+        payloads, code = compute()
+        payload = payloads[0] if len(payloads) == 1 else {"results": payloads}
+        data = report.render(args.command, payload, args.format)
+        if key:
+            cache.store(cache_dir, key, data, code)
+    else:
+        data, code = hit
     sys.stdout.buffer.write(data)
     sys.stdout.buffer.flush()
     return code
@@ -185,34 +183,27 @@ def cmd_verify(args):
     diagrams = _load_diagrams(args)
     moduli = _moduli(args)
     guards = _guards(args)
-    parts = _verify_parts(args, diagrams, moduli)
-    replay = _cache_replay(args, parts)
-    if replay is not None:
-        return replay
-    payloads, code = [], EXIT_OK
-    for diagram in diagrams:
-        for m in moduli:
-            rep = verify_diagram(diagram, m, **guards)
-            payloads.append(report.verify_payload(rep))
-            if not rep.ok:
-                code = EXIT_NEGATIVE
-    return _emit(args, payloads, code, parts)
+
+    def compute():
+        payloads, code = [], EXIT_OK
+        for diagram in diagrams:
+            for m in moduli:
+                rep = verify_diagram(diagram, m, **guards)
+                payloads.append(report.verify_payload(rep))
+                if not rep.ok:
+                    code = EXIT_NEGATIVE
+        return payloads, code
+    return _run(args, compute, _verify_parts(args, diagrams, moduli))
 
 
 def cmd_classify(args):
     diagrams = _load_diagrams(args)
     moduli = _moduli(args)
-    parts = _verify_parts(args, diagrams, moduli)
-    replay = _cache_replay(args, parts)
-    if replay is not None:
-        return replay
-    payloads = []
-    for diagram in diagrams:
-        for m in moduli:
-            sections = classify(diagram, m)
-            payloads.append(report.classify_payload(diagram.render(), m,
-                                                   sections))
-    return _emit(args, payloads, EXIT_OK, parts)
+
+    def compute():
+        return [report.classify_payload(diagram.render(), m, classify(diagram, m))
+                for diagram in diagrams for m in moduli], EXIT_OK
+    return _run(args, compute, _verify_parts(args, diagrams, moduli))
 
 
 def _parse_words(raw_words):
@@ -228,35 +219,41 @@ def _parse_words(raw_words):
     return tuple(words)
 
 
+def _verify_subgroup(diagram, modulus, words, **guards):
+    """(verify_words report, parent group order, index); the index is None
+    when the subgroup order does not divide the parent order.
+    """
+    parent = Verifier(ModularRep(diagram, modulus).mats, modulus,
+                      order_guard=guards.get("order_guard")).segment_order(0, diagram.rank)
+    sub = verify_words(diagram, modulus, words, **guards)
+    index, rem = divmod(parent, sub.order)
+    return sub, parent, None if rem else index
+
+
 def cmd_subgroup(args):
     diagrams = _load_diagrams(args)
     if args.modulus < 2:
         raise InputError("modulus must be at least 2, got %d" % args.modulus)
     words = _parse_words(args.word)
     guards = _guards(args)
-    parts = _verify_parts(args, diagrams, [args.modulus],
-                          [list(w) for w in words])
-    replay = _cache_replay(args, parts)
-    if replay is not None:
-        return replay
-    payloads, code = [], EXIT_OK
-    for diagram in diagrams:
-        for w in words:
-            for idx in w:
-                if not 0 <= idx < diagram.rank:
-                    raise InputError("word index %d out of range for rank %d"
-                                     % (idx, diagram.rank))
-        parent = StabChain(ModularRep(diagram, args.modulus).mats,
-                           args.modulus,
-                           order_guard=guards.get("order_guard"))
-        sub = verify_words(diagram, args.modulus, words, **guards)
-        index, rem = divmod(parent.order(), sub.order)
-        if rem:
-            raise RuntimeError("subgroup order does not divide the parent order")
-        payloads.append(report.subgroup_payload(parent.order(), sub, index))
-        if not sub.ok:
-            code = EXIT_NEGATIVE
-    return _emit(args, payloads, code, parts)
+
+    def compute():
+        payloads, code = [], EXIT_OK
+        for diagram in diagrams:
+            for w in words:
+                for idx in w:
+                    if not 0 <= idx < diagram.rank:
+                        raise InputError("word index %d out of range for rank %d"
+                                         % (idx, diagram.rank))
+            sub, parent, index = _verify_subgroup(diagram, args.modulus, words, **guards)
+            if index is None:
+                raise RuntimeError("subgroup order does not divide the parent order")
+            payloads.append(report.subgroup_payload(parent, sub, index))
+            if not sub.ok:
+                code = EXIT_NEGATIVE
+        return payloads, code
+    return _run(args, compute, _verify_parts(args, diagrams, [args.modulus],
+                                             [list(w) for w in words]))
 
 
 def cmd_parse(args):
@@ -273,7 +270,7 @@ def cmd_parse(args):
             payload["modulus"] = args.modulus
             payload["matrices"] = [m.tolist() for m in rep.mats]
         payloads.append(payload)
-    return _emit(args, payloads, EXIT_OK)
+    return _run(args, lambda: (payloads, EXIT_OK))
 
 
 def _run_case(case):
@@ -289,11 +286,8 @@ def _run_case(case):
             diffs.append("%s: expected %r, computed %r" % (name, want, got))
 
     if case.words:
-        parent = StabChain(ModularRep(diagram, case.modulus).mats,
-                           case.modulus)
-        rep = verify_words(diagram, case.modulus, case.words)
-        index, rem = divmod(parent.order(), rep.order)
-        check("index", case.expect_index, index if rem == 0 else None)
+        rep, _, index = _verify_subgroup(diagram, case.modulus, case.words)
+        check("index", case.expect_index, index)
     else:
         rep = verify_diagram(diagram, case.modulus)
     check("verdict", case.expect_verdict, rep.verdict)
@@ -329,9 +323,7 @@ def _case_is_long(case, threshold):
 
 
 def cmd_reproduce(args):
-    threshold = args.guard_order if args.guard_order else LONG_ORDER_THRESHOLD
-    if threshold <= 0:
-        raise InputError("guard-order must be positive")
+    threshold = _guards(args).get("order_guard", LONG_ORDER_THRESHOLD)
     cases = list(registry())
     if args.case:
         known = {c.ident for c in cases}
@@ -353,10 +345,7 @@ def cmd_reproduce(args):
     rows.sort(key=lambda r: r["id"])
     payload = report.reproduce_payload(rows)
     code = EXIT_OK if payload["counts"]["fail"] == 0 else EXIT_NEGATIVE
-    data = report.render("reproduce", payload, args.format)
-    sys.stdout.buffer.write(data)
-    sys.stdout.buffer.flush()
-    return code
+    return _run(args, lambda: ([payload], code))
 
 
 def main(argv=None):

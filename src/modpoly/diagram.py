@@ -20,6 +20,9 @@ from math import gcd
 
 INFINITY = 0  # branch period sentinel; compares as "infinite" everywhere below
 
+# period of r_i r_{i+1} in the real group, indexed by m_{i,i+1} * m_{i+1,i}
+_PERIOD_BY_CARTAN_PRODUCT = (2, 3, 4, 6, INFINITY)
+
 
 class Branch(Enum):
     SINGLE = "-"
@@ -33,17 +36,6 @@ class ParseError(ValueError):
     def __init__(self, message, position):
         super().__init__("%s (at position %d)" % (message, position))
         self.position = position
-
-
-def _branch_period(kind, a, b):
-    # Period of the product of the two adjacent reflections in the real group.
-    if kind is Branch.NONE:
-        return 2
-    if kind is Branch.DOUBLE:
-        return INFINITY
-    lo, hi = min(a, b), max(a, b)
-    ratio = hi // lo
-    return {1: 3, 2: 4, 3: 6, 4: INFINITY}[ratio]
 
 
 def _cartan_pair(kind, a, b):
@@ -108,10 +100,7 @@ class Diagram:
 
     def branch_periods(self):
         """Period of r_{i} r_{i+1} in the real group, per branch (0 = infinite)."""
-        return tuple(
-            _branch_period(k, self.labels[i], self.labels[i + 1])
-            for i, k in enumerate(self.branches)
-        )
+        return tuple(_PERIOD_BY_CARTAN_PRODUCT[a * b] for a, b in self.cartan_pairs())
 
     def cartan_pairs(self):
         """(m_{i,i+1}, m_{i+1,i}) per branch."""

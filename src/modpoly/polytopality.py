@@ -33,6 +33,8 @@ NOT_SGGI = "NotSGGI"
 INTERSECTION_FAILS = "IntersectionFails"
 DEGENERATE = "Degenerate"
 
+_CLOSURE_BOUND = 200_000  # closure cap for generators that are not involutions
+
 
 @dataclass
 class CheckRecord:
@@ -84,16 +86,13 @@ class Verifier:
     for contiguous segments [lo, hi) are cached across checks.
     """
 
-    def __init__(self, mats, modulus, order_guard=None, orbit_guard=1_000_000,
-                 enum_bound=20_000, word_order_bound=200_000):
+    def __init__(self, mats, modulus, order_guard=None, orbit_guard=1_000_000):
         self.mats = [np.asarray(m, dtype=np.int64) % modulus for m in mats]
         self.modulus = modulus
         self.rank = len(self.mats)
         self.dim = self.mats[0].shape[0] if self.mats else 0
         self.order_guard = order_guard
         self.orbit_guard = orbit_guard
-        self.enum_bound = enum_bound
-        self.word_order_bound = word_order_bound
         self._chains = {}
 
     def chain(self, lo, hi):
@@ -152,7 +151,7 @@ class Verifier:
         if not involutions:
             # no stabilizer chain without involutions; order by plain closure
             size = int(enumerate_small(self.mats, self.modulus,
-                                       bound=self.word_order_bound).shape[0])
+                                       bound=_CLOSURE_BOUND).shape[0])
             return VerificationReport(self.modulus, NOT_SGGI, size, None, checks)
         order = self.segment_order(0, self.rank)
         schlafli = self.schlafli()
@@ -163,7 +162,7 @@ class Verifier:
                 expected = self.segment_order(k, r - 1)
                 measured = intersection_order(
                     self.chain(0, r - 1), self.chain(k, r),
-                    orbit_guard=self.orbit_guard, enum_bound=self.enum_bound)
+                    orbit_guard=self.orbit_guard)
                 ok = measured == expected
                 wit = None
                 if not ok:

@@ -34,18 +34,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagram import Branch, Diagram, INFINITY
-from .engine import StabChain, element_period
+from .engine import element_period
 from .matrep import (
+    ModularRep,
     embed_window_vector,
     is_transvection,
     predict_branch_periods,
     predict_collapse,
     radical_vector,
-    reduce_mod,
     reflection_matrices,
     rref,
 )
-from .polytopality import verify_diagram
+from .polytopality import Verifier, verify_diagram
 
 _POINT_BOUND = 2000     # safety cap on point-group closure (largest real case: 1152)
 _ORBIT_BOUND = 4000     # safety cap on conjugacy orbits of translations
@@ -461,6 +461,9 @@ def translation_generators(diagram, window):
     if len(cands) != 1:
         raise AssertionError("translation search found %d candidates" % len(cands))
     t1 = cands[0]
+    orbit = _conj_orbit(t1, point_gens, c_amb, frame_w)
+    w_all = sorted(orbit)
+    full_hnf, full_piv = _row_hnf(w_all, m + 1)
 
     mats = [t1]
     if kind == "cubic":
@@ -468,11 +471,8 @@ def translation_generators(diagram, window):
             r = refl[j + i]
             mats.append(r @ mats[-1] @ r)
     elif kind != "inf":
-        orbit = _conj_orbit(t1, point_gens, c_amb, frame_w)
         w1 = _translation_row(t1, c_amb, frame_w)
-        w_all = sorted(orbit)
-        w_hnf, w_piv = _row_hnf(w_all, m + 1)
-        if len(w_hnf) != m:
+        if len(full_hnf) != m:
             raise AssertionError("translation orbit does not span rank %d" % m)
         target = 3 if kind == "hex" else 4
         neg_w1 = tuple(-x for x in w1)
@@ -482,7 +482,7 @@ def translation_generators(diagram, window):
                 continue
             sig = t1 @ orbit[wv]
             sig_orbit = _conj_orbit(sig, point_gens, c_amb, frame_w)
-            if _index_in(sorted(sig_orbit), w_hnf, w_piv) == target:
+            if _index_in(sorted(sig_orbit), full_hnf, full_piv) == target:
                 pick = orbit[wv]
                 break
         if pick is None:
@@ -494,7 +494,7 @@ def translation_generators(diagram, window):
             for wa, wb in itertools.combinations(w_all, 2):
                 rows = [w1, w2, wa, wb]
                 try:
-                    if _index_in(rows, w_hnf, w_piv) == 1:
+                    if _index_in(rows, full_hnf, full_piv) == 1:
                         done = (orbit[wa], orbit[wb])
                         break
                 except ValueError:
@@ -513,8 +513,6 @@ def translation_generators(diagram, window):
     w_hnf, w_piv = _row_hnf(w_rows, m + 1)
     if len(w_hnf) != m:
         raise AssertionError("translation vectors are not independent")
-    orbit_rows = sorted(_conj_orbit(t1, point_gens, c_amb, frame_w))
-    full_hnf, full_piv = _row_hnf(orbit_rows, m + 1)
     if _index_in(w_rows, full_hnf, full_piv) != 1:
         raise AssertionError("generators do not span the full translation lattice")
 
@@ -693,6 +691,7 @@ def type_vector(tsub, modulus):
 # spherical classification
 
 def _spherical_char0(kind, k, diagram=None, window=None):
+    """Order of a spherical system's real (characteristic 0) group."""
     if kind == "A":
         return math.factorial(k + 1)
     if kind == "I2":
@@ -707,17 +706,16 @@ def _spherical_char0(kind, k, diagram=None, window=None):
 def _spherical_predict(kind, k, frame_d, frame_w, s):
     """(family, order, collapsed, row id, annotation) for a spherical window."""
     j = frame_w[0]
+    full = _spherical_char0(kind, k, frame_d, frame_w)
     if kind == "A":
-        if k == 1:
-            if s == 2 and frame_d.node_parity(j) == "ee":
-                return ("A_0", 1, True, "A1:s2-ee", "the generator reduces to the identity")
-            return ("A_1", 2, False, "A:any", "")
-        return ("A_%d" % k, math.factorial(k + 1), False, "A:any", "")
+        if k == 1 and s == 2 and frame_d.node_parity(j) == "ee":
+            return ("A_0", 1, True, "A1:s2-ee", "the generator reduces to the identity")
+        return ("A_%d" % k, full, False, "A:any", "")
     if kind == "I2":
-        p = frame_d.subdiagram(frame_w).branch_periods()[0]
+        p = full // 2
         name = "I_2(%d)" % p
         if s >= 3:
-            return (name, 2 * p, False, "I2:s3", "")
+            return (name, full, False, "I2:s3", "")
         dead = [i for i in (j, j + 1) if frame_d.node_parity(i) == "ee"]
         if len(dead) == 2:
             return (name, 1, True, "I2:s2-both-ee", "both generators reduce to the identity")
@@ -727,15 +725,13 @@ def _spherical_predict(kind, k, frame_d, frame_w, s):
         note = "branch period drops to %d" % per if per != p else ""
         return (name, 2 * per, False, "I2:s2", note)
     if kind == "Bsys1":
-        full = 2 ** k * math.factorial(k)
         if s >= 3:
             return ("B_%d" % k, full, False, "Bsys1:s3", "")
         if frame_d.node_parity(j) == "ee":
-            return ("A_%d" % (k - 1), math.factorial(k), True, "Bsys1:s2-ee",
+            return ("A_%d" % (k - 1), _spherical_char0("A", k - 1), True, "Bsys1:s2-ee",
                     "the short-label generator reduces to the identity")
         return ("B_%d" % k, full, False, "Bsys1:s2-oe", "")
     if kind == "Bsys2":
-        full = 2 ** k * math.factorial(k)
         if s >= 3:
             return ("B_%d" % k, full, False, "Bsys2:s3", "")
         cj = frame_d.node_parity(j)
@@ -752,8 +748,8 @@ def _spherical_predict(kind, k, frame_d, frame_w, s):
         raise AssertionError("unreachable parity pair %s" % ((cj, ce),))
     if kind == "F4":
         if s >= 3:
-            return ("F_4", 1152, False, "F4:s3", "")
-        return ("F_4/{±e}", 576, False, "F4:s2", "")
+            return ("F_4", full, False, "F4:s3", "")
+        return ("F_4/{±e}", full // 2, False, "F4:s2", "")
     raise AssertionError(kind)
 
 
@@ -768,8 +764,7 @@ def classify_spherical(diagram, window, modulus):
         raise ValueError("window does not match a spherical basic system")
     (kind, k), flipped, frame_d, frame_w = got
     family, order, collapsed, row_id, note = _spherical_predict(kind, k, frame_d, frame_w, s)
-    refl = reflection_matrices(frame_d)
-    measured = StabChain(reduce_mod([refl[i] for i in frame_w], s), s).order()
+    measured = Verifier(ModularRep(frame_d, s).mats, s).segment_order(frame_w[0], frame_w[-1] + 1)
     return SectionClass(
         window=(win[0], win[-1]), kind="Spherical", family=family, modulus=s,
         flipped=flipped, collapsed=collapsed, predicted_order=order,
@@ -990,12 +985,12 @@ def check_translation_splitting(diagram, window, modulus):
     tsub = translation_generators(diagram, win)
     frame_d, frame_w = tsub.frame_diagram, tsub.frame_window
     n = frame_d.rank
-    refl = reflection_matrices(frame_d)
+    rep = ModularRep(frame_d, s)
 
-    e_mats = reduce_mod([refl[i] for i in frame_w], s)
-    h_mats = reduce_mod([refl[i] for i in tsub.point_nodes], s)
-    order_e = StabChain(e_mats, s).order()
-    order_h = StabChain(h_mats, s).order()
+    # the window's own verifier: E^s is its whole group, H^s drops node 0
+    window_v = Verifier(rep.select(frame_w), s)
+    order_e = window_v.segment_order(0, len(frame_w))
+    order_h = window_v.segment_order(1, len(frame_w))
     periods, _, basis, _, order_t = _kernel_data(tsub, s)
     splitting = {
         "order_E": order_e,
@@ -1005,8 +1000,8 @@ def check_translation_splitting(diagram, window, modulus):
         "H_faithful": order_h == tsub.point_order,
     }
 
-    rep = verify_diagram(frame_d, s, window=frame_w)
-    scg = {"verdict": rep.verdict, "ok": rep.ok}
+    window_rep = window_v.verify()
+    scg = {"verdict": window_rep.verdict, "ok": window_rep.ok}
 
     # kernel of the action on the window submodule: a . W = 0 mod s
     m = tsub.m
@@ -1025,7 +1020,7 @@ def check_translation_splitting(diagram, window, modulus):
     }
 
     right = tuple(range(frame_w[0] + 1, n))
-    right_chain = StabChain(reduce_mod([refl[i] for i in right], s), s)
+    right_chain = Verifier(rep.mats, s).chain(right[0], n)
     checked, witness = _translation_scan(tsub, s, right_chain.member)
     intersection = {
         "with_nodes": list(right),
@@ -1075,8 +1070,7 @@ class QuotientResult:
 
 def _condition10(tsub, di, modulus):
     """Intersection of T^d with the subgroup dropping node 0, in di coordinates."""
-    refl = reflection_matrices(di)
-    chain = StabChain(reduce_mod([refl[i] for i in range(1, di.rank)], modulus), modulus)
+    chain = Verifier(ModularRep(di, modulus).mats, modulus).chain(1, di.rank)
     checked, witness = _translation_scan(
         tsub, modulus, lambda x: chain.member(tsub.frame_to_original(x)))
     return {
@@ -1103,33 +1097,39 @@ def quotient_criterion(diagram, base, modulus):
     d = int(modulus)
     if s < 2 or d % s:
         raise ValueError("need base >= 2 and base | modulus")
-    checks = []
-    base_rep = verify_diagram(diagram, s)
-    checks.append({
+    base_v = Verifier(ModularRep(diagram, s).mats, s)
+    base_rep = base_v.verify()
+    checks = [{
         "name": "base modulus %d gives a string C-group" % s,
         "passed": base_rep.ok,
         "detail": {"verdict": base_rep.verdict, "order": base_rep.order},
-    })
+    }]
+
+    def full_order(name, match, lo, hi):
+        """Record whether segment [lo, hi) keeps the char-0 order of match mod s."""
+        (kind, k), _, fd, fw = match
+        char0 = _spherical_char0(kind, k, fd, fw)
+        reduced = base_v.segment_order(lo, hi)
+        checks.append({
+            "name": name + " is spherical with full order mod %d" % s,
+            "passed": reduced == char0,
+            "detail": {"pattern": kind, "char0_order": char0, "reduced_order": reduced},
+        })
+        return reduced == char0
+
     # a rank-1 diagram has an empty facet window: neither case applies
     if base_rep.ok and diagram.rank > 1:
+        n = diagram.rank
         for dual in (False, True):
             di = diagram.flip() if dual else diagram
             tag = "dual " if dual else ""
-            n = di.rank
+            # the flip reverses the nodes, so the dual facet is the segment
+            # [1, n) of the original and both point groups are [1, n-1)
+            lo = 1 if dual else 0
             facet = tuple(range(0, n - 1))
-            refl = reflection_matrices(di)
             sph = _match(di, facet, _spherical_system)
             if sph is not None:
-                (kind, k), _, fd, fw = sph
-                char0 = _spherical_char0(kind, k, fd, fw)
-                mo = StabChain(reduce_mod([refl[i] for i in facet], s), s).order()
-                ok = mo == char0
-                checks.append({
-                    "name": tag + "facet subgroup is spherical with full order mod %d" % s,
-                    "passed": ok,
-                    "detail": {"pattern": kind, "char0_order": char0, "reduced_order": mo},
-                })
-                if ok:
+                if full_order(tag + "facet subgroup", sph, lo, lo + n - 1):
                     return QuotientResult("StringCGroup-by-criterion", "a", dual, s, d,
                                           tuple(checks))
                 continue
@@ -1149,16 +1149,7 @@ def quotient_criterion(diagram, base, modulus):
                     "detail": {},
                 })
                 continue
-            (pkind, pk), _, pfd, pfw = psph
-            pchar0 = _spherical_char0(pkind, pk, pfd, pfw)
-            pmo = StabChain(reduce_mod([refl[i] for i in point], s), s).order()
-            pok = pmo == pchar0
-            checks.append({
-                "name": tag + "point group is spherical with full order mod %d" % s,
-                "passed": pok,
-                "detail": {"pattern": pkind, "char0_order": pchar0, "reduced_order": pmo},
-            })
-            if not pok:
+            if not full_order(tag + "point group", psph, 1, n - 1):
                 continue
             tsub = translation_generators(di, facet)
             cond = _condition10(tsub, di, d)

@@ -69,6 +69,7 @@ def test_verify_json_byte_deterministic(capsys):
     ["subgroup", "-d", "1 - 2 - 1", "-m", "4", "--word", "7"],
     ["reproduce", "--case", "no-such-case"],
     ["parse", "-d", "1 - 2 - 1", "--dump-rep"],
+    ["reproduce", "--guard-order", "0"],
 ])
 def test_input_errors_exit_2(capsys, argv):
     code, _, _ = run_cli(argv, capsys)

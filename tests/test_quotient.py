@@ -1,8 +1,9 @@
 import pytest
 
+from modpoly import engine
 from modpoly.diagram import parse_diagram
 from modpoly.polytopality import verify_diagram
-from modpoly.toroids import quotient_criterion
+from modpoly.toroids import check_translation_splitting, quotient_criterion
 
 
 def test_right_infinity_label_four_refusals():
@@ -143,3 +144,44 @@ def test_rank_one_falls_through_to_direct_verification(base, target):
         "base modulus %d gives a string C-group" % base,
         "direct verification mod %d" % target,
     ]
+
+
+def test_dual_facet_case_a():
+    # "1 , 1" matches nothing; the flip's facet "1 - 1" is A_2 at full order
+    res = quotient_criterion(parse_diagram("1 , 1 - 1"), 3, 6)
+    assert res.ok and res.case == "a" and res.dual
+    assert res.checks[1] == {
+        "name": "facet subgroup matches no spherical or Euclidean system",
+        "passed": False, "detail": {}}
+    assert res.checks[-1]["name"] == "dual facet subgroup is spherical with full order mod 3"
+    assert res.checks[-1]["detail"] == {"pattern": "A", "char0_order": 6, "reduced_order": 6}
+
+
+def test_dual_point_group_case_b():
+    # the flip's facet "1 = 1" is Euclidean with point group A_1
+    res = quotient_criterion(parse_diagram("1 , 1 = 1"), 3, 6)
+    assert res.ok and res.case == "b" and res.dual
+    point, cond = res.checks[-2:]
+    assert point["name"] == "dual point group is spherical with full order mod 3"
+    assert point["detail"] == {"pattern": "A", "char0_order": 2, "reduced_order": 2}
+    assert cond["name"] == "dual translation intersection trivial mod 6"
+    assert cond["passed"] and cond["detail"]["trivial"]
+    assert cond["detail"]["t_order"] == 3 and cond["detail"]["subgroup_order"] == 4
+
+
+@pytest.mark.parametrize("call,most", [
+    (lambda: check_translation_splitting(parse_diagram("4 - 2 - 1 - 1"), (0, 1, 2), 4), 7),
+    (lambda: quotient_criterion(parse_diagram("2 - 1 - 1"), 3, 6), 6),
+    (lambda: quotient_criterion(parse_diagram("1 , 1 = 1"), 3, 6), 7),
+], ids=["splitting", "case-a", "dual-case-b"])
+def test_window_orders_reuse_the_verifier_chains(monkeypatch, call, most):
+    # window and facet orders come from the chains the verdict already built
+    builds = []
+    init = engine.StabChain.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(engine.StabChain, "__init__", counting)
+    call()
+    assert len(builds) <= most
