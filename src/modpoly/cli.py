@@ -323,7 +323,11 @@ def _case_is_long(case, threshold):
 
 
 def cmd_reproduce(args):
-    threshold = _guards(args).get("order_guard", LONG_ORDER_THRESHOLD)
+    guards = _guards(args)
+    if "orbit_guard" in guards:
+        # the golden cases run unguarded; --guard-order only marks long cases
+        raise InputError("reproduce does not take --guard-orbit")
+    threshold = guards.get("order_guard", LONG_ORDER_THRESHOLD)
     cases = list(registry())
     if args.case:
         known = {c.ident for c in cases}

@@ -45,6 +45,27 @@ canonicalized as one stack and deduplicated in that order, so cosets are
 visited in the order of a walk that takes one product at a time.  Both
 steps work in blocks whose temporaries hold about _CHUNK*n entries:
 _CHUNK/n candidate matrices, or _CHUNK orbit images.
+
+Lifted order.  A chain built with order_only=True is asked for its order
+(and membership), never for elements or coset representatives, so when
+p^2 | d for a prime p it may find that order from an action on the
+smaller space Z_q^n, q = d/p.  The kernel of the reduction G^d -> G^q
+consists of matrices I + qX, and since p | q,
+(I + qX)(I + qY) = I + q(X + Y) mod d: the kernel is elementary abelian,
+named by X mod p, and |G^d| = |G^q| * p^k with k its F_p-rank.  The
+Schreier-Sims loop is the one above with matrices kept mod d and point
+codes taken mod q (a non-faithful action, Seress ch. 4); a sift residue
+that is the identity mod q is a kernel element, and its X joins an F_p
+echelon basis V instead of the stash.  The kernel elements are strong
+generators at every level, and their Schreier generators are their
+conjugates by transversal elements, so V is kept closed under conjugation
+by the input generators (each new basis vector queues its conjugates):
+then every such Schreier generator lies in V and none is formed.  The
+order is the product of the basic orbit sizes times p^dim V.  p is the
+largest prime whose square divides d (a prime, so that F_p is a field and
+every pivot is invertible); when there is none the chain is the direct
+one.  The point space Z_d^n is still checked against PointSpace's limit,
+so a lifted chain overflows exactly where a direct one would.
 """
 
 import numpy as np
@@ -181,10 +202,29 @@ def _search(run, pts):
     return np.where(keys[at] == pts, slots[at], -1)
 
 
-class StabChain:
-    """Verified stabilizer chain for matrices mod d acting on Z_d^n."""
+def square_prime(d):
+    """The largest prime p with p^2 | d, or None."""
+    best, p = None, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                best = p
+            while d % p == 0:
+                d //= p
+        p += 1
+    return best
 
-    def __init__(self, gens, modulus, n=None, order_guard=None):
+
+class StabChain:
+    """Verified stabilizer chain for matrices mod d acting on Z_d^n.
+
+    With order_only=True and a modulus with a square prime factor the
+    chain acts on Z_q^n instead (see "Lifted order" in the module
+    docstring); it then answers its order and membership, not elements().
+    """
+
+    def __init__(self, gens, modulus, n=None, order_guard=None, order_only=False):
         gens = [np.asarray(g, dtype=np.int64) % modulus for g in gens]
         if gens:
             n = gens[0].shape[0]
@@ -193,6 +233,11 @@ class StabChain:
         self.modulus = modulus
         self.n = n
         self.space = PointSpace(modulus, n) if n else None
+        # lifted: the kernel's prime p, and an F_p basis of its X's as (pivot, row)
+        self.lift = square_prime(modulus) if order_only and n else None
+        self.kernel = []
+        if self.lift:
+            self.space = PointSpace(modulus // self.lift, n)
         self._narrow = n * (modulus - 1) ** 2 < _FLOAT32_EXACT
         self.dtype = np.int32 if self._narrow else np.int64
         self.identity = np.eye(n, dtype=self.dtype)
@@ -207,7 +252,7 @@ class StabChain:
                     raise ValueError("chain input generators must be involutions")
                 seed.append((g[None], g[None]))
         self._build(seed)
-        self._order = 1
+        self._order = (self.lift or 1) ** len(self.kernel)
         for lev in self.levels:
             self._order *= lev.orbit_size
         if order_guard is not None and self._order > order_guard:
@@ -230,6 +275,45 @@ class StabChain:
     def _own(self, mats):
         """A fresh copy of matrices, reduced mod d, in the chain's dtype."""
         return (np.asarray(mats, dtype=np.int64) % self.modulus).astype(self.dtype)
+
+    def _mod_q(self, a):
+        """Entries reduced mod q, the modulus of the points acted on."""
+        return a % self.space.d if self.lift else a
+
+    def _kernel_x(self, mats):
+        """X mod p of kernel elements I + qX, one flat row each."""
+        x = (mats.astype(np.int64) - self.identity) // self.space.d % self.lift
+        return x.reshape(-1, self.n * self.n)
+
+    def _reduce(self, xs):
+        """Rows of xs reduced by the kernel basis; zero exactly on its span."""
+        for col, row in self.kernel:
+            xs = (xs - xs[:, col, None] * row) % self.lift
+        return xs
+
+    def _conjugates(self, x):
+        """g X g mod p for each input generator g (an involution), flat rows."""
+        gens = np.stack(self.input_gens).astype(np.int64) % self.lift
+        xm = x.reshape(self.n, self.n)
+        return (gens @ xm @ gens % self.lift).reshape(-1, self.n * self.n)
+
+    def _absorb(self, mats):
+        """Add kernel elements to the basis, closed under conjugation."""
+        p, pending = self.lift, [self._kernel_x(mats)]
+        while pending:
+            xs = self._reduce(np.concatenate(pending))
+            pending = []
+            while True:
+                rows = np.flatnonzero(xs.any(axis=1))
+                if not rows.size:
+                    break
+                x = xs[rows[0]]
+                col = int(np.flatnonzero(x)[0])
+                x = x * pow(int(x[col]), -1, p) % p
+                self.kernel.append((col, x))
+                pending.append(self._conjugates(x))
+                xs = xs[rows[0] + 1:]
+                xs = (xs - xs[:, col, None] * x) % p
 
     # -- construction ----------------------------------------------------
 
@@ -261,7 +345,11 @@ class StabChain:
         lvls = np.concatenate([self._sift(mats[at:at + _CHUNK], invs[at:at + _CHUNK])
                                for at in range(0, mats.shape[0], _CHUNK)])
         # an element that sticks moves a base point, so it is nontrivial too
-        keep = (mats != self.identity).any(axis=(1, 2))
+        keep = (self._mod_q(mats) != self.identity).any(axis=(1, 2))
+        if self.lift:
+            kernel = ~keep & (mats != self.identity).any(axis=(1, 2))
+            if kernel.any():
+                self._absorb(mats[kernel])
         if not keep.any():
             return None
         return mats[keep], invs[keep], lvls[keep]
@@ -278,7 +366,7 @@ class StabChain:
         for li, lev in enumerate(self.levels):
             if not live.size:
                 break
-            slots = lev.lookup(mats[live, :, lev.beta_col] @ self.space.weights)
+            slots = lev.lookup(self._mod_q(mats[live, :, lev.beta_col]) @ self.space.weights)
             stuck[live[slots < 0]] = li
             # slot 0 holds the identity: nothing to divide out
             move = slots > 0
@@ -292,7 +380,7 @@ class StabChain:
 
     def _install(self, mat, inv, level):
         if level == len(self.levels):
-            moved = np.nonzero((mat != self.identity).any(axis=0))[0]
+            moved = np.nonzero((self._mod_q(mat) != self.identity).any(axis=0))[0]
             if not moved.size:
                 raise AssertionError("residue is identity; nothing to install")
             self.levels.append(_Level(int(moved[0]), self.space, self.identity))
@@ -324,7 +412,7 @@ class StabChain:
         of the new points are the identity).
         """
         cand = self._mul(gmat, lev.trans.view()[start:end])
-        pts = cand[:, :, lev.beta_col] @ self.space.weights
+        pts = self._mod_q(cand[:, :, lev.beta_col]) @ self.space.weights
         slots = lev.lookup(pts)
         fresh = np.nonzero(slots < 0)[0]
         if fresh.size:
@@ -347,24 +435,30 @@ class StabChain:
     # -- queries ---------------------------------------------------------
 
     def sift(self, mat):
-        """(stuck level, residue); residue == identity iff mat is a member."""
+        """(stuck level, residue); on a direct chain residue == identity iff
+        mat is a member."""
         h = self._own(mat)[None]
         stuck = self._sift(h)
         return int(stuck[0]), h[0]
 
     def member(self, mat):
-        _, h = self.sift(mat)
-        return bool(np.array_equal(h, self.identity))
+        return bool(self.member_mask(np.asarray(mat)[None])[0])
 
     def member_mask(self, mats):
         """Vectorized membership for a stack of matrices (k, n, n)."""
         arr = self._own(mats).reshape(-1, self.n, self.n)
         self._sift(arr)
-        # a matrix that sticks moves a base point, so only members sift to 1
-        return (arr == self.identity).all(axis=(1, 2))
+        # a matrix that sticks moves a base point, so only members sift into
+        # the bottom group: the identity, or the kernel span when lifted
+        member = (self._mod_q(arr) == self.identity).all(axis=(1, 2))
+        if self.lift:
+            member &= ~self._reduce(self._kernel_x(arr)).any(axis=1)
+        return member
 
     def elements(self, bound=None):
         """All group elements as one (order, n, n) array, deterministic order."""
+        if self.lift:
+            raise ValueError("a lifted chain does not list its elements")
         if bound is not None and self._order > bound:
             raise BoundExceeded("order %d exceeds enumeration bound %d" % (self._order, bound))
         arr = self.identity[None]
@@ -399,6 +493,9 @@ class StabChain:
                     raise AssertionError("orbit not closed under visible generator")
                 if not self.member_mask(self._mul(trans_inv[slots], cand)).all():
                     raise AssertionError("Schreier generator fails to sift")
+        for _, x in self.kernel:
+            if self._reduce(self._conjugates(x)).any():
+                raise AssertionError("kernel basis is not closed under conjugation")
         return True
 
 
@@ -412,6 +509,8 @@ def intersection_order(a, b, orbit_guard=1_000_000, enum_bound=20_000):
     canonical representative is a complete coset invariant, so the orbit has
     size [S : S ∩ L] and the intersection order follows by orbit-stabilizer.
     """
+    if a.lift or b.lift:
+        raise ValueError("a lifted chain has no elements or coset representatives")
     small, large = (a, b) if a.order() <= b.order() else (b, a)
     if small.order() <= enum_bound:
         elems = small.elements()

@@ -94,6 +94,7 @@ class Verifier:
         self.order_guard = order_guard
         self.orbit_guard = orbit_guard
         self._chains = {}
+        self._order = None  # the whole group's, from an order-only chain
 
     def chain(self, lo, hi):
         key = (lo, hi)
@@ -106,7 +107,17 @@ class Verifier:
     def segment_order(self, lo, hi):
         if lo >= hi:
             return 1
-        return self.chain(lo, hi).order()
+        if (lo, hi) != (0, self.rank) or (lo, hi) in self._chains:
+            return self.chain(lo, hi).order()
+        # no check needs the whole group's chain, only its order, which a
+        # lifted chain finds from a smaller action (see engine's "Lifted order")
+        if self._order is None:
+            full = StabChain(self.mats, self.modulus, n=self.dim,
+                             order_guard=self.order_guard, order_only=True)
+            if not full.lift:
+                self._chains[lo, hi] = full
+            self._order = full.order()
+        return self._order
 
     def schlafli(self):
         out = []

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import modpoly.cli as cli
+import modpoly.engine as engine
 from modpoly.cli import main
 from modpoly.registry import GoldenCase, get_case
 
@@ -70,6 +71,7 @@ def test_verify_json_byte_deterministic(capsys):
     ["reproduce", "--case", "no-such-case"],
     ["parse", "-d", "1 - 2 - 1", "--dump-rep"],
     ["reproduce", "--guard-order", "0"],
+    ["reproduce", "--guard-orbit", "5"],
 ])
 def test_input_errors_exit_2(capsys, argv):
     code, _, _ = run_cli(argv, capsys)
@@ -100,6 +102,26 @@ def test_guard_orbit_exit_3(capsys):
         capsys)
     assert code == 3
     assert "guard: coset orbit exceeds guard 100" in err
+
+
+def test_order_guard_trips_before_a_large_chain(capsys, monkeypatch):
+    # the whole-group order comes first, from a chain over (Z_2)^8, so the
+    # guard trips before any chain over the 4^8 points of (Z_4)^8
+    spaces = []
+    init = engine.StabChain.__init__
+
+    def counting(self, *args, **kwargs):
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            spaces.append(self.space.size)
+    monkeypatch.setattr(engine.StabChain, "__init__", counting)
+    code, out, err = run_cli(
+        ["verify", "-d", "1 - 1 - 2 - 2 - 2 - 2 - 2 - 2", "-m", "4",
+         "--guard-order", "1000"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "guard: order 16624615811973120 exceeds guard 1000\n"
+    assert spaces and max(spaces) < 4 ** 8
 
 
 def test_mod_range(capsys):

@@ -1,10 +1,11 @@
+import random
 from math import lcm
 
 import numpy as np
 import pytest
 
 import modpoly.engine as engine
-from modpoly.diagram import parse_diagram
+from modpoly.diagram import ParseError, parse_diagram
 from modpoly.engine import (
     BoundExceeded,
     OrbitGuardExceeded,
@@ -16,6 +17,7 @@ from modpoly.engine import (
     element_period,
     enumerate_small,
     intersection_order,
+    square_prime,
 )
 from modpoly.matrep import ModularRep
 
@@ -338,3 +340,101 @@ def test_as_permutations_are_permutations():
     rep = ModularRep(parse_diagram("1 - 2"), 3)
     for perm in as_permutations(rep.mats, 3):
         assert sorted(perm.tolist()) == list(range(9))
+
+
+# -- lifted order: the direct chain over (Z_d)^n is the oracle -------------
+
+LIFT_MODULI = (4, 8, 9, 12, 16, 18, 25, 36)
+
+
+def lift_cases(seed, count):
+    """Distinct (diagram text, modulus) pairs: rank 1-4, labels 1-4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rank = rng.randint(1, 4)
+        parts = [str(rng.randint(1, 4))]
+        for _ in range(rank - 1):
+            parts += [rng.choice("-=,"), str(rng.randint(1, 4))]
+        try:
+            case = (parse_diagram(" ".join(parts)).render(), rng.choice(LIFT_MODULI))
+        except ParseError:
+            continue
+        if case not in out:
+            out.append(case)
+    return out
+
+
+def lifted_and_direct(text, modulus):
+    mats = ModularRep(parse_diagram(text), modulus).mats
+    return StabChain(mats, modulus, order_only=True), StabChain(mats, modulus)
+
+
+@pytest.mark.parametrize("d,p", [(4, 2), (8, 2), (9, 3), (12, 2), (16, 2),
+                                 (18, 3), (25, 5), (36, 3), (72, 3), (2, None),
+                                 (6, None), (30, None), (9999, 3)])
+def test_square_prime_is_the_largest_prime_with_square_dividing(d, p):
+    assert square_prime(d) == p
+
+
+def test_lifted_order_matches_the_direct_chain():
+    for text, modulus in lift_cases(5, 300):
+        lifted, direct = lifted_and_direct(text, modulus)
+        assert lifted.lift == square_prime(modulus)
+        assert lifted.space.d == modulus // lifted.lift
+        assert lifted.order() == direct.order(), (text, modulus)
+        assert lifted.check()
+
+
+@pytest.mark.parametrize("text,modulus,p,rank", [
+    ("1 - 2 - 1", 4, 2, 4),
+    ("1 - 2 - 1", 16, 2, 2),   # a true prime: 4^2 | 16 too, but 4 is no prime
+    ("1 - 2 - 1", 36, 3, 2),   # the largest: 2^2 | 36 and 3^2 | 36
+])
+def test_named_lifts(text, modulus, p, rank):
+    lifted, direct = lifted_and_direct(text, modulus)
+    assert (lifted.lift, lifted.space.d, len(lifted.kernel)) == (p, modulus // p, rank)
+    assert lifted.order() == direct.order()
+
+
+def test_lifted_chain_membership_and_no_elements():
+    lifted, direct = lifted_and_direct("1 - 2 - 1", 4)
+    rng = np.random.default_rng(3)
+    # members, and matrices congruent to them mod 2 that need the kernel span
+    elems = direct.elements()
+    near = (elems + 2 * rng.integers(0, 2, size=elems.shape)) % 4
+    cands = np.concatenate([elems, near])
+    mask = direct.member_mask(cands)
+    assert mask.all() != mask.any()
+    assert np.array_equal(lifted.member_mask(cands), mask)
+    with pytest.raises(ValueError):
+        lifted.elements()
+    with pytest.raises(ValueError):
+        intersection_order(direct, lifted)
+
+
+def test_order_only_without_a_square_factor_is_the_direct_chain():
+    mats = ModularRep(parse_diagram("2 - 1 - 2"), 6).mats
+    chain = StabChain(mats, 6, order_only=True)
+    assert chain.lift is None and chain.space.d == 6 and not chain.kernel
+    assert chain.elements().shape[0] == chain.order() == StabChain(mats, 6).order()
+
+
+def test_lifted_chain_still_checks_the_full_point_space():
+    # 4^16 = 2^32 points overflow although the lifted action has 2^16
+    mats = ModularRep(parse_diagram(" - ".join(["1"] * 16)), 4).mats
+    with pytest.raises(PointSpaceOverflow):
+        StabChain(mats, 4, order_only=True)
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("text,modulus,rank", [
+    ("1 - 1 - 2 - 2 - 2 - 2 - 2 - 2", 4, 27),
+    ("1 - 1 - 2 - 2 - 2 - 2", 9, 15),
+    ("1 - 2 - 2 - 4 - 4", 12, 9),
+])
+def test_lifted_order_of_large_groups(text, modulus, rank):
+    lifted, direct = lifted_and_direct(text, modulus)
+    assert len(lifted.kernel) == rank
+    assert lifted.order() == direct.order()
+    assert lifted.check()

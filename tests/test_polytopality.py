@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import modpoly.engine as engine
 from modpoly.diagram import parse_diagram
 from modpoly.engine import element_period, enumerate_small
 from modpoly.matrep import ModularRep, predict_branch_periods, predict_collapse
@@ -192,3 +193,29 @@ def test_word_verdict_matches_definition():
     rep = ModularRep(parse_diagram("1 - 2"), 5)
     mats = word_matrices(rep, [[0], [1], [0]])
     assert brute_verdict(mats, 5) == "IntersectionFails"
+
+
+def test_whole_group_order_is_lifted_once(monkeypatch):
+    builds = []
+    init = engine.StabChain.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builds.append(self)
+    monkeypatch.setattr(engine.StabChain, "__init__", counting)
+    v = Verifier(ModularRep(parse_diagram("3 - 3 - 1 - 1"), 4).mats, 4)
+    assert v.segment_order(0, 4) == 7680
+    report = v.verify()
+    assert report.order == 7680 and report.ok
+    lifted = [c for c in builds if c.lift]
+    assert len(lifted) == 1 and lifted[0].space.d == 2
+    # a lifted chain answers no check: it is not among the segment chains
+    assert all(c.lift is None for c in v._chains.values())
+    assert (0, 4) not in v._chains
+
+
+def test_whole_group_chain_without_a_square_factor_is_kept():
+    v = Verifier(ModularRep(parse_diagram("2 - 1 - 2"), 6).mats, 6)
+    order = v.segment_order(0, 3)
+    assert (0, 3) in v._chains
+    assert v.chain(0, 3).order() == order and v.chain(0, 3).lift is None

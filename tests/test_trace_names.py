@@ -9,6 +9,7 @@ import inspect
 import pathlib
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "modpoly"
 
 
 def _layers(monkeypatch):
@@ -31,3 +32,26 @@ def test_intersection_hook_parameters(monkeypatch):
 
     params = inspect.signature(intersection_order).parameters
     assert {"a", "b", "enum_bound"} <= set(params)
+
+
+def test_chain_counts_read_a_lifted_chain(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    chain_counts = importlib.import_module("spans").chain_counts
+    from modpoly.diagram import parse_diagram
+    from modpoly.engine import StabChain
+    from modpoly.matrep import ModularRep
+
+    mats = ModularRep(parse_diagram("1 - 2 - 1"), 4).mats
+    lifted = StabChain(mats, 4, order_only=True)
+    assert lifted.lift == 2
+    schreier, levels, gens, max_orbit = chain_counts(lifted)
+    assert levels == len(lifted.levels) and gens == len(lifted.gens)
+    assert 0 < max_orbit <= 2 ** 3 and schreier > 0
+
+
+def test_only_the_verifier_builds_chains():
+    # chains are built in one place, so the segment cache is the only
+    # source of orders and memberships and spans see every build
+    callers = sorted(path.name for path in SRC.glob("*.py")
+                     if "StabChain(" in path.read_text(encoding="utf-8"))
+    assert callers == ["polytopality.py"]
