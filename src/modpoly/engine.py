@@ -47,9 +47,9 @@ steps work in blocks whose temporaries hold about _CHUNK*n entries:
 _CHUNK/n candidate matrices, or _CHUNK orbit images.
 
 Lifted order.  A chain built with order_only=True is asked for its order
-(and membership), never for elements or coset representatives, so when
-p^2 | d for a prime p it may find that order from an action on the
-smaller space Z_q^n, q = d/p.  The kernel of the reduction G^d -> G^q
+(and, by check(), membership), never for elements or coset
+representatives, so when p^2 | d for a prime p it may find that order
+from an action on the smaller space Z_q^n, q = d/p.  The kernel of the reduction G^d -> G^q
 consists of matrices I + qX, and since p | q,
 (I + qX)(I + qY) = I + q(X + Y) mod d: the kernel is elementary abelian,
 named by X mod p, and |G^d| = |G^q| * p^k with k its F_p-rank.  The
@@ -221,7 +221,9 @@ class StabChain:
 
     With order_only=True and a modulus with a square prime factor the
     chain acts on Z_q^n instead (see "Lifted order" in the module
-    docstring); it then answers its order and membership, not elements().
+    docstring).  The verifier asks such a chain for its order alone; it
+    also answers membership, but only so that check() can re-derive its
+    Schreier condition in tests, and it lists no elements().
     """
 
     def __init__(self, gens, modulus, n=None, order_guard=None, order_only=False):

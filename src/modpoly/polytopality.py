@@ -107,16 +107,13 @@ class Verifier:
     def segment_order(self, lo, hi):
         if lo >= hi:
             return 1
-        if (lo, hi) != (0, self.rank) or (lo, hi) in self._chains:
+        if (lo, hi) != (0, self.rank):
             return self.chain(lo, hi).order()
         # no check needs the whole group's chain, only its order, which a
         # lifted chain finds from a smaller action (see engine's "Lifted order")
         if self._order is None:
-            full = StabChain(self.mats, self.modulus, n=self.dim,
-                             order_guard=self.order_guard, order_only=True)
-            if not full.lift:
-                self._chains[lo, hi] = full
-            self._order = full.order()
+            self._order = StabChain(self.mats, self.modulus, n=self.dim,
+                                    order_guard=self.order_guard, order_only=True).order()
         return self._order
 
     def schlafli(self):

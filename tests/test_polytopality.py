@@ -212,10 +212,3 @@ def test_whole_group_order_is_lifted_once(monkeypatch):
     # a lifted chain answers no check: it is not among the segment chains
     assert all(c.lift is None for c in v._chains.values())
     assert (0, 4) not in v._chains
-
-
-def test_whole_group_chain_without_a_square_factor_is_kept():
-    v = Verifier(ModularRep(parse_diagram("2 - 1 - 2"), 6).mats, 6)
-    order = v.segment_order(0, 3)
-    assert (0, 3) in v._chains
-    assert v.chain(0, 3).order() == order and v.chain(0, 3).lift is None
