@@ -49,8 +49,8 @@ _CHUNK/n candidate matrices, or _CHUNK orbit images.
 Lifted order.  A chain built with order_only=True is asked for its order
 (and, by check(), membership), never for elements or coset
 representatives, so when p^2 | d for a prime p it may find that order
-from an action on the smaller space Z_q^n, q = d/p.  The kernel of the reduction G^d -> G^q
-consists of matrices I + qX, and since p | q,
+from an action on the smaller space Z_q^n, q = d/p.  The kernel of the
+reduction G^d -> G^q consists of matrices I + qX, and since p | q,
 (I + qX)(I + qY) = I + q(X + Y) mod d: the kernel is elementary abelian,
 named by X mod p, and |G^d| = |G^q| * p^k with k its F_p-rank.  The
 Schreier-Sims loop is the one above with matrices kept mod d and point
