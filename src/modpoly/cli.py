@@ -29,9 +29,6 @@ EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_GUARD = 3
 
-# reproduce skips cases whose expected order exceeds this unless --long
-LONG_ORDER_THRESHOLD = 10 ** 8
-
 _GUARD_ERRORS = (BoundExceeded, OrbitGuardExceeded, OrderGuardExceeded,
                  PointSpaceOverflow)
 
@@ -315,19 +312,10 @@ def _run_case(case):
     }
 
 
-def _case_is_long(case, threshold):
-    if case.long:
-        return True
-    return (case.expect_order is not None
-            and int(case.expect_order) > threshold)
-
-
 def cmd_reproduce(args):
-    guards = _guards(args)
-    if "orbit_guard" in guards:
-        # the golden cases run unguarded; --guard-order only marks long cases
-        raise InputError("reproduce does not take --guard-orbit")
-    threshold = guards.get("order_guard", LONG_ORDER_THRESHOLD)
+    if _guards(args):
+        # the golden cases run unguarded and compare exact expected values
+        raise InputError("reproduce does not take --guard-order or --guard-orbit")
     cases = list(registry())
     if args.case:
         known = {c.ident for c in cases}
@@ -337,7 +325,7 @@ def cmd_reproduce(args):
         cases = [c for c in cases if c.ident in set(args.case)]
     rows, jobs = [], []
     for case in cases:
-        if _case_is_long(case, threshold) and not args.long:
+        if case.long and not args.long:
             rows.append({"id": case.ident, "status": "SKIPPED(long)",
                          "note": case.note})
         else:

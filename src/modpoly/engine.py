@@ -436,13 +436,6 @@ class StabChain:
 
     # -- queries ---------------------------------------------------------
 
-    def sift(self, mat):
-        """(stuck level, residue); on a direct chain residue == identity iff
-        mat is a member."""
-        h = self._own(mat)[None]
-        stuck = self._sift(h)
-        return int(stuck[0]), h[0]
-
     def member(self, mat):
         return bool(self.member_mask(np.asarray(mat)[None])[0])
 

@@ -4,9 +4,9 @@ A contiguous window of a diagram generates a subgroup whose mod-s image is
 either a finite spherical group (simplex, hyperoctahedral, F_4, dihedral),
 the automorphism group of a regular toroid {4,3^{m-2},4}_q, {3,3,4,3}_q,
 {3,6}_q, or {...}_q over [oo], or something degenerate.  This module
-recognises the window patterns, predicts the outcome from table-driven
-rules keyed on modulus arithmetic and node parity classes, and measures
-the outcome exactly:
+recognises the window patterns, predicts the outcome from rules keyed on
+modulus arithmetic and node parity classes, and measures the outcome
+exactly:
 
 * spherical windows: predicted vs measured group order;
 * Euclidean windows: predicted vs measured toroid type vector q = (q^k, 0^(m-k)).
@@ -24,7 +24,7 @@ Embedded windows need care: a translation t of the window subgroup acts on
 the two ambient basis vectors adjacent to the window, so t - e = N has
 N^3 = 0 rather than N^2 = 0, and t^k = e + kN + C(k,2) N^2.  Hence the
 period of t mod s divides 2s but can exceed s, which is exactly what the
-(s,s,0,...) and (2s) table rows require.
+(s,s,0,...) and (2s) rows require.
 """
 
 import itertools
@@ -314,7 +314,6 @@ class TranslationSubgroup:
     point_nodes: tuple
     point_order: int
     conj_mats: dict
-    legal_k: tuple
     sigma_lattices: dict
     _kernels: dict = field(default_factory=dict, repr=False)
 
@@ -400,24 +399,14 @@ def _conj_orbit(mat, gens, c_ambient, window):
     return out
 
 
-def _expected_sigma_index(kind, m, k):
-    if k == 1:
-        return 1
-    if kind == "cubic":
-        return 2 if k == 2 else 2 ** (m - 1)
-    if kind == "f443":
-        return 4
-    if kind == "hex":
-        return 3
-    raise AssertionError(kind)
-
-
-def _legal_k(kind, m):
-    if kind == "cubic":
-        return (1, 2) if m == 2 else (1, 2, m)
-    if kind in ("f443", "hex"):
-        return (1, 2)
-    return (1,)
+def _sigma_indices(kind, m):
+    """{legal k: index of the orbit lattice of sigma_k = (1^k, 0^(m-k))}."""
+    return {
+        "cubic": {1: 1, 2: 2, m: 2 ** (m - 1)},    # m = 2 gives 2: 2 again
+        "f443": {1: 1, 2: 4},
+        "hex": {1: 1, 2: 3},
+        "inf": {1: 1},
+    }[kind]
 
 
 def translation_generators(diagram, window):
@@ -543,16 +532,14 @@ def translation_generators(diagram, window):
             cols.append(coeffs)
         amat = np.array(cols, dtype=np.int64).T
         conj[l] = amat
-    legal = _legal_k(kind, m)
     sigma_lattices = {}
-    for k in legal:
+    for k, want in _sigma_indices(kind, m).items():
         sigma = (1,) * k + (0,) * (m - k)
         orb = _orbit(np.array(sigma, dtype=np.int64),
                      lambda v: [a @ v for a in conj.values()], _POINT_BOUND,
                      "sigma orbit exceeded bound %d" % _POINT_BOUND)
         h, p = _row_hnf(sorted(tuple(int(x) for x in v) for v in orb), m)
         idx = _lattice_index(h, p, m)
-        want = _expected_sigma_index(kind, m, k)
         if idx != want:
             raise AssertionError("sigma lattice for k=%d has index %d, expected %d" % (k, idx, want))
         sigma_lattices[k] = (tuple(h), p, idx)
@@ -562,7 +549,7 @@ def translation_generators(diagram, window):
         frame_diagram=frame_d, frame_window=frame_w, c_window=tuple(c_win),
         c_ambient=c_amb, mats=mats, inverses=inverses, w_rows=w_rows,
         point_nodes=point_nodes, point_order=len(h_els), conj_mats=conj,
-        legal_k=legal, sigma_lattices=sigma_lattices,
+        sigma_lattices=sigma_lattices,
     )
     # the exponent-coordinate conjugation matrices must reproduce the matrices
     for l, amat in conj.items():
@@ -657,7 +644,7 @@ def type_vector(tsub, modulus):
     periods, pows, basis, pivots, index = _kernel_data(tsub, s)
     m = tsub.m
     key_periods = []
-    for k in tsub.legal_k:
+    for k in tsub.sigma_lattices:
         sigma = (1,) * k + (0,) * (m - k)
         per = None
         for jj in range(1, 2 * s + 1):
@@ -671,8 +658,7 @@ def type_vector(tsub, modulus):
         key_periods.append((k, per))
     key_periods = tuple(key_periods)
 
-    for k in tsub.legal_k:
-        lam_basis, lam_piv, lam_index = tsub.sigma_lattices[k]
+    for k, (lam_basis, lam_piv, lam_index) in tsub.sigma_lattices.items():
         if lam_index == 0 or index % lam_index:
             continue
         q = _iroot(index // lam_index, m)
@@ -704,53 +690,43 @@ def _spherical_char0(kind, k, diagram=None, window=None):
 
 
 def _spherical_predict(kind, k, frame_d, frame_w, s):
-    """(family, order, collapsed, row id, annotation) for a spherical window."""
+    """(family, order, row id, annotation) for a spherical window.
+
+    Every system keeps its char-0 order for s >= 3; the mod-2 rules
+    read the parity classes of the window's nodes in the frame.
+    """
     j = frame_w[0]
     full = _spherical_char0(kind, k, frame_d, frame_w)
+    name = {"A": "A_%d" % k, "I2": "I_2(%d)" % (full // 2), "Bsys1": "B_%d" % k,
+            "Bsys2": "B_%d" % k, "F4": "F_4"}[kind]
     if kind == "A":
         if k == 1 and s == 2 and frame_d.node_parity(j) == "ee":
-            return ("A_0", 1, True, "A1:s2-ee", "the generator reduces to the identity")
-        return ("A_%d" % k, full, False, "A:any", "")
+            return ("A_0", 1, "A1:s2-ee", "the generator reduces to the identity")
+        return (name, full, "A:any", "")
+    if s >= 3:
+        return (name, full, kind + ":s3", "")
     if kind == "I2":
-        p = full // 2
-        name = "I_2(%d)" % p
-        if s >= 3:
-            return (name, full, False, "I2:s3", "")
-        dead = [i for i in (j, j + 1) if frame_d.node_parity(i) == "ee"]
-        if len(dead) == 2:
-            return (name, 1, True, "I2:s2-both-ee", "both generators reduce to the identity")
-        if len(dead) == 1:
-            return (name, 2, True, "I2:s2-one-ee", "one generator reduces to the identity")
+        # at most one node is e-e: the larger label has Cartan integer 1
+        if "ee" in (frame_d.node_parity(j), frame_d.node_parity(j + 1)):
+            return (name, 2, "I2:s2-one-ee", "one generator reduces to the identity")
         per = predict_branch_periods(frame_d, 2)[j]
-        note = "branch period drops to %d" % per if per != p else ""
-        return (name, 2 * per, False, "I2:s2", note)
+        note = "branch period drops to %d" % per if per != full // 2 else ""
+        return (name, 2 * per, "I2:s2", note)
     if kind == "Bsys1":
-        if s >= 3:
-            return ("B_%d" % k, full, False, "Bsys1:s3", "")
         if frame_d.node_parity(j) == "ee":
-            return ("A_%d" % (k - 1), _spherical_char0("A", k - 1), True, "Bsys1:s2-ee",
+            return ("A_%d" % (k - 1), _spherical_char0("A", k - 1), "Bsys1:s2-ee",
                     "the short-label generator reduces to the identity")
-        return ("B_%d" % k, full, False, "Bsys1:s2-oe", "")
+        return (name, full, "Bsys1:s2-oe", "")
     if kind == "Bsys2":
-        if s >= 3:
-            return ("B_%d" % k, full, False, "Bsys2:s3", "")
         cj = frame_d.node_parity(j)
         ce = frame_d.node_parity(j + k - 1)
+        if "ee" in (cj, ce):
+            raise AssertionError("unreachable parity pair %s" % ((cj, ce),))
         row = "Bsys2:s2-%s-%s" % (cj, ce)
-        if (cj, ce) == ("oo", "oo") or (cj, ce) == ("oe", "oo"):
-            return ("B_%d" % k, full, False, row, "")
-        if (cj, ce) == ("oo", "oe"):
-            if k % 2 == 0:
-                return ("B_%d/{±e}" % k, full // 2, False, row, "")
-            return ("B_%d" % k, full, False, row, "")
-        if (cj, ce) == ("oe", "oe"):
-            return ("B_%d/{±e}" % k, full // 2, False, row, "")
-        raise AssertionError("unreachable parity pair %s" % ((cj, ce),))
-    if kind == "F4":
-        if s >= 3:
-            return ("F_4", full, False, "F4:s3", "")
-        return ("F_4/{±e}", full // 2, False, "F4:s2", "")
-    raise AssertionError(kind)
+        if ce == "oe" and (cj == "oe" or k % 2 == 0):
+            return (name + "/{±e}", full // 2, row, "")
+        return (name, full, row, "")
+    return (name + "/{±e}", full // 2, "F4:s2", "")
 
 
 def classify_spherical(diagram, window, modulus):
@@ -763,8 +739,9 @@ def classify_spherical(diagram, window, modulus):
     if got is None:
         raise ValueError("window does not match a spherical basic system")
     (kind, k), flipped, frame_d, frame_w = got
-    family, order, collapsed, row_id, note = _spherical_predict(kind, k, frame_d, frame_w, s)
-    measured = Verifier(ModularRep(frame_d, s).mats, s).segment_order(frame_w[0], frame_w[-1] + 1)
+    family, order, row_id, note = _spherical_predict(kind, k, frame_d, frame_w, s)
+    measured = Verifier(ModularRep(frame_d, s).select(frame_w), s).segment_order(0, len(frame_w))
+    collapsed = any(predict_collapse(diagram, s)[i] for i in win)
     return SectionClass(
         window=(win[0], win[-1]), kind="Spherical", family=family, modulus=s,
         flipped=flipped, collapsed=collapsed, predicted_order=order,
@@ -773,112 +750,14 @@ def classify_spherical(diagram, window, modulus):
 
 
 # ---------------------------------------------------------------------------
-# Euclidean classification tables
-
-def _q_full(s, m):
-    return (s,) + (0,) * (m - 1)
-
-
-def _q_half_one(s, m):
-    return (s // 2,) + (0,) * (m - 1)
-
-
-def _q_half_all(s, m):
-    return (s // 2,) * m
-
-
-def _q_half_two(s, m):
-    return (s // 2, s // 2) + (0,) * (m - 2)
-
-
-def _q_pair(s, m):
-    return (s, s) + (0,) * (m - 2)
-
-
-def _q_third_two(s, m):
-    return (s // 3, s // 3)
-
-
-def _q_double(s, m):
-    return (2 * s,)
-
-
-# Each row: (id, predicate(s, m, cj, ce, ml), q formula).  cj and ce are the
-# parity classes of the window's end nodes in the printed frame (classes see
-# the ambient diagram, so embedding constraints enter here); ml is the Cartan
-# integer from node j toward its left neighbour (0 at the diagram edge).
-_TOROID_ROWS = {
-    "P1": (
-        ("P1:odd", lambda s, m, cj, ce, ml: s >= 3 and s % 2 == 1, _q_full),
-        ("P1:even-modd-some-oo",
-         lambda s, m, cj, ce, ml: s >= 4 and s % 2 == 0 and m % 2 == 1 and "oo" in (cj, ce), _q_full),
-        ("P1:even-modd-both-oe",
-         lambda s, m, cj, ce, ml: s >= 4 and s % 2 == 0 and m % 2 == 1 and (cj, ce) == ("oe", "oe"), _q_half_all),
-        ("P1:even-meven",
-         lambda s, m, cj, ce, ml: s >= 4 and s % 2 == 0 and m % 2 == 0, _q_half_all),
-        ("P1:s2-both-oo",
-         lambda s, m, cj, ce, ml: s == 2 and m % 2 == 1 and (cj, ce) == ("oo", "oo"), _q_full),
-    ),
-    "P2": (
-        ("P2:odd", lambda s, m, cj, ce, ml: s >= 3 and s % 2 == 1, _q_full),
-        ("P2:even-some-oe",
-         lambda s, m, cj, ce, ml: s >= 4 and s % 2 == 0 and "oe" in (cj, ce), _q_full),
-        ("P2:even-both-ee",
-         lambda s, m, cj, ce, ml: s >= 4 and s % 2 == 0 and (cj, ce) == ("ee", "ee"), _q_half_one),
-        ("P2:s2-both-oe",
-         lambda s, m, cj, ce, ml: s == 2 and (cj, ce) == ("oe", "oe"), _q_full),
-    ),
-    "P3": (
-        ("P3:odd", lambda s, m, cj, ce, ml: s >= 3 and s % 2 == 1, _q_full),
-        ("P3:even-end-ee",
-         lambda s, m, cj, ce, ml: s >= 4 and s % 2 == 0 and ce == "ee", _q_full),
-        ("P3:even-end-oe",
-         lambda s, m, cj, ce, ml: s >= 2 and s % 2 == 0 and ce == "oe", _q_pair),
-    ),
-    "P4": (
-        ("P4:odd", lambda s, m, cj, ce, ml: s >= 3 and s % 2 == 1, _q_full),
-        ("P4:even-j-oo",
-         lambda s, m, cj, ce, ml: s >= 4 and s % 2 == 0 and cj == "oo", _q_full),
-        ("P4:even-j-oe",
-         lambda s, m, cj, ce, ml: s >= 4 and s % 2 == 0 and cj == "oe", _q_half_two),
-    ),
-    "P5": (
-        ("P5:any", lambda s, m, cj, ce, ml: s >= 3, _q_full),
-    ),
-    "P6": (
-        ("P6:s-not-div-3", lambda s, m, cj, ce, ml: s >= 3 and s % 3 != 0, _q_full),
-        ("P6:s-div3-m-pm1",
-         lambda s, m, cj, ce, ml: s >= 3 and s % 3 == 0 and ml % 3 != 0, _q_full),
-        ("P6:s-div3-m-0",
-         lambda s, m, cj, ce, ml: s >= 3 and s % 3 == 0 and ml % 3 == 0, _q_third_two),
-    ),
-    "P7": (
-        ("P7:any", lambda s, m, cj, ce, ml: s >= 3, _q_full),
-    ),
-    "P8": (
-        ("P8:odd", lambda s, m, cj, ce, ml: s >= 3 and s % 2 == 1, _q_full),
-        ("P8:even-some-oe",
-         lambda s, m, cj, ce, ml: s >= 4 and s % 2 == 0 and "oe" in (cj, ce), _q_full),
-        ("P8:even-both-ee",
-         lambda s, m, cj, ce, ml: s >= 4 and s % 2 == 0 and (cj, ce) == ("ee", "ee"), _q_half_one),
-        ("P8:s2-both-oe",
-         lambda s, m, cj, ce, ml: s == 2 and (cj, ce) == ("oe", "oe"), _q_full),
-    ),
-    "P9": (
-        ("P9:odd", lambda s, m, cj, ce, ml: s >= 3 and s % 2 == 1, _q_full),
-        ("P9:even-a-ee",
-         lambda s, m, cj, ce, ml: s >= 4 and s % 2 == 0 and ce == "ee", _q_full),
-        ("P9:even-a-oe",
-         lambda s, m, cj, ce, ml: s >= 2 and s % 2 == 0 and ce == "oe", _q_double),
-    ),
-}
+# Euclidean classification
 
 _OTHER_NOTE = ("no toroid row applies: the reduction either fails to have "
                "involutory generators or is locally projective rather than toroidal")
 
 
 def predicted_type_vector(diagram, window, modulus):
-    """(row id, predicted q) from the classification tables, or (None, None)."""
+    """(row id, predicted q) from the classification rules, or (None, None)."""
     win = _check_window(diagram, window)
     match = _match(diagram, win, _euclidean_system)
     if match is None:
@@ -888,19 +767,72 @@ def predicted_type_vector(diagram, window, modulus):
 
 
 def _predict_row(system, frame_d, frame_w, s):
-    """predicted_type_vector for a window already resolved to its frame."""
+    """predicted_type_vector for a window already resolved to its frame.
+
+    The rules read s, m, the parity classes cj and ce of the window's end
+    nodes in the frame (classes see the ambient diagram, so embedding
+    constraints enter here) and ml, the Cartan integer from node j toward its
+    left neighbour (0 at the diagram edge).
+    """
     m = len(frame_w) - 1
     cj = frame_d.node_parity(frame_w[0])
     ce = frame_d.node_parity(frame_w[-1])
     ml = frame_d.side_integers(frame_w[0])[0]
-    for row_id, pred, qf in _TOROID_ROWS[system]:
-        if pred(s, m, cj, ce, ml):
-            return row_id, qf(s, m)
+
+    def row(suffix, q, k=1):
+        """The row id and the type vector (q^k, 0^(m-k))."""
+        return system + ":" + suffix, (q,) * k + (0,) * (m - k)
+
+    if s < 2 or (s == 2 and system in ("P5", "P6", "P7")):
+        return None, None
+    if system in ("P5", "P7"):
+        return row("any", s)
+    if system == "P6":
+        if s % 3:
+            return row("s-not-div-3", s)
+        if ml % 3:
+            return row("s-div3-m-pm1", s)
+        return "P6:s-div3-m-0", (s // 3, s // 3)
+    if s % 2:
+        return row("odd", s)
+    # s even: P3 and P9 read the last node's class, the rest both end classes
+    if system == "P3":
+        if ce == "oe":
+            return row("even-end-oe", s, 2)
+        if ce == "ee" and s >= 4:
+            return row("even-end-ee", s)
+    elif system == "P9":
+        if ce == "oe":
+            return "P9:even-a-oe", (2 * s,)
+        if ce == "ee" and s >= 4:
+            return row("even-a-ee", s)
+    elif s == 2:
+        if system == "P1" and m % 2 and (cj, ce) == ("oo", "oo"):
+            return row("s2-both-oo", s)
+        if system in ("P2", "P8") and (cj, ce) == ("oe", "oe"):
+            return row("s2-both-oe", s)
+    elif system == "P1":
+        if m % 2 == 0:
+            return row("even-meven", s // 2, m)
+        if "oo" in (cj, ce):
+            return row("even-modd-some-oo", s)
+        if (cj, ce) == ("oe", "oe"):
+            return row("even-modd-both-oe", s // 2, m)
+    elif system in ("P2", "P8"):
+        if "oe" in (cj, ce):
+            return row("even-some-oe", s)
+        if (cj, ce) == ("ee", "ee"):
+            return row("even-both-ee", s // 2)
+    elif system == "P4":
+        if cj == "oo":
+            return row("even-j-oo", s)
+        if cj == "oe":
+            return row("even-j-oe", s // 2, 2)
     return None, None
 
 
 def classify_euclidean(diagram, window, modulus):
-    """Classify a Euclidean window: table-predicted vs measured type vector."""
+    """Classify a Euclidean window: predicted vs measured type vector."""
     win = _check_window(diagram, window)
     s = int(modulus)
     if s < 2:
@@ -933,21 +865,14 @@ def classify(diagram, modulus):
     for length in range(n, 0, -1):
         for start in range(0, n - length + 1):
             win = tuple(range(start, start + length))
-            if any(a <= win[0] and win[-1] <= b for a, b, _ in kept):
+            if any(w[0] <= win[0] and win[-1] <= w[-1] for w, _ in kept):
                 continue
             if _match(diagram, win, _euclidean_system) is not None:
-                kept.append((win[0], win[-1], "E"))
+                kept.append((win, classify_euclidean))
             elif _match(diagram, win, _spherical_system) is not None:
-                kept.append((win[0], win[-1], "S"))
-    kept.sort()
-    out = []
-    for a, b, tag in kept:
-        win = tuple(range(a, b + 1))
-        if tag == "E":
-            out.append(classify_euclidean(diagram, win, modulus))
-        else:
-            out.append(classify_spherical(diagram, win, modulus))
-    return out
+                kept.append((win, classify_spherical))
+    kept.sort(key=lambda item: item[0])
+    return [section(diagram, win, modulus) for win, section in kept]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 import modpoly.cli as cli
 import modpoly.engine as engine
 from modpoly.cli import main
-from modpoly.registry import GoldenCase, get_case
+from modpoly.registry import GoldenCase, get_case, registry
 
 
 def run_cli(argv, capsys):
@@ -72,6 +72,7 @@ def test_verify_json_byte_deterministic(capsys):
     ["parse", "-d", "1 - 2 - 1", "--dump-rep"],
     ["reproduce", "--guard-order", "0"],
     ["reproduce", "--guard-orbit", "5"],
+    ["reproduce", "--guard-order", "1000000"],
 ])
 def test_input_errors_exit_2(capsys, argv):
     code, _, _ = run_cli(argv, capsys)
@@ -313,15 +314,12 @@ def test_reproduce_skips_long_by_default(capsys):
     assert "SKIPPED(long)" in out
 
 
-def test_reproduce_guard_order_threshold(capsys):
-    code, out, _ = run_cli(
-        ["reproduce", "--case", "rank5-a-mod5", "--guard-order", "1000000"],
-        capsys)
-    assert code == 0
-    assert "SKIPPED(long)" in out
-    code, out, _ = run_cli(["reproduce", "--case", "rank5-a-mod5"], capsys)
-    assert code == 0
-    assert "PASS" in out
+def test_large_registry_orders_are_flagged_long():
+    # reproduce skips a case by its long flag alone
+    large = [c for c in registry() if c.expect_order is not None
+             and int(c.expect_order) > 10 ** 8]
+    assert len(large) == 9
+    assert all(c.long for c in large)
 
 
 def test_reproduce_long_case(capsys):

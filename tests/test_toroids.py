@@ -1,7 +1,10 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
-from modpoly.diagram import parse_diagram
+from modpoly.diagram import ParseError, parse_diagram
 from modpoly.engine import enumerate_small
 from modpoly.matrep import reduce_mod, reflection_matrices
 from modpoly.polytopality import verify_diagram
@@ -276,6 +279,53 @@ def test_spherical_row_coverage():
         "Bsys2:s2-oe-oo", "Bsys2:s2-oe-oe",
         "F4:s3", "F4:s2",
     }
+
+
+def radius_diagrams():
+    """Every normalized diagram of rank <= 3 with labels 1..4, then the
+    fixture diagrams, each once."""
+    out = {}
+    for rank in (1, 2, 3):
+        for labels in itertools.product("1234", repeat=rank):
+            for branches in itertools.product("-=,", repeat=rank - 1):
+                text = labels[0] + "".join(b + l for b, l in zip(branches, labels[1:]))
+                try:
+                    out.setdefault(parse_diagram(text), None)
+                except ParseError:
+                    pass
+    for fixture in EUCLIDEAN_FIXTURES + SPHERICAL_FIXTURES:
+        out.setdefault(parse_diagram(fixture[0]), None)
+    return list(out)
+
+
+def test_prediction_digest():
+    # pins every row id, prediction and collapse flag over the radius, so
+    # any change to a prediction rule changes the digest
+    digest = hashlib.sha256()
+    euclidean_rows, spherical_rows = set(), set()
+    for diagram in radius_diagrams():
+        for lo, hi in itertools.combinations_with_replacement(range(diagram.rank), 2):
+            window = tuple(range(lo, hi + 1))
+            try:
+                for s in range(2, 13):
+                    row_id, q = predicted_type_vector(diagram, window, s)
+                    digest.update(("E %s %s %d %s %s\n" % (diagram, window, s, row_id, q)).encode())
+                    euclidean_rows.add(row_id)
+            except ValueError:
+                pass
+            try:
+                for s in range(2, 6):
+                    sc = classify_spherical(diagram, window, s)
+                    digest.update(("S %s %s %d %s %s %s %s\n" % (
+                        diagram, window, s, sc.family, sc.predicted_order,
+                        sc.constraints_row_id, sc.collapsed)).encode())
+                    spherical_rows.add(sc.constraints_row_id)
+            except ValueError:
+                pass
+    assert euclidean_rows - {None} == ALL_ROW_IDS
+    assert len(spherical_rows) == 15
+    assert digest.hexdigest() == (
+        "9044ffbe04308a60c9b442cba728208260beeb9c08ef7d0717c075e9c179937d")
 
 
 def test_euclidean_excluded_moduli_report_other():
