@@ -35,37 +35,39 @@ to integers before the reduction mod d, small ones in int32.  Otherwise
 the chain stores and multiplies int64.  The choice depends on n and d
 alone.
 
-Coset walk.  `intersection_order` measures |S ∩ L| for a large S by the
-orbit of the trivial coset L under S (orbit-stabilizer).  A coset gL is
-named by a canonical representative: descend L's chain and, at each level,
-multiply g by the transversal element u for which g·u sends the base point
-to the least encoded point of g·(orbit).  The walk goes one BFS layer at a
-time: the products gen·rep of a layer, rep-major then generator, are
-canonicalized as one stack and deduplicated in that order, so cosets are
-visited in the order of a walk that takes one product at a time.  Both
-steps work in blocks whose temporaries hold about _CHUNK*n entries:
-_CHUNK/n candidate matrices, or _CHUNK orbit images.
+Coset walk.  `intersection_order` finds |A ∩ B| as |T| times the number of
+cosets gT of a subgroup T of A ∩ B in the smaller group S whose canonical
+representative lies in the larger group L (A ∩ B is a union of such
+cosets).  A coset gT is named by descending T's chain and, at each level,
+multiplying g by the transversal element u for which g·u sends the base
+point to the least encoded point of g·(orbit).  The walk goes from T one
+BFS layer at a time under S's input generators: the products gen·rep of a
+layer, rep-major then generator, are canonicalized as one stack and
+deduplicated in that order, as one product at a time would visit them, and
+the new layer is sifted through L at once.  Canonicalization works in
+blocks whose temporaries hold about _CHUNK*n entries: _CHUNK/n candidate
+matrices, or _CHUNK images.
 
 Lifted order.  A chain built with order_only=True is asked for its order
-(and, by check(), membership), never for elements or coset
-representatives, so when p^2 | d for a prime p it may find that order
-from an action on the smaller space Z_q^n, q = d/p.  The kernel of the
-reduction G^d -> G^q consists of matrices I + qX, and since p | q,
-(I + qX)(I + qY) = I + q(X + Y) mod d: the kernel is elementary abelian,
-named by X mod p, and |G^d| = |G^q| * p^k with k its F_p-rank.  The
-Schreier-Sims loop is the one above with matrices kept mod d and point
-codes taken mod q (a non-faithful action, Seress ch. 4); a sift residue
-that is the identity mod q is a kernel element, and its X joins an F_p
-echelon basis V instead of the stash.  The kernel elements are strong
-generators at every level, and their Schreier generators are their
-conjugates by transversal elements, so V is kept closed under conjugation
-by the input generators (each new basis vector queues its conjugates):
-then every such Schreier generator lies in V and none is formed.  The
-order is the product of the basic orbit sizes times p^dim V.  p is the
-largest prime whose square divides d (a prime, so that F_p is a field and
-every pivot is invertible); when there is none the chain is the direct
-one.  The point space Z_d^n is still checked against PointSpace's limit,
-so a lifted chain overflows exactly where a direct one would.
+and memberships, never for elements or coset representatives, so when
+p^2 | d for a prime p it may answer from an action on the smaller space
+Z_q^n, q = d/p.  The kernel of the reduction G^d -> G^q consists of
+matrices I + qX, and since p | q, (I + qX)(I + qY) = I + q(X + Y) mod d:
+the kernel is elementary abelian, named by X mod p, and
+|G^d| = |G^q| * p^k with k its F_p-rank.  The Schreier-Sims loop is the one
+above with matrices kept mod d and point codes taken mod q (a non-faithful
+action, Seress ch. 4); a sift residue that is the identity mod q is a
+kernel element, and its X joins an F_p echelon basis V instead of the
+stash.  The kernel elements are strong generators at every level, and their
+Schreier generators are their conjugates by transversal elements, so V is
+kept closed under conjugation by the input generators (each new basis
+vector queues its conjugates): then every such Schreier generator lies in
+V and none is formed.  The order is the product of the basic orbit sizes
+times p^dim V; a member sifts to some I + qX with X in V.  p is the largest
+prime whose square divides d (a prime, so that F_p is a field and every
+pivot is invertible); when there is none the chain is the direct one.  The
+point space Z_d^n is still checked against PointSpace's limit, so a lifted
+chain overflows exactly where a direct one would.
 """
 
 import numpy as np
@@ -221,9 +223,9 @@ class StabChain:
 
     With order_only=True and a modulus with a square prime factor the
     chain acts on Z_q^n instead (see "Lifted order" in the module
-    docstring).  The verifier asks such a chain for its order alone; it
-    also answers membership, but only so that check() can re-derive its
-    Schreier condition in tests, and it lists no elements().
+    docstring).  It answers order and membership, all that the verifier
+    asks of a segment at an end of the string, but lists no elements() and
+    gives no coset representatives.
     """
 
     def __init__(self, gens, modulus, n=None, order_guard=None, order_only=False):
@@ -446,8 +448,8 @@ class StabChain:
         # a matrix that sticks moves a base point, so only members sift into
         # the bottom group: the identity, or the kernel span when lifted
         member = (self._mod_q(arr) == self.identity).all(axis=(1, 2))
-        if self.lift:
-            member &= ~self._reduce(self._kernel_x(arr)).any(axis=1)
+        if self.lift:  # the survivors alone need the kernel reduction
+            member[member] = ~self._reduce(self._kernel_x(arr[member])).any(axis=1)
         return member
 
     def elements(self, bound=None):
@@ -494,54 +496,55 @@ class StabChain:
         return True
 
 
-def intersection_order(a, b, orbit_guard=1_000_000, enum_bound=20_000):
-    """|A ∩ B| for two chains over the same point space.
+def intersection_order(a, b, sub, orbit_guard=1_000_000, enum_bound=20_000):
+    """|A ∩ B| for two chains mod d, given the chain `sub` of a subgroup
+    T of A ∩ B (None for the trivial group).
 
-    If the smaller group S is small enough its elements are enumerated and
-    sifted through the larger chain L in batch.  Otherwise the orbit of the
-    trivial coset L under S's strong generators is walked breadth first, one
-    BFS layer per step (see "Coset walk" in the module docstring).  The
-    canonical representative is a complete coset invariant, so the orbit has
-    size [S : S ∩ L] and the intersection order follows by orbit-stabilizer.
+    If the smaller group has a direct chain of at most enum_bound elements,
+    they are sifted through the larger chain in batch; otherwise the cosets
+    of T are walked (see "Coset walk" in the module docstring).  That needs
+    only memberships from a and b, so they may be lifted chains; sub may not.
     """
-    if a.lift or b.lift:
-        raise ValueError("a lifted chain has no elements or coset representatives")
+    if sub is not None and sub.lift:
+        raise ValueError("a lifted chain has no coset representatives")
     small, large = (a, b) if a.order() <= b.order() else (b, a)
-    if small.order() <= enum_bound:
-        elems = small.elements()
-        return int(np.count_nonzero(large.member_mask(elems)))
+    if not small.lift and small.order() <= enum_bound:
+        return int(np.count_nonzero(large.member_mask(small.elements())))
+    if sub is not None and not all(
+            c.member_mask(np.stack(sub.input_gens or [sub.identity])).all() for c in (a, b)):
+        raise ValueError("sub is not a subgroup of both groups")
+    sub_order = 1 if sub is None else sub.order()
     n = small.n
-    frontier = _canonical_coset_reps(large, small.identity[None].copy())
-    visited = {frontier[0].tobytes()}
-    gens = np.stack([m for m, _, _ in small.gens] or [small.identity])
+    frontier = _canonical_coset_reps(sub, small.identity[None].copy())
+    visited, members = {frontier[0].tobytes()}, 1  # T itself lies in L
+    gens = np.stack(small.input_gens or [small.identity])
     step = max(1, _CHUNK // (gens.shape[0] * n))  # see "Coset walk"
     while frontier.shape[0]:
         nxt = []
         for at in range(0, frontier.shape[0], step):
             # candidates rep-major, then generator: gens[j] @ rep
-            cands = large._mul(gens, frontier[at:at + step, None]).reshape(-1, n, n)
-            cands = _canonical_coset_reps(large, cands)
+            cands = small._mul(gens, frontier[at:at + step, None]).reshape(-1, n, n)
+            cands = _canonical_coset_reps(sub, cands)
             keep = []
             for i, cand in enumerate(cands):
                 key = cand.tobytes()
                 if key not in visited:
                     visited.add(key)
-                    if len(visited) > orbit_guard:
-                        raise OrbitGuardExceeded(
-                            "coset orbit exceeds guard %d" % orbit_guard)
                     keep.append(i)
+            if len(visited) > orbit_guard:
+                raise OrbitGuardExceeded("coset orbit exceeds guard %d" % orbit_guard)
             nxt.append(cands[keep])
         frontier = np.concatenate(nxt)
-    orbit = len(visited)
-    if small.order() % orbit:
-        raise AssertionError("orbit size does not divide group order")
-    return small.order() // orbit
+        members += int(np.count_nonzero(large.member_mask(frontier)))
+    if len(visited) * sub_order != small.order():
+        raise AssertionError("coset count times |T| is not the group order")
+    return sub_order * members
 
 
 def _canonical_coset_reps(chain, gs):
     """Canonical representatives of the cosets g·L of a stack of matrices,
-    written over gs (see "Coset walk" in the module docstring)."""
-    for lev in chain.levels:
+    written over gs (see "Coset walk"); no chain stands for a trivial L."""
+    for lev in chain.levels if chain is not None else ():
         vecs_t, trans = lev.vecs.view().T, lev.trans.view()
         rows = max(1, _CHUNK // lev.orbit_size)
         for at in range(0, gs.shape[0], rows):

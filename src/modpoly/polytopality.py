@@ -18,7 +18,10 @@ for 1 <= k <= n-1 (op. cit., Section 2E).  The verifier below unrolls
 that recursion from rank 2 upward, so each layer's checks run only after
 the layer below is established.  Subgroup orders and intersection orders
 come from deterministic stabilizer chains; chains for contiguous
-generator segments are cached and shared between checks.
+generator segments are cached and shared between checks.  A check counts
+the cosets of the shared segment <r_k .. r_{n-2}> in the smaller side that
+lie in the other (engine's "Coset walk"), so segments at an end of the
+string give only orders and memberships and may be lifted chains.
 """
 
 from dataclasses import dataclass
@@ -94,27 +97,18 @@ class Verifier:
         self.order_guard = order_guard
         self.orbit_guard = orbit_guard
         self._chains = {}
-        self._order = None  # the whole group's, from an order-only chain
 
     def chain(self, lo, hi):
         key = (lo, hi)
         if key not in self._chains:
+            # end segments give orders and memberships only (module docstring)
             self._chains[key] = StabChain(
                 self.mats[lo:hi], self.modulus, n=self.dim,
-                order_guard=self.order_guard)
+                order_guard=self.order_guard, order_only=lo == 0 or hi == self.rank)
         return self._chains[key]
 
     def segment_order(self, lo, hi):
-        if lo >= hi:
-            return 1
-        if (lo, hi) != (0, self.rank):
-            return self.chain(lo, hi).order()
-        # no check needs the whole group's chain, only its order, which a
-        # lifted chain finds from a smaller action (see engine's "Lifted order")
-        if self._order is None:
-            self._order = StabChain(self.mats, self.modulus, n=self.dim,
-                                    order_guard=self.order_guard, order_only=True).order()
-        return self._order
+        return self.chain(lo, hi).order() if lo < hi else 1
 
     def schlafli(self):
         out = []
@@ -170,6 +164,7 @@ class Verifier:
                 expected = self.segment_order(k, r - 1)
                 measured = intersection_order(
                     self.chain(0, r - 1), self.chain(k, r),
+                    self.chain(k, r - 1) if k < r - 1 else None,
                     orbit_guard=self.orbit_guard)
                 ok = measured == expected
                 wit = None

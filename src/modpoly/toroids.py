@@ -162,6 +162,13 @@ def _check_window(diagram, window):
     return win
 
 
+def _check_modulus(modulus):
+    s = int(modulus)
+    if s < 2:
+        raise ValueError("modulus must be at least 2")
+    return s
+
+
 def _ratios(labels):
     g = math.gcd(*labels)
     return tuple(l // g for l in labels)
@@ -635,9 +642,7 @@ def type_vector(tsub, modulus):
     never match.  The key-translation periods are returned alongside and
     cross-checked against the matrix orders.
     """
-    s = int(modulus)
-    if s < 2:
-        raise ValueError("modulus must be at least 2")
+    s = _check_modulus(modulus)
     for t in tsub.mats:
         if not is_transvection(t % s, tsub.c_ambient, tsub.frame_window, s):
             raise AssertionError("generator fails the transvection test mod %d" % s)
@@ -732,9 +737,7 @@ def _spherical_predict(kind, k, frame_d, frame_w, s):
 def classify_spherical(diagram, window, modulus):
     """Classify a spherical window: predicted group and order vs measured order."""
     win = _check_window(diagram, window)
-    s = int(modulus)
-    if s < 2:
-        raise ValueError("modulus must be at least 2")
+    s = _check_modulus(modulus)
     got = _match(diagram, win, _spherical_system)
     if got is None:
         raise ValueError("window does not match a spherical basic system")
@@ -759,11 +762,12 @@ _OTHER_NOTE = ("no toroid row applies: the reduction either fails to have "
 def predicted_type_vector(diagram, window, modulus):
     """(row id, predicted q) from the classification rules, or (None, None)."""
     win = _check_window(diagram, window)
+    s = _check_modulus(modulus)
     match = _match(diagram, win, _euclidean_system)
     if match is None:
         raise ValueError("window does not match a Euclidean basic system")
     system, _, frame_d, frame_w = match
-    return _predict_row(system, frame_d, frame_w, int(modulus))
+    return _predict_row(system, frame_d, frame_w, s)
 
 
 def _predict_row(system, frame_d, frame_w, s):
@@ -783,7 +787,7 @@ def _predict_row(system, frame_d, frame_w, s):
         """The row id and the type vector (q^k, 0^(m-k))."""
         return system + ":" + suffix, (q,) * k + (0,) * (m - k)
 
-    if s < 2 or (s == 2 and system in ("P5", "P6", "P7")):
+    if s == 2 and system in ("P5", "P6", "P7"):
         return None, None
     if system in ("P5", "P7"):
         return row("any", s)
@@ -834,9 +838,7 @@ def _predict_row(system, frame_d, frame_w, s):
 def classify_euclidean(diagram, window, modulus):
     """Classify a Euclidean window: predicted vs measured type vector."""
     win = _check_window(diagram, window)
-    s = int(modulus)
-    if s < 2:
-        raise ValueError("modulus must be at least 2")
+    s = _check_modulus(modulus)
     tsub = translation_generators(diagram, win)  # resolves the frame, once
     row_id, predicted_q = _predict_row(tsub.system, tsub.frame_diagram, tsub.frame_window, s)
     tv = type_vector(tsub, s)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -8,6 +10,8 @@ import modpoly.cli as cli
 import modpoly.engine as engine
 from modpoly.cli import main
 from modpoly.registry import GoldenCase, get_case, registry
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv, capsys):
@@ -123,6 +127,26 @@ def test_order_guard_trips_before_a_large_chain(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err == "guard: order 16624615811973120 exceeds guard 1000\n"
     assert spaces and max(spaces) < 4 ** 8
+
+
+BIG_CHAIN = "1 - 1 - 2 - 2 - 2 - 2 - 2 - 2"
+
+
+def test_big_chain_verify_matches_the_benchmark_digest(capsys):
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
+    code, out, _ = run_cli(["verify", "-d", BIG_CHAIN, "-m", "4", "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["big-chain"]["verify"]
+
+
+def test_flipped_big_chain_passes_under_the_default_orbit_guard(capsys):
+    # the walks run in the smaller of the two groups of each check; a walk
+    # in the suffix group would outgrow the guard of 10^6 cosets here
+    flipped = " - ".join(reversed(BIG_CHAIN.split(" - ")))
+    code, out, _ = run_cli(["verify", "-d", flipped, "-m", "4", "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["verdict"], payload["order"]) == ("StringCGroup", "16624615811973120")
 
 
 def test_mod_range(capsys):

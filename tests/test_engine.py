@@ -61,10 +61,10 @@ def canonical_coset_rep(chain, g):
     return g
 
 
-def chain_for(text, modulus, indices=None):
+def chain_for(text, modulus, indices=None, order_only=False):
     rep = ModularRep(parse_diagram(text), modulus)
     mats = rep.mats if indices is None else rep.select(indices)
-    return StabChain(mats, modulus)
+    return StabChain(mats, modulus, order_only=order_only)
 
 
 def brute_order(text, modulus, indices=None):
@@ -242,18 +242,61 @@ INTERSECTION_CASES = [
 ]
 
 
+def shared_chain(text, modulus, left, right, **kwargs):
+    """Chain of the generators both index lists hold, None when they share none."""
+    shared = [i for i in left if i in right]
+    return chain_for(text, modulus, shared, **kwargs) if shared else None
+
+
 @pytest.mark.parametrize("text,modulus,left,right", INTERSECTION_CASES)
 def test_intersection_order_both_paths(text, modulus, left, right, monkeypatch):
     expected = brute_intersection(text, modulus, left, right)
     a = chain_for(text, modulus, left)
     b = chain_for(text, modulus, right)
+    sub = shared_chain(text, modulus, left, right)
     # with a small chunk a BFS layer and a canonicalization span several blocks
     for chunk in (engine._CHUNK, 3):
         monkeypatch.setattr(engine, "_CHUNK", chunk)
-        assert intersection_order(a, b, enum_bound=20_000) == expected
-        # force the canonical-coset path
-        assert intersection_order(a, b, enum_bound=1) == expected
-        assert intersection_order(b, a, enum_bound=1) == expected
+        assert intersection_order(a, b, sub, enum_bound=20_000) == expected
+        # force the canonical-coset path, over the shared segment and over
+        # the trivial group
+        for t in (sub, None):
+            assert intersection_order(a, b, t, enum_bound=1) == expected
+            assert intersection_order(b, a, t, enum_bound=1) == expected
+
+
+LIFTED_INTERSECTION_CASES = [
+    ("1 - 2 - 1", 4, [0, 1], [1, 2]),
+    ("1 - 1 - 1", 8, [0, 1], [1, 2]),
+    ("1 - 1 - 1", 9, [0, 1], [1, 2]),
+    ("2 - 1 - 2", 12, [0, 1], [1, 2]),
+    ("1 - 2 - 1 - 1", 4, [0, 1, 2], [1, 2, 3]),
+    ("1 - 2 - 1 - 1", 4, [0, 1, 2], [2, 3]),
+    ("1 - 1 - 1", 9, [0], [0, 1, 2]),
+]
+
+
+@pytest.mark.parametrize("text,modulus,left,right", LIFTED_INTERSECTION_CASES)
+def test_intersection_order_of_lifted_chains(text, modulus, left, right):
+    expected = brute_intersection(text, modulus, left, right)
+    sub = shared_chain(text, modulus, left, right)
+    for a_lifted, b_lifted in ((True, True), (True, False), (False, True)):
+        a = chain_for(text, modulus, left, order_only=a_lifted)
+        b = chain_for(text, modulus, right, order_only=b_lifted)
+        assert bool(a.lift) == a_lifted and bool(b.lift) == b_lifted
+        for bound in (20_000, 1):
+            assert intersection_order(a, b, sub, enum_bound=bound) == expected
+            assert intersection_order(b, a, sub, enum_bound=bound) == expected
+
+
+def test_intersection_needs_a_direct_sub_inside_both_groups():
+    a = chain_for("2 - 1 - 2", 6, [0, 1])
+    b = chain_for("2 - 1 - 2", 6, [1, 2])
+    with pytest.raises(ValueError):
+        intersection_order(a, b, chain_for("2 - 1 - 2", 6, [0]), enum_bound=1)
+    lifted = chain_for("1 - 2 - 1", 4, [1], order_only=True)
+    with pytest.raises(ValueError):
+        intersection_order(lifted, lifted, lifted)
 
 
 def test_intersection_orbit_guard(monkeypatch):
@@ -262,7 +305,8 @@ def test_intersection_orbit_guard(monkeypatch):
     for chunk in (engine._CHUNK, 3):
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         with pytest.raises(OrbitGuardExceeded):
-            intersection_order(a, b, enum_bound=1, orbit_guard=2)
+            intersection_order(a, b, chain_for("2 - 1 - 2", 6, [1]),
+                               enum_bound=1, orbit_guard=2)
 
 
 def random_words(chain, mats, count, rng, length=12):
@@ -410,7 +454,7 @@ def test_lifted_chain_membership_and_no_elements():
     with pytest.raises(ValueError):
         lifted.elements()
     with pytest.raises(ValueError):
-        intersection_order(direct, lifted)
+        intersection_order(direct, direct, lifted)
 
 
 def test_order_only_without_a_square_factor_is_the_direct_chain():

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-import modpoly.engine as engine
 from modpoly.diagram import parse_diagram
 from modpoly.engine import element_period, enumerate_small
 from modpoly.matrep import ModularRep, predict_branch_periods, predict_collapse
@@ -195,20 +196,20 @@ def test_word_verdict_matches_definition():
     assert brute_verdict(mats, 5) == "IntersectionFails"
 
 
-def test_whole_group_order_is_lifted_once(monkeypatch):
-    builds = []
-    init = engine.StabChain.__init__
-
-    def counting(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        builds.append(self)
-    monkeypatch.setattr(engine.StabChain, "__init__", counting)
+def test_end_segments_are_lifted_and_interior_ones_direct():
+    # a segment at an end of the string only gives orders and memberships,
+    # so its chain acts on (Z_2)^4; the shared segments of the intersection
+    # checks give coset representatives and stay direct
     v = Verifier(ModularRep(parse_diagram("3 - 3 - 1 - 1"), 4).mats, 4)
-    assert v.segment_order(0, 4) == 7680
     report = v.verify()
     assert report.order == 7680 and report.ok
-    lifted = [c for c in builds if c.lift]
-    assert len(lifted) == 1 and lifted[0].space.d == 2
-    # a lifted chain answers no check: it is not among the segment chains
-    assert all(c.lift is None for c in v._chains.values())
-    assert (0, 4) not in v._chains
+    # the report of the direct chains, byte for byte
+    payload = json.dumps(report.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == \
+        "53509935049ecc19ab22ec9f2f69b490c4fd60797a54ae5a75ae4acca7054616"
+    assert (0, 4) in v._chains
+    for (lo, hi), chain in v._chains.items():
+        if lo == 0 or hi == 4:
+            assert chain.lift == 2 and chain.space.d == 2, (lo, hi)
+        else:
+            assert chain.lift is None, (lo, hi)

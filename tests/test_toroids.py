@@ -345,6 +345,14 @@ def test_euclidean_excluded_moduli_report_other():
         assert "toroid" in sc.annotation
 
 
+@pytest.mark.parametrize("s", [1, 0])
+def test_moduli_below_two_are_rejected(s):
+    diagram = parse_diagram("1 = 1")
+    for fn in (predicted_type_vector, classify_euclidean):
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            fn(diagram, (0, 1), s)
+
+
 def test_classify_scan():
     secs = classify(parse_diagram("3 - 3 - 1 - 1"), 4)
     assert [(sc.window, sc.kind, sc.family) for sc in secs] == [
