@@ -10,7 +10,6 @@ from .diagram import Branch, Diagram, ParseError, parse_diagram, parse_file
 from .matrep import (
     ModularRep,
     gram_matrix,
-    gram_matrix_mod,
     is_transvection,
     radical_vector,
     reduce_mod,

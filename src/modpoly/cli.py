@@ -47,15 +47,18 @@ def build_parser():
                      version="%(prog)s " + __version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    out_opts = argparse.ArgumentParser(add_help=False)
-    out_opts.add_argument("--format", choices=("text", "json"),
+    fmt_opts = argparse.ArgumentParser(add_help=False)
+    fmt_opts.add_argument("--format", choices=("text", "json"),
                           default="text", help="output format")
-    out_opts.add_argument("--guard-order", type=int, metavar="N",
-                          help="abort when a group order exceeds N")
-    out_opts.add_argument("--guard-orbit", type=int, metavar="N",
-                          help="abort when an intersection orbit exceeds N")
-    out_opts.add_argument("--cache", metavar="DIR",
-                          help="result cache directory")
+    cache_opts = argparse.ArgumentParser(add_help=False)
+    cache_opts.add_argument("--cache", metavar="DIR",
+                            help="result cache directory (reproduce always "
+                                 "recomputes)")
+    guard_opts = argparse.ArgumentParser(add_help=False)
+    guard_opts.add_argument("--guard-order", type=int, metavar="N",
+                            help="abort when a group order exceeds N")
+    guard_opts.add_argument("--guard-orbit", type=int, metavar="N",
+                            help="abort when an intersection orbit exceeds N")
 
     src_opts = argparse.ArgumentParser(add_help=False)
     grp = src_opts.add_mutually_exclusive_group(required=True)
@@ -70,15 +73,18 @@ def build_parser():
     mgrp.add_argument("--mod-range", metavar="A..B",
                       help="inclusive modulus range, e.g. 2..12")
 
-    p = sub.add_parser("verify", parents=[src_opts, mod_opts, out_opts],
+    p = sub.add_parser("verify", parents=[src_opts, mod_opts, fmt_opts,
+                                            cache_opts, guard_opts],
                        help="decide the string C-group property")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("classify", parents=[src_opts, mod_opts, out_opts],
+    p = sub.add_parser("classify", parents=[src_opts, mod_opts, fmt_opts,
+                                              cache_opts],
                        help="classify maximal spherical/Euclidean sections")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("subgroup", parents=[src_opts, out_opts],
+    p = sub.add_parser("subgroup", parents=[src_opts, fmt_opts, cache_opts,
+                                              guard_opts],
                        help="verify a subgroup given by generator words")
     p.add_argument("-m", "--modulus", type=int, metavar="MOD", required=True)
     p.add_argument("--word", action="append", metavar="INDICES", required=True,
@@ -86,7 +92,7 @@ def build_parser():
                         "per generator")
     p.set_defaults(func=cmd_subgroup)
 
-    p = sub.add_parser("reproduce", parents=[out_opts],
+    p = sub.add_parser("reproduce", parents=[fmt_opts, cache_opts],
                        help="recompute the golden-case registry")
     p.add_argument("--long", action="store_true",
                    help="run the degree-4096 cases too")
@@ -94,7 +100,7 @@ def build_parser():
                    help="run only this case id (repeatable)")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("parse", parents=[src_opts, out_opts],
+    p = sub.add_parser("parse", parents=[src_opts, fmt_opts],
                        help="parse and normalize a diagram")
     p.add_argument("-m", "--modulus", type=int, metavar="MOD")
     p.add_argument("--dump-rep", action="store_true",
@@ -186,7 +192,7 @@ def cmd_verify(args):
         for diagram in diagrams:
             for m in moduli:
                 rep = verify_diagram(diagram, m, **guards)
-                payloads.append(report.verify_payload(rep))
+                payloads.append(rep.to_dict())
                 if not rep.ok:
                     code = EXIT_NEGATIVE
         return payloads, code
@@ -229,8 +235,7 @@ def _verify_subgroup(diagram, modulus, words, **guards):
 
 def cmd_subgroup(args):
     diagrams = _load_diagrams(args)
-    if args.modulus < 2:
-        raise InputError("modulus must be at least 2, got %d" % args.modulus)
+    moduli = _moduli(args)
     words = _parse_words(args.word)
     guards = _guards(args)
 
@@ -249,7 +254,7 @@ def cmd_subgroup(args):
             if not sub.ok:
                 code = EXIT_NEGATIVE
         return payloads, code
-    return _run(args, compute, _verify_parts(args, diagrams, [args.modulus],
+    return _run(args, compute, _verify_parts(args, diagrams, moduli,
                                              [list(w) for w in words]))
 
 
@@ -313,9 +318,6 @@ def _run_case(case):
 
 
 def cmd_reproduce(args):
-    if _guards(args):
-        # the golden cases run unguarded and compare exact expected values
-        raise InputError("reproduce does not take --guard-order or --guard-orbit")
     cases = list(registry())
     if args.case:
         known = {c.ident for c in cases}

@@ -144,21 +144,19 @@ class _Store:
 class _Level:
     """One basic orbit: slots in discovery order, slot 0 the base point.
 
-    Slot i holds the encoded point, its vector, and the transversal element
-    carrying the base point there together with that element's inverse;
-    slot 0 holds the identity.  The orbit index is two sorted runs of
-    (point, slot) pairs, a main run and a tail of recent points.
+    Slot i holds the transversal element carrying the base point to the
+    i-th orbit point, together with that element's inverse; slot 0 holds
+    the identity.  The point is the element's column beta_col.  The orbit
+    index is two sorted runs of (point, slot) pairs, a main run and a tail
+    of recent points.
     """
 
-    __slots__ = ("beta_col", "main", "tail",
-                 "points", "vecs", "trans", "trans_inv", "cursors")
+    __slots__ = ("beta_col", "main", "tail", "trans", "trans_inv", "cursors")
 
     def __init__(self, beta_col, space, identity):
         n = identity.shape[0]
         self.beta_col = beta_col
         self.main = self.tail = _EMPTY_RUN
-        self.points = _Store(())
-        self.vecs = _Store((n,), identity.dtype)
         self.trans = _Store((n, n), identity.dtype)
         self.trans_inv = _Store((n, n), identity.dtype)
         self.cursors = {}
@@ -167,13 +165,11 @@ class _Level:
 
     @property
     def orbit_size(self):
-        return self.points.length
+        return self.trans.length
 
     def add(self, pts, mats, invs):
         """Append new orbit points with their transversal elements."""
-        slots = np.arange(self.points.length, self.points.length + pts.shape[0])
-        self.points.append(pts)
-        self.vecs.append(mats[:, :, self.beta_col])
+        slots = np.arange(self.orbit_size, self.orbit_size + pts.shape[0])
         self.trans.append(mats)
         self.trans_inv.append(invs)
         self.tail = _merge(self.tail, pts, slots)
@@ -474,11 +470,9 @@ class StabChain:
                 raise AssertionError("input generator fails membership")
         for li, lev in enumerate(self.levels):
             trans, trans_inv = lev.trans.view(), lev.trans_inv.view()
-            if not np.array_equal(lev.lookup(lev.points.view()), np.arange(lev.orbit_size)):
+            pts = self.space.encode(trans[:, :, lev.beta_col])
+            if not np.array_equal(lev.lookup(pts), np.arange(lev.orbit_size)):
                 raise AssertionError("orbit index does not give each point its slot")
-            reached = self.space.encode(self._mul(trans, lev.vecs.view()[0]))
-            if not np.array_equal(reached, lev.points.view()):
-                raise AssertionError("transversal does not reach its point")
             if not (self._mul(trans, trans_inv) == self.identity).all():
                 raise AssertionError("stored inverse is wrong")
             for gmat, _, glvl in self.gens:
@@ -545,7 +539,8 @@ def _canonical_coset_reps(chain, gs):
     """Canonical representatives of the cosets g·L of a stack of matrices,
     written over gs (see "Coset walk"); no chain stands for a trivial L."""
     for lev in chain.levels if chain is not None else ():
-        vecs_t, trans = lev.vecs.view().T, lev.trans.view()
+        trans = lev.trans.view()
+        vecs_t = np.ascontiguousarray(trans[:, :, lev.beta_col]).T
         rows = max(1, _CHUNK // lev.orbit_size)
         for at in range(0, gs.shape[0], rows):
             block = gs[at:at + rows]

@@ -81,22 +81,6 @@ def rref(rows):
     return out, tuple(pivots)
 
 
-def gram_matrix_mod(diagram, d):
-    """Gram form with entries in Z_d; available only when gcd(6, d) = 1."""
-    if gcd(6, d) != 1:
-        return None
-    inv2 = pow(2, -1, d)
-    n = diagram.rank
-    cart = diagram.cartan_matrix()
-    g = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        g[i, i] = diagram.labels[i] % d
-        for j in range(n):
-            if i != j:
-                g[i, j] = (-cart[i][j] * diagram.labels[i] * inv2) % d
-    return g
-
-
 def radical_vector(diagram, window=None):
     """Primitive integer spanning vector of the window Gram form's radical.
 

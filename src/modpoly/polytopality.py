@@ -111,13 +111,12 @@ class Verifier:
         return self.chain(lo, hi).order() if lo < hi else 1
 
     def schlafli(self):
-        out = []
-        for i in range(1, self.rank):
-            prod = self.mats[i - 1] @ self.mats[i] % self.modulus
-            # the period divides the order of the rank-2 segment
-            cap = self.segment_order(i - 1, i + 1)
-            out.append(element_period(prod, self.modulus, cap=cap))
-        return tuple(out)
+        # each period divides the order of the whole group, whose chain
+        # verify() has already built
+        cap = self.segment_order(0, self.rank)
+        return tuple(element_period(self.mats[i - 1] @ self.mats[i] % self.modulus,
+                                    self.modulus, cap=cap)
+                     for i in range(1, self.rank))
 
     def _generator_checks(self):
         ident = np.eye(self.dim, dtype=np.int64) % self.modulus

@@ -10,23 +10,8 @@ import json
 from .diagram import INFINITY
 
 
-def _order_strings(obj):
-    """Copy obj with every order-valued integer rendered as a decimal string."""
-    if isinstance(obj, dict):
-        out = {}
-        for key, val in obj.items():
-            if (key == "order" or key.endswith("_order")) and isinstance(val, int):
-                out[key] = str(val)
-            else:
-                out[key] = _order_strings(val)
-        return out
-    if isinstance(obj, (list, tuple)):
-        return [_order_strings(v) for v in obj]
-    return obj
-
-
 def to_json(payload):
-    data = json.dumps(_order_strings(payload), sort_keys=True, indent=2,
+    data = json.dumps(payload, sort_keys=True, indent=2,
                       separators=(",", ": "))
     return (data + "\n").encode("utf-8")
 
@@ -44,10 +29,6 @@ def _checks_lines(checks, out):
         else:
             wit = json.dumps(c.get("witness"), sort_keys=True)
             out.append("  %s: FAIL %s" % (c["name"], wit))
-
-
-def verify_payload(report):
-    return report.to_dict()
 
 
 def verify_text(payload):
@@ -97,7 +78,7 @@ def classify_text(payload):
         "modulus: %d" % payload["modulus"],
         "sections:",
     ]
-    for sec in _order_strings(payload)["sections"]:
+    for sec in payload["sections"]:
         out.append(_section_line(sec))
     if not payload["sections"]:
         out.append("  (none)")
@@ -172,7 +153,7 @@ def reproduce_payload(rows):
 def reproduce_text(payload):
     out = []
     width = max([len(r["id"]) for r in payload["cases"]] + [4])
-    for row in _order_strings(payload)["cases"]:
+    for row in payload["cases"]:
         line = "%-*s  %s" % (width, row["id"], row["status"])
         if row["status"] == "FAIL":
             for diff in row["diffs"]:

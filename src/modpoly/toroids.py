@@ -29,7 +29,7 @@ period of t mod s divides 2s but can exceed s, which is exactly what the
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,8 +278,8 @@ class SectionClass:
             "modulus": self.modulus,
             "flipped": self.flipped,
             "collapsed": self.collapsed,
-            "predicted_order": self.predicted_order,
-            "measured_order": self.measured_order,
+            "predicted_order": None if self.predicted_order is None else str(self.predicted_order),
+            "measured_order": None if self.measured_order is None else str(self.measured_order),
             "predicted_q": None if self.predicted_q is None else list(self.predicted_q),
             "measured_q": None if self.measured_q is None else list(self.measured_q),
             "constraints_row_id": self.constraints_row_id,
@@ -322,7 +322,6 @@ class TranslationSubgroup:
     point_order: int
     conj_mats: dict
     sigma_lattices: dict
-    _kernels: dict = field(default_factory=dict, repr=False)
 
     def translation(self, exponents):
         """Exact integer matrix of t_1^a1 ... t_m^am."""
@@ -333,12 +332,6 @@ class TranslationSubgroup:
             for _ in range(abs(int(a))):
                 out = out @ step
         return out
-
-    def frame_to_original(self, mat):
-        """Map a frame-coordinate matrix back to the original node ordering."""
-        if not self.flipped:
-            return mat
-        return np.ascontiguousarray(mat[::-1, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +481,9 @@ def translation_generators(diagram, window):
             w2 = _translation_row(pick, c_amb, frame_w)
             done = None
             for wa, wb in itertools.combinations(w_all, 2):
-                rows = [w1, w2, wa, wb]
-                try:
-                    if _index_in(rows, full_hnf, full_piv) == 1:
-                        done = (orbit[wa], orbit[wb])
-                        break
-                except ValueError:
-                    continue
+                if _index_in([w1, w2, wa, wb], full_hnf, full_piv) == 1:
+                    done = (orbit[wa], orbit[wb])
+                    break
             if done is None:
                 raise AssertionError("no orbit pair completes a translation basis")
             mats.extend(done)
@@ -575,10 +564,9 @@ def _kernel_data(tsub, s):
 
     Returns (periods, pows, basis, pivots, index): pows[i][a] = t_i^a mod s.
     The kernel contains each periods[i] * e_i, so the coset box over the
-    periods covers every class; its identity hits span the kernel.
+    periods covers every class; its identity hits span the kernel.  Nothing
+    is cached: a caller that needs the data twice keeps the tuple.
     """
-    if s in tsub._kernels:
-        return tsub._kernels[s]
     m = tsub.m
     n = tsub.frame_diagram.rank
     eye = np.eye(n, dtype=np.int64)
@@ -620,9 +608,7 @@ def _kernel_data(tsub, s):
     index = _lattice_index(basis, pivots, m)
     if index * len(found) != box:
         raise AssertionError("kernel box count does not match the lattice index")
-    out = (tuple(periods), pows, tuple(basis), pivots, index)
-    tsub._kernels[s] = out
-    return out
+    return tuple(periods), pows, tuple(basis), pivots, index
 
 
 def _chain_power(pows, exponents, s):
@@ -880,13 +866,14 @@ def classify(diagram, modulus):
 # ---------------------------------------------------------------------------
 # splitting, faithfulness, and the quotient criterion
 
-def _translation_scan(tsub, s, member):
+def _translation_scan(kernel, s, member):
     """Scan the nontrivial classes of T^s for a translation that passes member.
 
-    Walks one exponent vector per class of Z^m modulo the kernel lattice and
-    returns (classes checked, exponents of the first hit or None).
+    kernel is _kernel_data(tsub, s).  Walks one exponent vector per class of
+    Z^m modulo the kernel lattice and returns (classes checked, exponents of
+    the first hit or None).
     """
-    _, pows, basis, pivots, _ = _kernel_data(tsub, s)
+    _, pows, basis, pivots, _ = kernel
     checked = 0
     for rep_a in itertools.product(*(range(r[p]) for r, p in zip(basis, pivots))):
         if not any(rep_a):
@@ -918,7 +905,8 @@ def check_translation_splitting(diagram, window, modulus):
     window_v = Verifier(rep.select(frame_w), s)
     order_e = window_v.segment_order(0, len(frame_w))
     order_h = window_v.segment_order(1, len(frame_w))
-    periods, _, basis, _, order_t = _kernel_data(tsub, s)
+    kernel = _kernel_data(tsub, s)
+    periods, _, basis, _, order_t = kernel
     splitting = {
         "order_E": order_e,
         "order_H": order_h,
@@ -948,7 +936,7 @@ def check_translation_splitting(diagram, window, modulus):
 
     right = tuple(range(frame_w[0] + 1, n))
     right_chain = Verifier(rep.mats, s).chain(right[0], n)
-    checked, witness = _translation_scan(tsub, s, right_chain.member)
+    checked, witness = _translation_scan(kernel, s, right_chain.member)
     intersection = {
         "with_nodes": list(right),
         "frame_coordinates": tsub.flipped,
@@ -995,13 +983,16 @@ class QuotientResult:
         }
 
 
-def _condition10(tsub, di, modulus):
-    """Intersection of T^d with the subgroup dropping node 0, in di coordinates."""
-    chain = Verifier(ModularRep(di, modulus).mats, modulus).chain(1, di.rank)
-    checked, witness = _translation_scan(
-        tsub, modulus, lambda x: chain.member(tsub.frame_to_original(x)))
+def _condition10(tsub, modulus):
+    """Intersection of T^d with the subgroup dropping node 0 of tsub's diagram,
+    in tsub's frame (where that node is the last one when tsub is flipped)."""
+    n = tsub.frame_diagram.rank
+    lo, hi = (0, n - 1) if tsub.flipped else (1, n)
+    chain = Verifier(ModularRep(tsub.frame_diagram, modulus).mats, modulus).chain(lo, hi)
+    kernel = _kernel_data(tsub, modulus)
+    checked, witness = _translation_scan(kernel, modulus, chain.member)
     return {
-        "t_order": _kernel_data(tsub, modulus)[4],
+        "t_order": kernel[4],
         "subgroup_order": chain.order(),
         "translations_checked": checked,
         "trivial": witness is None,
@@ -1079,7 +1070,7 @@ def quotient_criterion(diagram, base, modulus):
             if not full_order(tag + "point group", psph, 1, n - 1):
                 continue
             tsub = translation_generators(di, facet)
-            cond = _condition10(tsub, di, d)
+            cond = _condition10(tsub, d)
             checks.append({
                 "name": tag + "translation intersection trivial mod %d" % d,
                 "passed": cond["trivial"],

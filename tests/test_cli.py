@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -77,10 +78,17 @@ def test_verify_json_byte_deterministic(capsys):
     ["reproduce", "--guard-order", "0"],
     ["reproduce", "--guard-orbit", "5"],
     ["reproduce", "--guard-order", "1000000"],
+    # options a command does not honor: classify takes no guards, parse
+    # neither guards nor a cache
+    ["classify", "-d", "1 - 2 - 1", "-m", "4", "--guard-order", "1"],
+    ["classify", "-d", "1 - 2 - 1", "-m", "4", "--guard-orbit", "1"],
+    ["parse", "-d", "1 - 2 - 1", "--guard-order", "1"],
+    ["parse", "-d", "1 - 2 - 1", "--guard-orbit", "1"],
+    ["parse", "-d", "1 - 2 - 1", "--cache", "cache-dir"],
 ])
 def test_input_errors_exit_2(capsys, argv):
-    code, _, _ = run_cli(argv, capsys)
-    assert code == 2
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
 
 
 def test_bad_arguments_exit_2(capsys):
@@ -132,11 +140,30 @@ def test_order_guard_trips_before_a_large_chain(capsys, monkeypatch):
 BIG_CHAIN = "1 - 1 - 2 - 2 - 2 - 2 - 2 - 2"
 
 
-def test_big_chain_verify_matches_the_benchmark_digest(capsys):
+def test_big_chain_verify_matches_the_benchmark_digest(capsys, monkeypatch):
+    monkeypatch.delenv("MODPOLY_CACHE", raising=False)
     expected = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
     code, out, _ = run_cli(["verify", "-d", BIG_CHAIN, "-m", "4", "--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected["big-chain"]["verify"]
+
+
+@pytest.mark.long
+def test_sweep_seed_7_matches_the_benchmark_digests(tmp_path, capsysbinary, monkeypatch):
+    # the sweep workload's two steps, in-process; the file comes from the
+    # benchmark's own generator
+    monkeypatch.delenv("MODPOLY_CACHE", raising=False)
+    spec = importlib.util.spec_from_file_location("sweep", ROOT / "bench" / "sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    path = str(tmp_path / "sweep-7.txt")
+    sweep.write_file(path, 7)
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
+    for command, mod_range, want_code in (("verify", "2..6", 1), ("classify", "2..8", 0)):
+        code = main([command, "-f", path, "--mod-range", mod_range, "--format", "json"])
+        out = capsysbinary.readouterr().out
+        assert code == want_code, command
+        assert hashlib.sha256(out).hexdigest() == expected["sweep-seed-7"][command], command
 
 
 def test_flipped_big_chain_passes_under_the_default_orbit_guard(capsys):

@@ -56,7 +56,7 @@ def canonical_coset_rep(chain, g):
     """Canonical representative of the coset g·L, one matrix at a time
     (oracle for the batched _canonical_coset_reps)."""
     for lev in chain.levels:
-        pts = chain._mul(lev.vecs.view(), g.T) @ chain.space.weights
+        pts = chain._mul(lev.trans.view()[:, :, lev.beta_col], g.T) @ chain.space.weights
         g = chain._mul(g, lev.trans.view()[int(np.argmin(pts))])
     return g
 
@@ -156,7 +156,7 @@ def test_chain_index_is_sized_by_the_orbit():
             keys = np.concatenate([lev.main[0], lev.tail[0]])
             assert keys.size == lev.orbit_size + 2
             assert np.array_equal(np.sort(keys[keys < size]),
-                                  np.sort(lev.points.view()))
+                                  np.sort(chain.space.encode(lev.trans.view()[:, :, lev.beta_col])))
             for name in lev.__slots__:
                 value = getattr(lev, name, None)
                 value = getattr(value, "buf", value)

@@ -8,7 +8,6 @@ from modpoly.matrep import (
     ModularRep,
     embed_window_vector,
     gram_matrix,
-    gram_matrix_mod,
     is_transvection,
     radical_vector,
     reduce_mod,
@@ -100,16 +99,6 @@ def test_gram_is_preserved_by_generators():
                            for k in range(n) for l in range(n))
                        for j in range(n)] for i in range(n)]
             assert rt_g_r == g
-
-
-def test_gram_mod_regime():
-    d = parse_diagram("1 - 2")
-    for modulus in [2, 3, 4, 6, 8, 9]:
-        assert gram_matrix_mod(d, modulus) is None
-    for modulus in [5, 7, 11]:
-        gm = gram_matrix_mod(d, modulus)
-        for r in reduce_mod(reflection_matrices(d), modulus):
-            assert np.array_equal(r.T @ gm @ r % modulus, gm)
 
 
 def test_rref_is_exact():

@@ -383,7 +383,7 @@ def test_section_dicts_round_trip():
     assert d["predicted_q"] == [2, 2] and d["measured_q"] == [2, 2]
     sc = classify_spherical(parse_diagram("1 - 2"), (0, 1), 5)
     d = sc.to_dict()
-    assert d["kind"] == "Spherical" and d["measured_order"] == 8
+    assert d["kind"] == "Spherical" and d["measured_order"] == "8"
 
 
 def test_flip_of_representation_is_reverse_conjugate():
