@@ -13,7 +13,7 @@ byte-for-byte.
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
 
 from . import __version__, cache, report
 from .diagram import ParseError, parse_diagram, parse_file
@@ -325,17 +325,16 @@ def cmd_reproduce(args):
             if ident not in known:
                 raise InputError("unknown case id %r" % ident)
         cases = [c for c in cases if c.ident in set(args.case)]
-    rows, jobs = [], []
+    rows = []
     for case in cases:
         if case.long and not args.long:
             rows.append({"id": case.ident, "status": "SKIPPED(long)",
                          "note": case.note})
-        else:
-            jobs.append(case)
-    if jobs:
-        workers = min(4, os.cpu_count() or 1, len(jobs))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows.extend(pool.map(_run_case, jobs))
+            continue
+        start = time.perf_counter()
+        rows.append(_run_case(case))
+        # timings go to stderr only, so stdout stays byte-deterministic
+        print("%s  %.3f" % (case.ident, time.perf_counter() - start), file=sys.stderr)
     rows.sort(key=lambda r: r["id"])
     payload = report.reproduce_payload(rows)
     code = EXIT_OK if payload["counts"]["fail"] == 0 else EXIT_NEGATIVE

@@ -65,9 +65,20 @@ vector queues its conjugates): then every such Schreier generator lies in
 V and none is formed.  The order is the product of the basic orbit sizes
 times p^dim V; a member sifts to some I + qX with X in V.  p is the largest
 prime whose square divides d (a prime, so that F_p is a field and every
-pivot is invertible); when there is none the chain is the direct one.  The
-point space Z_d^n is still checked against PointSpace's limit, so a lifted
-chain overflows exactly where a direct one would.
+pivot is invertible).  The point space Z_d^n is still checked against
+PointSpace's limit, so a lifted or split chain overflows exactly where a
+direct one would.
+
+Split order.  For a composite d with no square prime factor, an order_only
+chain acts on Z_a^n, a the largest prime factor of d and b = d/a.  The
+kernel of G^d -> G^a is I mod a, so by the Chinese remainder theorem it
+embeds in G^b as a normal subgroup.  A sift residue that is I mod a but not
+mod d is a kernel element: its residue mod b and inverse join the kernel
+chain, an order_only chain mod b created at the first kernel element (and
+split again when b is composite: 30 = 5 * (3 * 2)), kept closed like V
+under conjugation by the input involutions.  The order is the product of
+the orbit sizes times the kernel chain's; a member sifts mod a to an element
+whose residue mod b is a member of the kernel chain, or I without one.
 """
 
 import numpy as np
@@ -200,28 +211,32 @@ def _search(run, pts):
     return np.where(keys[at] == pts, slots[at], -1)
 
 
+def prime_factors(d):
+    """The prime factors of d >= 1 with multiplicity, in increasing order."""
+    out, p = [], 2
+    while p * p <= d:
+        while d % p == 0:
+            out.append(p)
+            d //= p
+        p += 1
+    return out + [d] * (d > 1)
+
+
 def square_prime(d):
     """The largest prime p with p^2 | d, or None."""
-    best, p = None, 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                best = p
-            while d % p == 0:
-                d //= p
-        p += 1
-    return best
+    primes = prime_factors(d)
+    return max((p for p in primes if primes.count(p) > 1), default=None)
 
 
 class StabChain:
     """Verified stabilizer chain for matrices mod d acting on Z_d^n.
 
-    With order_only=True and a modulus with a square prime factor the
-    chain acts on Z_q^n instead (see "Lifted order" in the module
-    docstring).  It answers order and membership, all that the verifier
-    asks of a segment at an end of the string, but lists no elements() and
-    gives no coset representatives.
+    With order_only=True and a composite modulus the chain acts on a
+    smaller space, lifted when p^2 | d for a prime p and split otherwise
+    (see "Lifted order" and "Split order" in the module docstring).  It
+    answers order and membership, all that the verifier asks of a segment
+    at an end of the string, but lists no elements() and gives no coset
+    representatives.
     """
 
     def __init__(self, gens, modulus, n=None, order_guard=None, order_only=False):
@@ -236,14 +251,22 @@ class StabChain:
         # lifted: the kernel's prime p, and an F_p basis of its X's as (pivot, row)
         self.lift = square_prime(modulus) if order_only and n else None
         self.kernel = []
+        # split: the kernel chain's modulus b, and that chain once it exists
+        self.split = self.kernel_chain = None
         if self.lift:
             self.space = PointSpace(modulus // self.lift, n)
+        elif order_only and n and len(prime_factors(modulus)) > 1:
+            self.space = PointSpace(prime_factors(modulus)[-1], n)
+            self.split = modulus // self.space.d
+        self.direct = not (self.lift or self.split)  # acts on all of Z_d^n
         self._narrow = n * (modulus - 1) ** 2 < _FLOAT32_EXACT
         self.dtype = np.int32 if self._narrow else np.int64
         self.identity = np.eye(n, dtype=self.dtype)
         self.gens = []  # (mat, inv, level)
         self.levels = []
         self.input_gens = [g.astype(self.dtype) for g in gens]
+        # the involutions a kernel is kept closed under conjugation by
+        self.conjugators = self.input_gens
         seed = []
         for g in self.input_gens:
             if not np.array_equal(g, self.identity):
@@ -252,14 +275,14 @@ class StabChain:
                     raise ValueError("chain input generators must be involutions")
                 seed.append((g[None], g[None]))
         self._build(seed)
-        self._order = (self.lift or 1) ** len(self.kernel)
-        for lev in self.levels:
-            self._order *= lev.orbit_size
-        if order_guard is not None and self._order > order_guard:
-            raise OrderGuardExceeded("order %d exceeds guard %d" % (self._order, order_guard))
+        if order_guard is not None and self.order() > order_guard:
+            raise OrderGuardExceeded("order %d exceeds guard %d" % (self.order(), order_guard))
 
     def order(self):
-        return self._order
+        order = (self.lift or 1) ** len(self.kernel)
+        for lev in self.levels:
+            order *= lev.orbit_size
+        return order * (self.kernel_chain.order() if self.kernel_chain else 1)
 
     def _mul(self, a, b):
         """a @ b mod d, exact (see "Arithmetic" in the module docstring)."""
@@ -276,9 +299,9 @@ class StabChain:
         """A fresh copy of matrices, reduced mod d, in the chain's dtype."""
         return (np.asarray(mats, dtype=np.int64) % self.modulus).astype(self.dtype)
 
-    def _mod_q(self, a):
-        """Entries reduced mod q, the modulus of the points acted on."""
-        return a % self.space.d if self.lift else a
+    def _mod_space(self, a):
+        """Entries reduced mod the modulus of the points acted on."""
+        return a if self.direct else a % self.space.d
 
     def _kernel_x(self, mats):
         """X mod p of kernel elements I + qX, one flat row each."""
@@ -315,6 +338,24 @@ class StabChain:
                 xs = xs[rows[0] + 1:]
                 xs = (xs - xs[:, col, None] * x) % p
 
+    def _split_absorb(self, mats, invs):
+        """Add kernel elements and their inverses, mod b, to the kernel chain:
+        one non-member at a time joins it and queues its conjugates g·k·g, so
+        the group the joined elements generate ends closed under conjugation."""
+        if self.kernel_chain is None:
+            self.kernel_chain = StabChain([], self.split, n=self.n, order_only=True)
+            self.kernel_chain.conjugators = self.kernel_chain._own(np.stack(self.conjugators))
+        kc = self.kernel_chain
+        mats, invs, conj = kc._own(mats), kc._own(invs), kc.conjugators
+        while mats.shape[0]:
+            new = ~kc.member_mask(mats)
+            if not new.any():
+                break
+            mats, invs = mats[new], invs[new]
+            kc._build([(mats[:1], invs[:1])])
+            mats = np.concatenate((mats[1:], kc._mul(kc._mul(conj, mats[:1]), conj)))
+            invs = np.concatenate((invs[1:], kc._mul(kc._mul(conj, invs[:1]), conj)))
+
     # -- construction ----------------------------------------------------
 
     def _build(self, stash):
@@ -345,11 +386,13 @@ class StabChain:
         lvls = np.concatenate([self._sift(mats[at:at + _CHUNK], invs[at:at + _CHUNK])
                                for at in range(0, mats.shape[0], _CHUNK)])
         # an element that sticks moves a base point, so it is nontrivial too
-        keep = (self._mod_q(mats) != self.identity).any(axis=(1, 2))
-        if self.lift:
+        keep = (self._mod_space(mats) != self.identity).any(axis=(1, 2))
+        if not self.direct:
             kernel = ~keep & (mats != self.identity).any(axis=(1, 2))
-            if kernel.any():
+            if kernel.any() and self.lift:
                 self._absorb(mats[kernel])
+            elif kernel.any():
+                self._split_absorb(mats[kernel], invs[kernel])
         if not keep.any():
             return None
         return mats[keep], invs[keep], lvls[keep]
@@ -366,7 +409,7 @@ class StabChain:
         for li, lev in enumerate(self.levels):
             if not live.size:
                 break
-            slots = lev.lookup(self._mod_q(mats[live, :, lev.beta_col]) @ self.space.weights)
+            slots = lev.lookup(self._mod_space(mats[live, :, lev.beta_col]) @ self.space.weights)
             stuck[live[slots < 0]] = li
             # slot 0 holds the identity: nothing to divide out
             move = slots > 0
@@ -380,7 +423,7 @@ class StabChain:
 
     def _install(self, mat, inv, level):
         if level == len(self.levels):
-            moved = np.nonzero((self._mod_q(mat) != self.identity).any(axis=0))[0]
+            moved = np.nonzero((self._mod_space(mat) != self.identity).any(axis=0))[0]
             if not moved.size:
                 raise AssertionError("residue is identity; nothing to install")
             self.levels.append(_Level(int(moved[0]), self.space, self.identity))
@@ -412,7 +455,7 @@ class StabChain:
         of the new points are the identity).
         """
         cand = self._mul(gmat, lev.trans.view()[start:end])
-        pts = self._mod_q(cand[:, :, lev.beta_col]) @ self.space.weights
+        pts = self._mod_space(cand[:, :, lev.beta_col]) @ self.space.weights
         slots = lev.lookup(pts)
         fresh = np.nonzero(slots < 0)[0]
         if fresh.size:
@@ -442,18 +485,23 @@ class StabChain:
         arr = self._own(mats).reshape(-1, self.n, self.n)
         self._sift(arr)
         # a matrix that sticks moves a base point, so only members sift into
-        # the bottom group: the identity, or the kernel span when lifted
-        member = (self._mod_q(arr) == self.identity).all(axis=(1, 2))
-        if self.lift:  # the survivors alone need the kernel reduction
+        # the bottom group: the identity, the kernel span when lifted, the
+        # kernel chain when split
+        member = (self._mod_space(arr) == self.identity).all(axis=(1, 2))
+        if self.lift:  # the survivors alone need the kernel
             member[member] = ~self._reduce(self._kernel_x(arr[member])).any(axis=1)
+        elif self.kernel_chain is not None:
+            member[member] = self.kernel_chain.member_mask(arr[member])
+        elif self.split:
+            member[member] = (arr[member] == self.identity).all(axis=(1, 2))
         return member
 
     def elements(self, bound=None):
         """All group elements as one (order, n, n) array, deterministic order."""
-        if self.lift:
-            raise ValueError("a lifted chain does not list its elements")
-        if bound is not None and self._order > bound:
-            raise BoundExceeded("order %d exceeds enumeration bound %d" % (self._order, bound))
+        if not self.direct:
+            raise ValueError("a lifted or split chain does not list its elements")
+        if bound is not None and self.order() > bound:
+            raise BoundExceeded("order %d exceeds enumeration bound %d" % (self.order(), bound))
         arr = self.identity[None]
         for lev in self.levels:
             t = lev.trans.view()
@@ -487,6 +535,12 @@ class StabChain:
         for _, x in self.kernel:
             if self._reduce(self._conjugates(x)).any():
                 raise AssertionError("kernel basis is not closed under conjugation")
+        kc = self.kernel_chain
+        if kc is not None:
+            kc.check()  # and, in turn, its own kernel chain
+            for g, _, _ in kc.gens:
+                if not kc.member_mask(kc._mul(kc._mul(kc.conjugators, g), kc.conjugators)).all():
+                    raise AssertionError("kernel chain is not closed under conjugation")
         return True
 
 
@@ -494,16 +548,18 @@ def intersection_order(a, b, sub, orbit_guard=1_000_000, enum_bound=20_000):
     """|A ∩ B| for two chains mod d, given the chain `sub` of a subgroup
     T of A ∩ B (None for the trivial group).
 
-    If the smaller group has a direct chain of at most enum_bound elements,
-    they are sifted through the larger chain in batch; otherwise the cosets
-    of T are walked (see "Coset walk" in the module docstring).  That needs
-    only memberships from a and b, so they may be lifted chains; sub may not.
+    If the smaller group, or else the larger, has a direct chain of at most
+    enum_bound elements, they are sifted through the other chain in batch;
+    otherwise the cosets of T in the smaller group are walked (see "Coset
+    walk" in the module docstring).  That needs only memberships from a and
+    b, so they may be lifted or split chains; sub may not.
     """
-    if sub is not None and sub.lift:
-        raise ValueError("a lifted chain has no coset representatives")
+    if sub is not None and not sub.direct:
+        raise ValueError("a lifted or split chain has no coset representatives")
     small, large = (a, b) if a.order() <= b.order() else (b, a)
-    if not small.lift and small.order() <= enum_bound:
-        return int(np.count_nonzero(large.member_mask(small.elements())))
+    for listed, other in ((small, large), (large, small)):
+        if listed.direct and listed.order() <= enum_bound:
+            return int(np.count_nonzero(other.member_mask(listed.elements())))
     if sub is not None and not all(
             c.member_mask(np.stack(sub.input_gens or [sub.identity])).all() for c in (a, b)):
         raise ValueError("sub is not a subgroup of both groups")

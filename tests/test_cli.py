@@ -395,6 +395,17 @@ def test_reproduce_coset_walk_case(capsys):
     assert case["computed"]["witness_index"] == 2
 
 
+def test_reproduce_times_each_case_on_stderr_only(capsys):
+    code, out, err = run_cli(["reproduce", "--long", "--format", "json"], capsys)
+    assert code == 0
+    # the golden registry's bytes, unchanged by the timings
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "80da893e4e8f0057db5e400a4016e616849a2589105fdc7bbfdab2861623f76a"
+    lines = [line.split("  ") for line in err.splitlines()]
+    assert [ident for ident, _ in lines] == [c.ident for c in registry()]
+    assert len(lines) == 30 and all(float(seconds) >= 0 for _, seconds in lines)
+
+
 def test_reproduce_rows_sorted_by_id(capsys):
     _, out, _ = run_cli(["reproduce", "--format", "json"], capsys)
     ids = [row["id"] for row in json.loads(out)["cases"]]

@@ -17,6 +17,7 @@ from modpoly.engine import (
     element_period,
     enumerate_small,
     intersection_order,
+    prime_factors,
     square_prime,
 )
 from modpoly.matrep import ModularRep
@@ -391,7 +392,7 @@ def test_as_permutations_are_permutations():
 LIFT_MODULI = (4, 8, 9, 12, 16, 18, 25, 36)
 
 
-def lift_cases(seed, count):
+def lift_cases(seed, count, moduli=LIFT_MODULI):
     """Distinct (diagram text, modulus) pairs: rank 1-4, labels 1-4."""
     rng = random.Random(seed)
     out = []
@@ -401,7 +402,7 @@ def lift_cases(seed, count):
         for _ in range(rank - 1):
             parts += [rng.choice("-=,"), str(rng.randint(1, 4))]
         try:
-            case = (parse_diagram(" ".join(parts)).render(), rng.choice(LIFT_MODULI))
+            case = (parse_diagram(" ".join(parts)).render(), rng.choice(moduli))
         except ParseError:
             continue
         if case not in out:
@@ -457,11 +458,14 @@ def test_lifted_chain_membership_and_no_elements():
         intersection_order(direct, direct, lifted)
 
 
-def test_order_only_without_a_square_factor_is_the_direct_chain():
-    mats = ModularRep(parse_diagram("2 - 1 - 2"), 6).mats
-    chain = StabChain(mats, 6, order_only=True)
-    assert chain.lift is None and chain.space.d == 6 and not chain.kernel
-    assert chain.elements().shape[0] == chain.order() == StabChain(mats, 6).order()
+def test_order_only_at_a_prime_is_the_direct_chain():
+    mats = ModularRep(parse_diagram("2 - 1 - 2"), 5).mats
+    chain = StabChain(mats, 5, order_only=True)
+    assert chain.direct and chain.space.d == 5 and chain.kernel_chain is None
+    assert chain.elements().shape[0] == chain.order() == StabChain(mats, 5).order()
+    # a composite square-free modulus splits: d = 6 acts on Z_3^n
+    split = StabChain(ModularRep(parse_diagram("2 - 1 - 2"), 6).mats, 6, order_only=True)
+    assert (split.lift, split.split, split.space.d) == (None, 2, 3)
 
 
 def test_lifted_chain_still_checks_the_full_point_space():
@@ -482,3 +486,114 @@ def test_lifted_order_of_large_groups(text, modulus, rank):
     assert len(lifted.kernel) == rank
     assert lifted.order() == direct.order()
     assert lifted.check()
+
+
+# -- split order: the direct chain over (Z_d)^n is the oracle --------------
+
+SPLIT_MODULI = (6, 10, 14, 15, 30)
+
+
+@pytest.mark.parametrize("d,primes", [(1, []), (2, [2]), (6, [2, 3]), (12, [2, 2, 3]),
+                                      (30, [2, 3, 5]), (49, [7, 7]), (9999, [3, 3, 11, 101])])
+def test_prime_factors(d, primes):
+    assert prime_factors(d) == primes
+
+
+def largest_prime(d):
+    return prime_factors(d)[-1]
+
+
+def test_split_order_matches_the_direct_chain():
+    kernels = 0
+    for text, modulus in lift_cases(6, 200, SPLIT_MODULI):
+        split, direct = lifted_and_direct(text, modulus)
+        assert split.split == modulus // largest_prime(modulus)
+        assert split.space.d == largest_prime(modulus)
+        assert split.order() == direct.order(), (text, modulus)
+        assert split.check()
+        kernels += split.kernel_chain is not None
+    assert kernels > 50  # the kernel chains are exercised, not only the orbits
+
+
+def test_split_kernel_chains_split_again():
+    # 30 = 5 * (3 * 2): the kernel chain mod 6 has a kernel chain mod 2
+    split, direct = lifted_and_direct("2 - 1 - 2 - 1", 30)
+    kernel = split.kernel_chain
+    assert (kernel.modulus, kernel.split, kernel.kernel_chain.modulus) == (6, 2, 2)
+    assert split.order() == direct.order() == 20_736_000
+    assert split.check()
+
+
+def test_split_kernel_chain_is_closed_under_conjugation():
+    # without the closure this chain has order 600
+    split = chain_for("4 - 2 - 1 - 2", 15, [1, 2, 3], order_only=True)
+    assert split.order() == chain_for("4 - 2 - 1 - 2", 15, [1, 2, 3]).order() == 1800
+    assert split.check()
+    # check() finds a kernel chain that is not normal: one of its generators alone
+    kernel = split.kernel_chain
+    part = StabChain([], kernel.modulus, n=kernel.n, order_only=True)
+    part.conjugators = kernel.conjugators
+    mat, inv, _ = kernel.gens[0]
+    part._build([(mat[None].copy(), inv[None].copy())])
+    split.kernel_chain = part
+    with pytest.raises(AssertionError):
+        split.check()
+
+
+@pytest.mark.parametrize("text,modulus,kernel", [
+    ("1 - 4 - 1", 6, True), ("2 - 1 - 2", 15, True), ("1 - 2 - 1", 10, False)])
+def test_split_chain_membership_and_no_elements(text, modulus, kernel):
+    split, direct = lifted_and_direct(text, modulus)
+    assert (split.kernel_chain is not None) == kernel
+    a = largest_prime(modulus)
+    rng = np.random.default_rng(4)
+    # members, and matrices congruent to them mod a that need the kernel chain
+    elems = direct.elements()
+    near = (elems + a * rng.integers(0, modulus // a, size=elems.shape)) % modulus
+    cands = np.concatenate([elems, near])
+    mask = direct.member_mask(cands)
+    assert mask.all() != mask.any()
+    assert np.array_equal(split.member_mask(cands), mask)
+    with pytest.raises(ValueError):
+        split.elements()
+    with pytest.raises(ValueError):
+        intersection_order(direct, direct, split)
+
+
+def test_split_chain_still_checks_the_full_point_space():
+    # 6^12 > 2^31 overflows although the split action has 3^12 points
+    mats = ModularRep(parse_diagram(" - ".join(["1"] * 12)), 6).mats
+    with pytest.raises(PointSpaceOverflow):
+        StabChain(mats, 6, order_only=True)
+
+
+@pytest.mark.parametrize("text,modulus,left,right", [
+    ("1 - 2 - 1 - 1", 4, [0, 1], [1, 2, 3]),   # lifted smaller side
+    ("1 - 4 - 1", 6, [0, 1], [1, 2]),          # split smaller side
+])
+def test_intersection_enumerates_a_small_direct_larger_side(text, modulus, left, right,
+                                                            monkeypatch):
+    expected = brute_intersection(text, modulus, left, right)
+    small = chain_for(text, modulus, left, order_only=True)
+    large = chain_for(text, modulus, right)
+    assert not small.direct and small.order() <= large.order() <= 20_000
+    sub = shared_chain(text, modulus, left, right)
+
+    def no_walk(chain, gs):
+        raise AssertionError("coset walk")
+
+    monkeypatch.setattr(engine, "_canonical_coset_reps", no_walk)
+    assert intersection_order(small, large, sub) == expected
+    assert intersection_order(large, small, sub) == expected
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("ident", ["rank6-kb-mod6", "rank6-kd-mod6"])
+def test_split_order_of_the_rank6_mod6_groups(ident):
+    from modpoly.registry import registry
+
+    case = next(c for c in registry() if c.ident == ident)
+    split, direct = lifted_and_direct(case.diagram, 6)
+    assert split.order() == direct.order() == 111_795_240_960
+    assert split.kernel_chain.order() == 4608
+    assert split.check()
