@@ -315,8 +315,8 @@ class StabChain:
         return xs
 
     def _conjugates(self, x):
-        """g X g mod p for each input generator g (an involution), flat rows."""
-        gens = np.stack(self.input_gens).astype(np.int64) % self.lift
+        """g X g mod p for each conjugator g (an involution), flat rows."""
+        gens = np.stack(self.conjugators).astype(np.int64) % self.lift
         xm = x.reshape(self.n, self.n)
         return (gens @ xm @ gens % self.lift).reshape(-1, self.n * self.n)
 

@@ -11,6 +11,11 @@ exactly:
 * spherical windows: predicted vs measured group order;
 * Euclidean windows: predicted vs measured toroid type vector q = (q^k, 0^(m-k)).
 
+`classify` works in two stages.  `_windows` reads no modulus: it resolves
+each maximal window of a diagram once to its printed or flipped frame and
+builds each Euclidean window's translation subgroup.  `_section` then builds
+the SectionClass of a resolved window at each modulus.
+
 Type vectors are measured from the translation subgroup.  Standard
 generators t_1..t_m are constructed over the integers (t_1 = r_j h for the
 unique point-group element h making a translation; the rest by reflection
@@ -27,6 +32,7 @@ period of t mod s divides 2s but can exceed s, which is exactly what the
 (s,s,0,...) and (2s) rows require.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -95,10 +101,7 @@ def _lattice_index(basis, pivots, width):
     """Index of the row lattice in Z^width; 0 means infinite (not full rank)."""
     if len(basis) < width:
         return 0
-    out = 1
-    for r, c in zip(basis, pivots):
-        out *= r[c]
-    return out
+    return math.prod(r[c] for r, c in zip(basis, pivots))
 
 
 def _lattice_coords(vec, basis, pivots):
@@ -114,10 +117,6 @@ def _lattice_coords(vec, basis, pivots):
             for t in range(len(v)):
                 v[t] -= q * r[t]
     return out if not any(v) else None
-
-
-def _in_lattice(vec, basis, pivots):
-    return _lattice_coords(vec, basis, pivots) is not None
 
 
 def _index_in(rows, ref_basis, ref_pivots):
@@ -271,20 +270,12 @@ class SectionClass:
     annotation: str = ""
 
     def to_dict(self):
-        return {
-            "window": list(self.window),
-            "kind": self.kind,
-            "family": self.family,
-            "modulus": self.modulus,
-            "flipped": self.flipped,
-            "collapsed": self.collapsed,
-            "predicted_order": None if self.predicted_order is None else str(self.predicted_order),
-            "measured_order": None if self.measured_order is None else str(self.measured_order),
-            "predicted_q": None if self.predicted_q is None else list(self.predicted_q),
-            "measured_q": None if self.measured_q is None else list(self.measured_q),
-            "constraints_row_id": self.constraints_row_id,
-            "annotation": self.annotation,
-        }
+        out = dict(vars(self), window=list(self.window))
+        for key in ("predicted_order", "measured_order"):
+            out[key] = None if out[key] is None else str(out[key])
+        for key in ("predicted_q", "measured_q"):
+            out[key] = None if out[key] is None else list(out[key])
+        return out
 
 
 @dataclass(frozen=True)
@@ -309,7 +300,6 @@ class TranslationSubgroup:
     window: tuple
     flipped: bool
     system: str
-    kind: str
     m: int
     frame_diagram: Diagram
     frame_window: tuple
@@ -318,9 +308,7 @@ class TranslationSubgroup:
     mats: list
     inverses: list
     w_rows: tuple
-    point_nodes: tuple
     point_order: int
-    conj_mats: dict
     sigma_lattices: dict
 
     def translation(self, exponents):
@@ -541,11 +529,10 @@ def translation_generators(diagram, window):
         sigma_lattices[k] = (tuple(h), p, idx)
 
     tsub = TranslationSubgroup(
-        diagram=diagram, window=win, flipped=flipped, system=system, kind=kind, m=m,
+        diagram=diagram, window=win, flipped=flipped, system=system, m=m,
         frame_diagram=frame_d, frame_window=frame_w, c_window=tuple(c_win),
         c_ambient=c_amb, mats=mats, inverses=inverses, w_rows=w_rows,
-        point_nodes=point_nodes, point_order=len(h_els), conj_mats=conj,
-        sigma_lattices=sigma_lattices,
+        point_order=len(h_els), sigma_lattices=sigma_lattices,
     )
     # the exponent-coordinate conjugation matrices must reproduce the matrices
     for l, amat in conj.items():
@@ -598,9 +585,7 @@ def _kernel_data(tsub, s):
             for hidx in hits:
                 a = np.unravel_index(int(hidx), prefix)
                 found.append(tuple(int(x) for x in a) + (b,))
-    box = 1
-    for p in periods:
-        box *= p
+    box = math.prod(periods)
     rows = list(found)
     for i in range(m):
         rows.append(tuple(periods[i] if t == i else 0 for t in range(m)))
@@ -637,11 +622,8 @@ def type_vector(tsub, modulus):
     key_periods = []
     for k in tsub.sigma_lattices:
         sigma = (1,) * k + (0,) * (m - k)
-        per = None
-        for jj in range(1, 2 * s + 1):
-            if _in_lattice([jj * x for x in sigma], basis, pivots):
-                per = jj
-                break
+        per = next((jj for jj in range(1, 2 * s + 1)
+                    if _lattice_coords([jj * x for x in sigma], basis, pivots) is not None), None)
         if per is None:
             raise AssertionError("key translation period not found within 2s")
         if element_period(_chain_power(pows, sigma, s), s, cap=2 * s + 1) != per:
@@ -718,24 +700,6 @@ def _spherical_predict(kind, k, frame_d, frame_w, s):
             return (name + "/{±e}", full // 2, row, "")
         return (name, full, row, "")
     return (name + "/{±e}", full // 2, "F4:s2", "")
-
-
-def classify_spherical(diagram, window, modulus):
-    """Classify a spherical window: predicted group and order vs measured order."""
-    win = _check_window(diagram, window)
-    s = _check_modulus(modulus)
-    got = _match(diagram, win, _spherical_system)
-    if got is None:
-        raise ValueError("window does not match a spherical basic system")
-    (kind, k), flipped, frame_d, frame_w = got
-    family, order, row_id, note = _spherical_predict(kind, k, frame_d, frame_w, s)
-    measured = Verifier(ModularRep(frame_d, s).select(frame_w), s).segment_order(0, len(frame_w))
-    collapsed = any(predict_collapse(diagram, s)[i] for i in win)
-    return SectionClass(
-        window=(win[0], win[-1]), kind="Spherical", family=family, modulus=s,
-        flipped=flipped, collapsed=collapsed, predicted_order=order,
-        measured_order=measured, constraints_row_id=row_id, annotation=note,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -821,33 +785,56 @@ def _predict_row(system, frame_d, frame_w, s):
     return None, None
 
 
+# ---------------------------------------------------------------------------
+# window classification
+
+def _section(diagram, win, got, s, collapse, rep):
+    """SectionClass of a window at modulus s; got is its TranslationSubgroup
+    or its spherical match.  collapse is predict_collapse(diagram, s); rep,
+    ModularRep(diagram, s), gives a spherical window's printed generators
+    (a flip conjugates the group, so only the prediction reads the frame)."""
+    if isinstance(got, TranslationSubgroup):
+        flipped = got.flipped
+        row_id, predicted_q = _predict_row(got.system, got.frame_diagram, got.frame_window, s)
+        tv = type_vector(got, s)
+        fields = dict(kind="Other" if row_id is None else "Euclidean",
+                      family=_family_name(diagram, win), predicted_q=predicted_q,
+                      measured_q=None if tv is None else tv.vector,
+                      annotation=_OTHER_NOTE if row_id is None else "")
+    else:
+        (kind, k), flipped, frame_d, frame_w = got
+        family, order, row_id, note = _spherical_predict(kind, k, frame_d, frame_w, s)
+        measured = Verifier(rep.select(win), s).segment_order(0, len(win))
+        fields = dict(kind="Spherical", family=family, predicted_order=order,
+                      measured_order=measured, annotation=note)
+    return SectionClass(window=(win[0], win[-1]), modulus=s, flipped=flipped,
+                        collapsed=any(collapse[i] for i in win),
+                        constraints_row_id=row_id, **fields)
+
+
+def classify_spherical(diagram, window, modulus):
+    """Classify a spherical window: predicted group and order vs measured order."""
+    win = _check_window(diagram, window)
+    s = _check_modulus(modulus)
+    got = _match(diagram, win, _spherical_system)
+    if got is None:
+        raise ValueError("window does not match a spherical basic system")
+    return _section(diagram, win, got, s, predict_collapse(diagram, s), ModularRep(diagram, s))
+
+
 def classify_euclidean(diagram, window, modulus):
     """Classify a Euclidean window: predicted vs measured type vector."""
     win = _check_window(diagram, window)
     s = _check_modulus(modulus)
-    tsub = translation_generators(diagram, win)  # resolves the frame, once
-    row_id, predicted_q = _predict_row(tsub.system, tsub.frame_diagram, tsub.frame_window, s)
-    tv = type_vector(tsub, s)
-    measured_q = None if tv is None else tv.vector
-    collapsed = any(predict_collapse(diagram, s)[i] for i in win)
-    if row_id is None:
-        kind, note = "Other", _OTHER_NOTE
-    else:
-        kind, note = "Euclidean", ""
-    return SectionClass(
-        window=(win[0], win[-1]), kind=kind, family=_family_name(diagram, win),
-        modulus=s, flipped=tsub.flipped, collapsed=collapsed,
-        predicted_q=predicted_q, measured_q=measured_q,
-        constraints_row_id=row_id, annotation=note,
-    )
+    return _section(diagram, win, translation_generators(diagram, win), s,
+                    predict_collapse(diagram, s), None)
 
 
-def classify(diagram, modulus):
-    """Classify every maximal spherical or Euclidean window of the diagram.
-
-    Windows strictly contained in a longer matched window are dropped;
-    overlapping maximal windows are all reported, sorted by start node.
-    """
+@functools.lru_cache(maxsize=1)
+def _windows(diagram):
+    """(window, got) for _section, for each maximal matched window by start
+    node; callers share the result and only read it.  One diagram is kept:
+    the CLI and the registry classify a diagram at all its moduli in a row."""
     n = diagram.rank
     kept = []
     for length in range(n, 0, -1):
@@ -856,11 +843,22 @@ def classify(diagram, modulus):
             if any(w[0] <= win[0] and win[-1] <= w[-1] for w, _ in kept):
                 continue
             if _match(diagram, win, _euclidean_system) is not None:
-                kept.append((win, classify_euclidean))
-            elif _match(diagram, win, _spherical_system) is not None:
-                kept.append((win, classify_spherical))
-    kept.sort(key=lambda item: item[0])
-    return [section(diagram, win, modulus) for win, section in kept]
+                kept.append((win, translation_generators(diagram, win)))
+            elif (got := _match(diagram, win, _spherical_system)) is not None:
+                kept.append((win, got))
+    return tuple(sorted(kept, key=lambda item: item[0]))
+
+
+def classify(diagram, modulus):
+    """Classify every maximal spherical or Euclidean window of the diagram.
+
+    Windows strictly contained in a longer matched window are dropped;
+    overlapping maximal windows are all reported, sorted by start node.
+    """
+    s = _check_modulus(modulus)
+    collapse = predict_collapse(diagram, s)
+    rep = ModularRep(diagram, s)
+    return [_section(diagram, win, got, s, collapse, rep) for win, got in _windows(diagram)]
 
 
 # ---------------------------------------------------------------------------

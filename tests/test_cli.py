@@ -148,22 +148,51 @@ def test_big_chain_verify_matches_the_benchmark_digest(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == expected["big-chain"]["verify"]
 
 
-@pytest.mark.long
-def test_sweep_seed_7_matches_the_benchmark_digests(tmp_path, capsysbinary, monkeypatch):
-    # the sweep workload's two steps, in-process; the file comes from the
-    # benchmark's own generator
-    monkeypatch.delenv("MODPOLY_CACHE", raising=False)
+def sweep_file(tmp_path, seed):
+    """The benchmark's sweep file for seed, written by its own generator."""
     spec = importlib.util.spec_from_file_location("sweep", ROOT / "bench" / "sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    path = str(tmp_path / "sweep-7.txt")
-    sweep.write_file(path, 7)
+    path = str(tmp_path / ("sweep-%d.txt" % seed))
+    sweep.write_file(path, seed)
+    return path
+
+
+SWEEP_STEPS = (("verify", "2..6", 1), ("classify", "2..8", 0))
+
+
+@pytest.mark.long
+def test_sweep_seed_7_matches_the_benchmark_digests(tmp_path, capsysbinary, monkeypatch):
+    # the sweep workload's two steps, in-process
+    monkeypatch.delenv("MODPOLY_CACHE", raising=False)
+    path = sweep_file(tmp_path, 7)
     expected = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
-    for command, mod_range, want_code in (("verify", "2..6", 1), ("classify", "2..8", 0)):
+    for command, mod_range, want_code in SWEEP_STEPS:
         code = main([command, "-f", path, "--mod-range", mod_range, "--format", "json"])
         out = capsysbinary.readouterr().out
         assert code == want_code, command
         assert hashlib.sha256(out).hexdigest() == expected["sweep-seed-7"][command], command
+
+
+# sha256 of the JSON stdout of the sweep steps at two more seeds
+SWEEP_DIGESTS = {
+    3: {"verify": "b05d97177c9bb33d5b488db04e175729076271788a111a3cc95e3ba240b86439",
+        "classify": "cf811535eb9735e0486cbfaa3f0b1ad8e77f654853f8db51c0457c58c76a185f"},
+    11: {"verify": "88ea08dcdd037f8cbe491cd5e45eae826cca5998ae62f1036730094d0761e955",
+         "classify": "4008f7095a319b2d8693eced78cb9b045993a27e94ddcb03c4de490875a9b4ab"},
+}
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("seed", sorted(SWEEP_DIGESTS))
+def test_sweep_seeds_keep_their_digests(seed, tmp_path, capsysbinary, monkeypatch):
+    monkeypatch.delenv("MODPOLY_CACHE", raising=False)
+    path = sweep_file(tmp_path, seed)
+    for command, mod_range, want_code in SWEEP_STEPS:
+        code = main([command, "-f", path, "--mod-range", mod_range, "--format", "json"])
+        out = capsysbinary.readouterr().out
+        assert code == want_code, command
+        assert hashlib.sha256(out).hexdigest() == SWEEP_DIGESTS[seed][command], command
 
 
 def test_flipped_big_chain_passes_under_the_default_orbit_guard(capsys):

@@ -540,6 +540,24 @@ def test_split_kernel_chain_is_closed_under_conjugation():
         split.check()
 
 
+def test_lifted_kernel_chain_closes_under_its_conjugators():
+    # a kernel chain as _split_absorb makes one: no input generators, only
+    # conjugators; here mod 4, so it is lifted and its kernel basis is closed
+    # under the 1 - 2 - 1 involutions
+    gens = ModularRep(parse_diagram("1 - 2 - 1"), 4).mats
+    kernel = StabChain([], 4, n=3, order_only=True)
+    assert kernel.lift == 2
+    kernel.conjugators = kernel._own(np.stack(gens))
+    k = np.eye(3, dtype=np.int64)
+    k[0, 1] = 2
+    kernel._build([(kernel._own(k[None]), kernel._own(k[None]))])
+    group = enumerate_small(gens, 4)
+    conjugates = [h @ k @ np.linalg.matrix_power(h, element_period(h, 4) - 1) % 4
+                  for h in group]
+    assert kernel.order() == len(enumerate_small(conjugates, 4)) == 4
+    assert kernel.check()
+
+
 @pytest.mark.parametrize("text,modulus,kernel", [
     ("1 - 4 - 1", 6, True), ("2 - 1 - 2", 15, True), ("1 - 2 - 1", 10, False)])
 def test_split_chain_membership_and_no_elements(text, modulus, kernel):

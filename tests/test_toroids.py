@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import modpoly.toroids as toroids
 from modpoly.diagram import ParseError, parse_diagram
 from modpoly.engine import enumerate_small
 from modpoly.matrep import reduce_mod, reflection_matrices
@@ -374,6 +375,24 @@ def test_classify_scan():
     assert secs[0].measured_q == (4, 0, 0)
     assert secs[1].family == "F_4"
     assert secs[1].measured_order == 1152
+
+
+def test_classify_builds_each_translation_subgroup_once(monkeypatch):
+    # the windows depend only on the diagram, so seven moduli build the two
+    # Euclidean windows' subgroups once each
+    builds = []
+    init = toroids.TranslationSubgroup.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(toroids.TranslationSubgroup, "__init__", counting)
+    toroids._windows.cache_clear()
+    diagram = parse_diagram("3 - 3 - 1 - 1")
+    for s in range(2, 9):
+        assert [sc.kind for sc in classify(diagram, s)] == (
+            ["Other", "Other"] if s == 2 else ["Euclidean", "Euclidean"])
+    assert len(builds) == 2
 
 
 def test_section_dicts_round_trip():
