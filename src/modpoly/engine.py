@@ -17,14 +17,11 @@ strong generator at the level where it sticks, or opens a new level.  The
 resulting chain is verified by construction; `check()` re-derives the
 Schreier condition from scratch for use in tests.
 
-Orbit index.  Each level maps encoded points to orbit slots, a whole stack
-of points per call, by binary search in sorted runs of (point, slot)
-pairs, so the lookups of sifting and orbit growth are array operations
-and the index takes memory in proportion to the orbit, not to the point
-space (the verifier keeps one chain per generator segment).  New points go
-into a tail run of fewer than _TAIL points, which is merged into the main
-run when it fills: an orbit that grows one point per step copies the
-short tail, not the whole index, on each step.
+Orbit index.  Each level keeps a dict from encoded point to orbit slot, so
+the index takes memory in proportion to the orbit, not to the point space
+(the verifier keeps one chain per generator segment).  A stack of points is
+looked up with one dict read per point; orbit growth then visits only the
+images that the lookup did not find.
 
 Arithmetic.  Every product of chain elements goes through
 `StabChain._mul`.  Entries lie in [0, d), so an entry of a product is a
@@ -81,14 +78,13 @@ the orbit sizes times the kernel chain's; a member sifts mod a to an element
 whose residue mod b is a member of the kernel chain, or I without one.
 """
 
+from itertools import repeat
+
 import numpy as np
 
 _CHUNK = 16384
 _FLOAT32_EXACT = 2 ** 24  # float32 holds every integer below this
-_TAIL = 1024              # points in an orbit index's tail run before it is merged
 _BLAS_WORK = 2048         # multiply-adds from which float32 BLAS beats int32 matmul
-# every run ends in a key above all points, so a search never runs off its end
-_EMPTY_RUN = (np.array([2 ** 63 - 1]), np.array([-1]))
 
 
 class PointSpaceOverflow(ValueError):
@@ -157,58 +153,30 @@ class _Level:
 
     Slot i holds the transversal element carrying the base point to the
     i-th orbit point, together with that element's inverse; slot 0 holds
-    the identity.  The point is the element's column beta_col.  The orbit
-    index is two sorted runs of (point, slot) pairs, a main run and a tail
-    of recent points.
+    the identity.  The point is the element's column beta_col, and the
+    orbit index maps each encoded point to its slot.
     """
 
-    __slots__ = ("beta_col", "main", "tail", "trans", "trans_inv", "cursors")
+    __slots__ = ("beta_col", "index", "trans", "trans_inv", "cursors")
 
     def __init__(self, beta_col, space, identity):
         n = identity.shape[0]
         self.beta_col = beta_col
-        self.main = self.tail = _EMPTY_RUN
+        # the base point is the basis vector e_beta, whose code is d^beta
+        self.index = {int(space.weights[beta_col]): 0}
         self.trans = _Store((n, n), identity.dtype)
         self.trans_inv = _Store((n, n), identity.dtype)
+        self.trans.append(identity[None])
+        self.trans_inv.append(identity[None])
         self.cursors = {}
-        # the base point is the basis vector e_beta, whose code is d^beta
-        self.add(space.weights[beta_col:beta_col + 1], identity[None], identity[None])
 
     @property
     def orbit_size(self):
         return self.trans.length
 
-    def add(self, pts, mats, invs):
-        """Append new orbit points with their transversal elements."""
-        slots = np.arange(self.orbit_size, self.orbit_size + pts.shape[0])
-        self.trans.append(mats)
-        self.trans_inv.append(invs)
-        self.tail = _merge(self.tail, pts, slots)
-        if self.tail[0].size > _TAIL:
-            keys, slots = self.tail
-            self.main = _merge(self.main, keys[:-1], slots[:-1])  # one end key
-            self.tail = _EMPTY_RUN
-
     def lookup(self, pts):
         """Orbit slots of encoded points, -1 where a point is not in the orbit."""
-        slots = _search(self.tail, pts)
-        if self.main[0].size > 1:  # more than the end key
-            slots = np.maximum(slots, _search(self.main, pts))
-        return slots
-
-
-def _merge(run, pts, slots):
-    """The sorted run (points, slots) with the given pairs added."""
-    keys = np.concatenate((run[0], pts))
-    order = keys.argsort(kind="stable")  # timsort: the run is already sorted
-    return keys[order], np.concatenate((run[1], slots))[order]
-
-
-def _search(run, pts):
-    """Slots of pts in a sorted run, -1 where absent."""
-    keys, slots = run
-    at = keys.searchsorted(pts)
-    return np.where(keys[at] == pts, slots[at], -1)
+        return np.fromiter(map(self.index.get, pts.tolist(), repeat(-1)), np.int64, pts.size)
 
 
 def prime_factors(d):
@@ -460,15 +428,16 @@ class StabChain:
         fresh = np.nonzero(slots < 0)[0]
         if fresh.size:
             # one slot per new point, numbered in order of first appearance
-            base, slot_of, new = lev.orbit_size, {}, []
+            index, new = lev.index, []
             fresh_pts = pts[fresh].tolist()
             for j, p in zip(fresh.tolist(), fresh_pts):
-                if p not in slot_of:
-                    slot_of[p] = base + len(new)
+                if p not in index:
+                    index[p] = len(index)
                     new.append(j)
-            slots[fresh] = [slot_of[p] for p in fresh_pts]
+            slots[fresh] = [index[p] for p in fresh_pts]
             new = np.array(new)
-            lev.add(pts[new], cand[new], self._mul(lev.trans_inv.view()[start + new], ginv))
+            lev.trans.append(cand[new])
+            lev.trans_inv.append(self._mul(lev.trans_inv.view()[start + new], ginv))
         sg = self._mul(lev.trans_inv.view()[slots], cand)
         rows = np.nonzero((sg != self.identity).any(axis=(1, 2)))[0]
         if rows.size:
@@ -496,12 +465,10 @@ class StabChain:
             member[member] = (arr[member] == self.identity).all(axis=(1, 2))
         return member
 
-    def elements(self, bound=None):
+    def elements(self):
         """All group elements as one (order, n, n) array, deterministic order."""
         if not self.direct:
             raise ValueError("a lifted or split chain does not list its elements")
-        if bound is not None and self.order() > bound:
-            raise BoundExceeded("order %d exceeds enumeration bound %d" % (self.order(), bound))
         arr = self.identity[None]
         for lev in self.levels:
             t = lev.trans.view()

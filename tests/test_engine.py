@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import lcm
 
@@ -147,23 +148,45 @@ def test_chain_check_at_the_float32_bound(modulus, dtype):
 
 
 def test_chain_index_is_sized_by_the_orbit():
-    # ("1 = 1", 1031) has an orbit of 2,062 points, so its index has a main run
     for text, modulus in [("1 - 1 - 1", 5), ("2 - 1 - 2", 6), ("1 = 1", 1031)]:
         chain = chain_for(text, modulus)
         assert chain.check()
         size = chain.space.size
         for lev in chain.levels:
-            # each orbit point once, and one end key per run
-            keys = np.concatenate([lev.main[0], lev.tail[0]])
-            assert keys.size == lev.orbit_size + 2
-            assert np.array_equal(np.sort(keys[keys < size]),
-                                  np.sort(chain.space.encode(lev.trans.view()[:, :, lev.beta_col])))
+            # each orbit point once, mapped to its slot
+            pts = chain.space.encode(lev.trans.view()[:, :, lev.beta_col])
+            assert lev.index == dict(zip(pts.tolist(), range(lev.orbit_size)))
             for name in lev.__slots__:
                 value = getattr(lev, name, None)
                 value = getattr(value, "buf", value)
-                for arr in value if isinstance(value, tuple) else [value]:
-                    if isinstance(arr, np.ndarray):
-                        assert arr.size != size, (text, modulus, name)
+                if isinstance(value, np.ndarray):
+                    assert value.size != size, (text, modulus, name)
+
+
+CHAIN_DIGEST_CASES = [
+    ("1 - 1 - 1", 5, False), ("1 = 1", 1031, False), ("1 - 2", 6007, False),
+    ("1 - 1 - 2 - 2", 3, False), ("2 - 1 - 2", 6, True), ("1 - 2 - 1 - 1", 4, True),
+]
+CHAIN_DIGEST = "5bcd28cf8786c0e30d3ec433e8a4d64eae0b17d1f5d29c47dabb28b9cd6151ba"
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_chain_structure_is_pinned(chunk, monkeypatch):
+    """Base points, orbits in slot order, strong generator levels and orders
+    of direct, split and lifted chains; a small chunk splits every orbit
+    expansion into several blocks."""
+    if chunk is not None:
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+    digest = hashlib.sha256()
+    for text, modulus, order_only in CHAIN_DIGEST_CASES:
+        chain = chain_for(text, modulus, order_only=order_only)
+        for lev in chain.levels:
+            digest.update(np.int64(lev.beta_col).tobytes())
+            pts = chain.space.encode(lev.trans.view()[:, :, lev.beta_col])
+            digest.update(pts.astype(np.int64).tobytes())
+        digest.update(np.array([lvl for _, _, lvl in chain.gens], dtype=np.int64).tobytes())
+        digest.update(str(chain.order()).encode())
+    assert digest.hexdigest() == CHAIN_DIGEST
 
 
 def test_known_dihedral_orders():
@@ -198,12 +221,6 @@ def test_elements_enumeration_matches_order():
     keys = {e.tobytes() for e in elems}
     assert len(keys) == chain.order()
     assert bool(chain.member_mask(elems).all())
-
-
-def test_elements_bound():
-    chain = chain_for("2 - 1 - 2", 6)
-    with pytest.raises(BoundExceeded):
-        chain.elements(bound=10)
 
 
 def test_trivial_and_empty_chains():
