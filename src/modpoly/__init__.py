@@ -2,8 +2,9 @@
 
 Parse linear diagrams, build exact integer reflection representations,
 reduce them mod d, and answer order/membership/intersection questions with
-deterministic stabilizer chains; verify string C-group structure, classify
-spherical and Euclidean windows, and compute toroid type vectors.
+element lists of small groups and deterministic stabilizer chains; verify
+string C-group structure, classify spherical and Euclidean windows, and
+compute toroid type vectors.
 """
 
 from .diagram import Branch, Diagram, ParseError, parse_diagram, parse_file
@@ -17,6 +18,7 @@ from .matrep import (
 )
 from .engine import (
     BoundExceeded,
+    Listed,
     OrbitGuardExceeded,
     OrderGuardExceeded,
     PointSpace,

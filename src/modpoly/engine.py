@@ -43,7 +43,19 @@ layer, rep-major then generator, are canonicalized as one stack and
 deduplicated in that order, as one product at a time would visit them, and
 the new layer is sifted through L at once.  Canonicalization works in
 blocks whose temporaries hold about _CHUNK*n entries: _CHUNK/n candidate
-matrices, or _CHUNK images.
+matrices, or _CHUNK images.  A listed T (below) names gT otherwise.
+
+Listed groups.  A group of a few hundred elements is cheaper to list than
+to put in a chain.  `Listed` takes the BFS closure of its generators, one
+frontier at a time, and raises BoundExceeded as soon as it holds more than
+its bound.  Its elements are int64 mod d.  The products of a frontier are
+keyed by their bytes in one pass (a void view read by tolist()), and a
+membership test is one set lookup per matrix.  A listed T names the coset
+gT by its least product g·t, lexicographic over the entries in row-major
+order: a block of products is packed, most significant entry first, into
+int64 words of as many base-d digits as fit, and the words are compared
+one column at a time.  `intersection_order` sifts the elements of a
+listed side through the other group.
 
 Lifted order.  A chain built with order_only=True is asked for its order
 and memberships, never for elements or coset representatives, so when
@@ -85,6 +97,7 @@ import numpy as np
 _CHUNK = 16384
 _FLOAT32_EXACT = 2 ** 24  # float32 holds every integer below this
 _BLAS_WORK = 2048         # multiply-adds from which float32 BLAS beats int32 matmul
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class PointSpaceOverflow(ValueError):
@@ -511,24 +524,81 @@ class StabChain:
         return True
 
 
-def intersection_order(a, b, sub, orbit_guard=1_000_000, enum_bound=20_000):
-    """|A ∩ B| for two chains mod d, given the chain `sub` of a subgroup
-    T of A ∩ B (None for the trivial group).
+class Listed:
+    """A group of at most `bound` matrices mod d, kept as its element list.
 
-    If the smaller group, or else the larger, has a direct chain of at most
-    enum_bound elements, they are sifted through the other chain in batch;
+    The elements come from a BFS closure of the generators, one frontier
+    at a time; BoundExceeded is raised as soon as more than `bound` are
+    found.  Elements are int64 mod d and membership reads a set of their
+    bytes (see "Listed groups" in the module docstring).
+    """
+
+    def __init__(self, gens, modulus, n=None, bound=256, order_guard=None):
+        gens = [np.asarray(g, dtype=np.int64) % modulus for g in gens]
+        if gens:
+            n = gens[0].shape[0]
+        elif n is None:
+            raise ValueError("empty generator list needs an explicit dimension")
+        PointSpace(modulus, n)  # overflows where a chain would, before int64 products can
+        self.modulus = modulus
+        self.n = n
+        self.input_gens = gens
+        frontier = np.eye(n, dtype=np.int64)[None]
+        blocks, self.keys = [frontier], set(self._keys(frontier))
+        stack = np.stack(gens) if gens else frontier[:0]
+        while frontier.shape[0]:
+            prods = (np.matmul(stack[:, None], frontier) % modulus).reshape(-1, n, n)
+            # one row per distinct product, in order of first appearance
+            batch = dict(zip(self._keys(prods), range(prods.shape[0])))
+            fresh = [i for key, i in batch.items() if key not in self.keys]
+            self.keys.update(batch)
+            if len(self.keys) > bound:
+                raise BoundExceeded("closure exceeds bound %d" % bound)
+            frontier = prods[fresh]
+            blocks.append(frontier)
+        self._elements = np.concatenate(blocks)
+        if order_guard is not None and self.order() > order_guard:
+            raise OrderGuardExceeded("order %d exceeds guard %d" % (self.order(), order_guard))
+
+    def _keys(self, mats):
+        """The bytes of each int64 matrix of a stack, in one list."""
+        flat = np.ascontiguousarray(mats).reshape(-1, self.n * self.n)
+        return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
+
+    def order(self):
+        return self._elements.shape[0]
+
+    def elements(self):
+        """All group elements as one (order, n, n) int64 array, BFS order."""
+        return self._elements
+
+    def member(self, mat):
+        return bool(self.member_mask(np.asarray(mat)[None])[0])
+
+    def member_mask(self, mats):
+        """Vectorized membership for a stack of matrices (k, n, n)."""
+        keys = self._keys(np.asarray(mats, dtype=np.int64) % self.modulus)
+        return np.fromiter(map(self.keys.__contains__, keys), bool, len(keys))
+
+
+def intersection_order(a, b, sub, orbit_guard=1_000_000, enum_bound=20_000):
+    """|A ∩ B| for two groups mod d, chains or listed, given the chain or
+    listed group `sub` of a subgroup T of A ∩ B (None for the trivial group).
+
+    A listed side, the smaller first, has its elements sifted through the
+    other group, and so has a direct chain of at most enum_bound elements;
     otherwise the cosets of T in the smaller group are walked (see "Coset
     walk" in the module docstring).  That needs only memberships from a and
     b, so they may be lifted or split chains; sub may not.
     """
-    if sub is not None and not sub.direct:
+    if isinstance(sub, StabChain) and not sub.direct:
         raise ValueError("a lifted or split chain has no coset representatives")
     small, large = (a, b) if a.order() <= b.order() else (b, a)
-    for listed, other in ((small, large), (large, small)):
-        if listed.direct and listed.order() <= enum_bound:
-            return int(np.count_nonzero(other.member_mask(listed.elements())))
-    if sub is not None and not all(
-            c.member_mask(np.stack(sub.input_gens or [sub.identity])).all() for c in (a, b)):
+    for side, other in ((small, large), (large, small)):
+        if isinstance(side, Listed) or (side.direct and side.order() <= enum_bound):
+            return _count_members(other, side.elements())
+    if sub is not None and sub.input_gens and not all(
+            c.member_mask(np.stack(sub.input_gens)).all() for c in (a, b)):
         raise ValueError("sub is not a subgroup of both groups")
     sub_order = 1 if sub is None else sub.order()
     n = small.n
@@ -558,17 +628,50 @@ def intersection_order(a, b, sub, orbit_guard=1_000_000, enum_bound=20_000):
     return sub_order * members
 
 
-def _canonical_coset_reps(chain, gs):
-    """Canonical representatives of the cosets g·L of a stack of matrices,
-    written over gs (see "Coset walk"); no chain stands for a trivial L."""
-    for lev in chain.levels if chain is not None else ():
+def _count_members(group, mats):
+    """How many of a stack of matrices lie in group, sifted in blocks of
+    _CHUNK/n matrices, so the temporaries of a block hold about _CHUNK*n
+    entries as in the coset walk."""
+    rows = max(1, _CHUNK // group.n)
+    return sum(int(np.count_nonzero(group.member_mask(mats[at:at + rows])))
+               for at in range(0, mats.shape[0], rows))
+
+
+def _canonical_coset_reps(group, gs):
+    """Canonical representatives of the cosets g·T of a stack of matrices,
+    written over gs (see "Coset walk" and "Listed groups"); None stands for
+    a trivial T."""
+    if isinstance(group, Listed):
+        return _least_products(group, gs)
+    for lev in group.levels if group is not None else ():
         trans = lev.trans.view()
         vecs_t = np.ascontiguousarray(trans[:, :, lev.beta_col]).T
         rows = max(1, _CHUNK // lev.orbit_size)
         for at in range(0, gs.shape[0], rows):
             block = gs[at:at + rows]
-            pts = chain.space.weights @ chain._mul(block, vecs_t)
-            gs[at:at + rows] = chain._mul(block, trans[pts.argmin(axis=1)])
+            pts = group.space.weights @ group._mul(block, vecs_t)
+            gs[at:at + rows] = group._mul(block, trans[pts.argmin(axis=1)])
+    return gs
+
+
+def _least_products(group, gs):
+    """Each row g of gs replaced by the lexicographically least product g·t,
+    t in the listed group (see "Listed groups")."""
+    d, n, elems = group.modulus, group.n, group.elements()
+    digits = 1  # base-d digits whose words stay below _INT64_MAX
+    while d ** (digits + 1) < 2 ** 63:
+        digits += 1
+    place = d ** np.arange(digits - 1, -1, -1, dtype=np.int64)  # most significant first
+    rows = max(1, _CHUNK // (elems.shape[0] * n))
+    for at in range(0, gs.shape[0], rows):
+        prods = np.matmul(gs[at:at + rows, None].astype(np.int64), elems) % d
+        flat = prods.reshape(prods.shape[0], elems.shape[0], n * n)
+        least = np.ones(flat.shape[:2], dtype=bool)
+        for col in range(0, n * n, digits):
+            word = flat[:, :, col:col + digits] @ place[max(0, col + digits - n * n):]
+            word[~least] = _INT64_MAX  # above every word: d^digits - 1 < 2^63 - 1
+            least = word == word.min(axis=1, keepdims=True)
+        gs[at:at + rows] = prods[np.arange(prods.shape[0]), least.argmax(axis=1)]
     return gs
 
 

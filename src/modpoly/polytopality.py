@@ -16,19 +16,29 @@ already known to be a string C-group it suffices to check the top layer
 
 for 1 <= k <= n-1 (op. cit., Section 2E).  The verifier below unrolls
 that recursion from rank 2 upward, so each layer's checks run only after
-the layer below is established.  Subgroup orders and intersection orders
-come from deterministic stabilizer chains; chains for contiguous
-generator segments are cached and shared between checks.  A check counts
-the cosets of the shared segment <r_k .. r_{n-2}> in the smaller side that
-lie in the other (engine's "Coset walk"), so segments at an end of the
-string give only orders and memberships and may be lifted chains.
+the layer below is established.  The groups of contiguous generator
+segments are cached and shared between checks.  A segment group of at most
+_LIST_BOUND elements is kept as its element list (engine's "Listed
+groups"); a larger one gets a deterministic stabilizer chain, and its
+closure is not tried again for the segments that contain it.  A check
+sifts the elements of a listed side through the other group, or else
+counts the cosets of the shared segment <r_k .. r_{n-2}> in the smaller
+side that lie in the other (engine's "Coset walk"), so segments at an end
+of the string give only orders and memberships and may be lifted chains.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import StabChain, element_period, enumerate_small, intersection_order
+from .engine import (
+    BoundExceeded,
+    Listed,
+    StabChain,
+    element_period,
+    enumerate_small,
+    intersection_order,
+)
 from .matrep import ModularRep
 
 STRING_C_GROUP = "StringCGroup"
@@ -37,6 +47,7 @@ INTERSECTION_FAILS = "IntersectionFails"
 DEGENERATE = "Degenerate"
 
 _CLOSURE_BOUND = 200_000  # closure cap for generators that are not involutions
+_LIST_BOUND = 256         # largest segment group kept as an element list
 
 
 @dataclass
@@ -85,8 +96,9 @@ class VerificationReport:
 class Verifier:
     """Decides the string C-group property for a list of involution matrices.
 
-    Generators are indexed 0 .. rank-1 in string order.  Stabilizer chains
-    for contiguous segments [lo, hi) are cached across checks.
+    Generators are indexed 0 .. rank-1 in string order.  The listed groups
+    and stabilizer chains of contiguous segments [lo, hi) are cached across
+    checks.
     """
 
     def __init__(self, mats, modulus, order_guard=None, orbit_guard=1_000_000):
@@ -101,18 +113,29 @@ class Verifier:
     def chain(self, lo, hi):
         key = (lo, hi)
         if key not in self._chains:
-            # end segments give orders and memberships only (module docstring)
-            self._chains[key] = StabChain(
-                self.mats[lo:hi], self.modulus, n=self.dim,
-                order_guard=self.order_guard, order_only=lo == 0 or hi == self.rank)
+            self._chains[key] = self._group(lo, hi)
         return self._chains[key]
+
+    def _group(self, lo, hi):
+        mats = self.mats[lo:hi]
+        # a segment holds its two sub-segments, so one past the bound is too
+        if all(self._chains[k].order() <= _LIST_BOUND
+               for k in ((lo, hi - 1), (lo + 1, hi)) if k in self._chains):
+            try:
+                return Listed(mats, self.modulus, n=self.dim, bound=_LIST_BOUND,
+                              order_guard=self.order_guard)
+            except BoundExceeded:
+                pass
+        # end segments give orders and memberships only (module docstring)
+        return StabChain(mats, self.modulus, n=self.dim, order_guard=self.order_guard,
+                         order_only=lo == 0 or hi == self.rank)
 
     def segment_order(self, lo, hi):
         return self.chain(lo, hi).order() if lo < hi else 1
 
     def schlafli(self):
-        # each period divides the order of the whole group, whose chain
-        # verify() has already built
+        # each period divides the order of the whole group, which verify()
+        # has already listed or put in a chain
         cap = self.segment_order(0, self.rank)
         return tuple(element_period(self.mats[i - 1] @ self.mats[i] % self.modulus,
                                     self.modulus, cap=cap)

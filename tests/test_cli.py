@@ -9,6 +9,7 @@ import pytest
 
 import modpoly.cli as cli
 import modpoly.engine as engine
+import modpoly.polytopality as polytopality
 from modpoly.cli import main
 from modpoly.registry import GoldenCase, get_case, registry
 
@@ -107,6 +108,18 @@ def test_guard_exit_3(capsys):
         ["verify", "-d", "3 - 3 - 1 - 1", "-m", "4", "--guard-order", "7680"],
         capsys)
     assert code == 0
+
+
+def test_order_guard_trips_on_a_listed_group(capsys, monkeypatch):
+    # the whole group of 32 elements is listed, never put in a chain
+    def no_chain(*args, **kwargs):
+        raise AssertionError("chain built")
+
+    monkeypatch.setattr(polytopality, "StabChain", no_chain)
+    code, out, err = run_cli(
+        ["verify", "-d", "1 - 2 - 1", "-m", "4", "--guard-order", "10"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "guard: order 32 exceeds guard 10\n"
 
 
 def test_guard_orbit_exit_3(capsys):

@@ -9,6 +9,7 @@ import modpoly.engine as engine
 from modpoly.diagram import ParseError, parse_diagram
 from modpoly.engine import (
     BoundExceeded,
+    Listed,
     OrbitGuardExceeded,
     OrderGuardExceeded,
     PointSpace,
@@ -632,3 +633,174 @@ def test_split_order_of_the_rank6_mod6_groups(ident):
     assert split.order() == direct.order() == 111_795_240_960
     assert split.kernel_chain.order() == 4608
     assert split.check()
+
+
+# -- listed groups: the direct chain and the BFS closure are the oracles ----
+
+LIST_MODULI = (2, 3, 4, 6, 8, 9)
+
+
+def near_misses(mats, modulus, rng):
+    """Each matrix with one entry, drawn by rng, raised by 1 mod d."""
+    out = np.array(mats, dtype=np.int64) % modulus
+    k, n = out.shape[:2]
+    at = (np.arange(k), rng.integers(n, size=k), rng.integers(n, size=k))
+    out[at] = (out[at] + 1) % modulus
+    return out
+
+
+def test_listed_groups_match_the_chain_and_the_closure():
+    rng = np.random.default_rng(13)
+    listed = past_bound = outside = 0
+    for text, modulus in lift_cases(13, 120, moduli=LIST_MODULI):
+        mats = ModularRep(parse_diagram(text), modulus).mats
+        chain = StabChain(mats, modulus)
+        try:
+            group = Listed(mats, modulus)
+        except BoundExceeded:
+            assert chain.order() > 256, (text, modulus)
+            past_bound += 1
+            continue
+        listed += 1
+        closure = enumerate_small(mats, modulus)
+        assert group.order() == chain.order() == closure.shape[0], (text, modulus)
+        known = {m.tobytes() for m in closure}
+        assert {m.tobytes() for m in group.elements()} == known
+        assert all(group.member(m) for m in mats)
+        cands = np.concatenate([np.stack(mats), near_misses(group.elements(), modulus, rng)])
+        oracle = np.array([m.tobytes() in known for m in cands])
+        assert np.array_equal(group.member_mask(cands), oracle), (text, modulus)
+        assert np.array_equal(chain.member_mask(cands), oracle), (text, modulus)
+        outside += int(np.count_nonzero(~oracle))
+    assert (listed, past_bound) == (113, 7) and outside > 1000
+
+
+def test_listed_group_bound_and_order_guard():
+    mats = ModularRep(parse_diagram("1 - 2 - 1"), 4).mats
+    assert Listed(mats, 4, bound=32).order() == 32
+    with pytest.raises(BoundExceeded):
+        Listed(mats, 4, bound=31)
+    with pytest.raises(OrderGuardExceeded, match="^order 32 exceeds guard 10$"):
+        Listed(mats, 4, order_guard=10)
+    assert Listed(mats, 4, order_guard=32).order() == 32
+    trivial = Listed([], 4, n=3)
+    assert trivial.order() == 1 and trivial.member(np.eye(3, dtype=np.int64) + 4)
+    # a group of 4 elements over 50000^2 points, past the chains' limit
+    commuting = ModularRep(parse_diagram("1 , 1"), 50_000).mats
+    for build in (Listed, StabChain):
+        with pytest.raises(PointSpaceOverflow):
+            build(commuting, 50_000)
+
+
+def least_product(listed, g):
+    """The lexicographically least g·t over a listed group (oracle)."""
+    prods = [np.asarray(g, dtype=np.int64) @ t % listed.modulus for t in listed.elements()]
+    return min(prods, key=lambda m: tuple(m.ravel()))
+
+
+def plain_words(mats, modulus, count, rng, length=12):
+    """count random products of `length` matrices from mats, int64 mod d."""
+    out = np.empty((count,) + mats[0].shape, dtype=np.int64)
+    for row in range(count):
+        g = np.eye(mats[0].shape[0], dtype=np.int64)
+        for i in rng.integers(len(mats), size=length):
+            g = g @ mats[i] % modulus
+        out[row] = g
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("text,modulus,sub,dtype", [
+    ("2 - 1 - 2", 6, [1, 2], np.int32),
+    ("1 - 1 - 1", 9, [0, 1], np.int32),
+    # 64 entries: two words of 62 and 2 bits
+    ("1 - 1 - 1 - 1 - 1 - 1 - 1 - 1", 2, [0, 1, 2, 4], np.int32),
+    # 25 entries: two words of 19 and 6 base-9 digits
+    ("1 - 1 - 1 - 1 - 1", 9, [1, 2, 3], np.int32),
+    ("1 = 1", 4100, [0], np.int64),
+    ("1 - 2", 6007, [1], np.int64),
+])
+def test_least_products_match_the_scalar_oracle(text, modulus, sub, dtype, chunk,
+                                                monkeypatch):
+    rep = ModularRep(parse_diagram(text), modulus)
+    listed = Listed(rep.select(sub), modulus)
+    rng = np.random.default_rng(5)
+    gs = plain_words(rep.mats, modulus, 30, rng)
+    hs = plain_words(listed.input_gens, modulus, 30, rng)
+    if chunk:
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+    reps = _canonical_coset_reps(listed, gs.astype(dtype))
+    assert reps.dtype == dtype
+    for g, rep_g in zip(gs, reps):
+        assert np.array_equal(rep_g, least_product(listed, g))
+    # a coset invariant: g and g·h (h in T) have the same representative
+    moved = (gs @ hs % modulus).astype(dtype)
+    assert np.array_equal(_canonical_coset_reps(listed, moved), reps)
+
+
+def listed_or_chain(text, modulus, indices, order_only):
+    """The listed group of the generators at indices, or their chain when
+    they generate more than 256 elements."""
+    mats = ModularRep(parse_diagram(text), modulus).select(indices)
+    try:
+        return Listed(mats, modulus)
+    except BoundExceeded:
+        return StabChain(mats, modulus, order_only=order_only)
+
+
+@pytest.mark.parametrize("text,modulus,left,right",
+                         INTERSECTION_CASES + LIFTED_INTERSECTION_CASES)
+def test_intersection_order_with_listed_groups(text, modulus, left, right, monkeypatch):
+    # lifted and split sides where the modulus allows, direct ones otherwise
+    order_only = (text, modulus, left, right) in LIFTED_INTERSECTION_CASES
+    a = chain_for(text, modulus, left, order_only=order_only)
+    b = chain_for(text, modulus, right, order_only=order_only)
+    sub = shared_chain(text, modulus, left, right)
+    # the answer when every group is a chain, with the coset walk forced
+    expected = intersection_order(a, b, sub, enum_bound=1)
+    assert expected == brute_intersection(text, modulus, left, right)
+    shared = [i for i in left if i in right]
+    walks = []
+    least_products = engine._least_products
+
+    def counting(group, gs):
+        walks.append(gs.shape[0])
+        return least_products(group, gs)
+
+    monkeypatch.setattr(engine, "_least_products", counting)
+    listed_a = listed_or_chain(text, modulus, left, order_only)
+    listed_b = listed_or_chain(text, modulus, right, order_only)
+    assert isinstance(listed_a, Listed) or isinstance(listed_b, Listed)
+    for chunk in (engine._CHUNK, 3):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        if shared:
+            # a listed shared segment between two chain sides
+            listed_sub = Listed(ModularRep(parse_diagram(text), modulus).select(shared),
+                                modulus)
+            walks.clear()
+            assert intersection_order(a, b, listed_sub, enum_bound=1) == expected
+            assert intersection_order(b, a, listed_sub, enum_bound=1) == expected
+            assert walks
+        # listed sides, which are sifted whatever the bound
+        for x, y in ((listed_a, b), (a, listed_b), (listed_a, listed_b)):
+            for t in (sub, None):
+                assert intersection_order(x, y, t, enum_bound=1) == expected
+                assert intersection_order(y, x, t, enum_bound=1) == expected
+
+
+def test_enumeration_sifts_in_blocks(monkeypatch):
+    # a direct side of at most enum_bound elements is sifted _CHUNK/n at a time
+    a = chain_for("1 - 1 - 1 - 1", 3, [0, 1, 2])
+    b = chain_for("1 - 1 - 1 - 1", 3, [1, 2, 3])
+    expected = brute_intersection("1 - 1 - 1 - 1", 3, [0, 1, 2], [1, 2, 3])
+    sizes = []
+    member_mask = StabChain.member_mask
+
+    def recording(self, mats):
+        sizes.append(mats.shape[0])
+        return member_mask(self, mats)
+
+    monkeypatch.setattr(StabChain, "member_mask", recording)
+    monkeypatch.setattr(engine, "_CHUNK", 20)
+    assert intersection_order(a, b, None) == expected
+    assert sum(sizes) == a.order() and max(sizes) == 20 // a.n

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import modpoly.polytopality as polytopality
 from modpoly.diagram import parse_diagram
-from modpoly.engine import element_period, enumerate_small
+from modpoly.engine import Listed, element_period, enumerate_small
 from modpoly.matrep import ModularRep, predict_branch_periods, predict_collapse
 from modpoly.polytopality import Verifier, verify_diagram, verify_words, word_matrices
 
@@ -197,9 +198,10 @@ def test_word_verdict_matches_definition():
 
 
 def test_end_segments_are_lifted_and_interior_ones_direct():
-    # a segment at an end of the string only gives orders and memberships,
-    # so its chain acts on (Z_2)^4; the shared segments of the intersection
-    # checks give coset representatives and stay direct
+    # a segment group of at most 256 elements is listed; a larger segment at
+    # an end of the string only gives orders and memberships, so its chain
+    # acts on (Z_2)^4, while the chain of a larger shared segment of the
+    # intersection checks gives coset representatives and stays direct
     v = Verifier(ModularRep(parse_diagram("3 - 3 - 1 - 1"), 4).mats, 4)
     report = v.verify()
     assert report.order == 7680 and report.ok
@@ -208,8 +210,30 @@ def test_end_segments_are_lifted_and_interior_ones_direct():
     assert hashlib.sha256(payload).hexdigest() == \
         "53509935049ecc19ab22ec9f2f69b490c4fd60797a54ae5a75ae4acca7054616"
     assert (0, 4) in v._chains
-    for (lo, hi), chain in v._chains.items():
-        if lo == 0 or hi == 4:
-            assert chain.lift == 2 and chain.space.d == 2, (lo, hi)
+    for (lo, hi), group in v._chains.items():
+        if group.order() <= 256:
+            assert isinstance(group, Listed), (lo, hi)
+        elif lo == 0 or hi == 4:
+            assert group.lift == 2 and group.space.d == 2, (lo, hi)
         else:
-            assert chain.lift is None, (lo, hi)
+            assert group.lift is None, (lo, hi)
+
+
+def test_a_segment_past_the_list_bound_is_not_listed_again(monkeypatch):
+    tried = []
+    listed = polytopality.Listed
+
+    def recording(mats, *args, **kwargs):
+        tried.append(len(mats))
+        return listed(mats, *args, **kwargs)
+
+    monkeypatch.setattr(polytopality, "Listed", recording)
+    v = Verifier(ModularRep(parse_diagram("1 - 1 - 1 - 1 - 1 - 1"), 3).mats, 3)
+    # the closure of (0, 5) outgrows 256 elements, so it gets a chain
+    assert v.segment_order(0, 5) == 720 and tried == [5]
+    assert not isinstance(v.chain(0, 5), Listed)
+    # (0, 6) holds (0, 5): no closure is tried
+    assert v.segment_order(0, 6) == 5040 and tried == [5]
+    # neither sub-segment of (1, 6) is cached yet
+    assert v.segment_order(1, 6) == 720 and tried == [5, 5]
+    assert isinstance(v.chain(1, 3), Listed) and v.segment_order(1, 3) == 6

@@ -49,12 +49,40 @@ def test_chain_counts_read_a_lifted_chain(monkeypatch):
     assert 0 < max_orbit <= 2 ** 3 and schreier > 0
 
 
+def test_intersection_hook_reads_listed_sides(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("spans").Tracer()
+    from modpoly.diagram import parse_diagram
+    from modpoly.engine import Listed, StabChain, intersection_order
+    from modpoly.matrep import ModularRep
+
+    rep = ModularRep(parse_diagram("1 - 1 - 1 - 1"), 3)
+    a, b = Listed(rep.select([0, 1, 2]), 3), Listed(rep.select([1, 2, 3]), 3)
+    sub = Listed(rep.select([1, 2]), 3)
+    result = intersection_order(a, b, sub)
+    assert result == 6
+    tracer._after_intersection(intersection_order, (a, b, sub), {}, result)
+    assert tracer.counts["coset_walks"] == tracer.counts["coset_orbit_sum"] == 0
+    # a listed side is sifted whatever the bound, while the hook counts a
+    # walk from the orders alone
+    chain = StabChain(rep.select([1, 2, 3]), 3)
+    result = intersection_order(a, chain, sub, enum_bound=1)
+    assert result == 6
+    tracer._after_intersection(intersection_order, (a, chain, sub),
+                               {"enum_bound": 1}, result)
+    assert tracer.counts["coset_walks"] == 1
+    assert tracer.counts["coset_orbit_sum"] == 24 // 6
+
+
 def test_only_the_verifier_builds_chains():
-    # chains are built in one place, so the segment cache is the only
-    # source of orders and memberships and spans see every build; the one
-    # other construction is a split chain's kernel chain, built inside its
-    # parent's span
-    builds = {path.name: path.read_text(encoding="utf-8").count("StabChain(")
-              for path in SRC.glob("*.py")}
-    assert {name: k for name, k in builds.items() if k} == {
-        "polytopality.py": 1, "engine.py": 1}
+    # chains and listed groups are built in one place, so the segment cache
+    # is the only source of orders and memberships and spans see every
+    # chain build; the one other chain construction is a split chain's
+    # kernel chain, built inside its parent's span
+    def builds(name):
+        counts = {path.name: path.read_text(encoding="utf-8").count(name + "(")
+                  for path in SRC.glob("*.py")}
+        return {path: k for path, k in counts.items() if k}
+
+    assert builds("StabChain") == {"polytopality.py": 1, "engine.py": 1}
+    assert builds("Listed") == {"polytopality.py": 1}
