@@ -220,7 +220,7 @@ class StabChain:
     representatives.
     """
 
-    def __init__(self, gens, modulus, n=None, order_guard=None, order_only=False):
+    def __init__(self, gens, modulus, n=None, order_only=False):
         gens = [np.asarray(g, dtype=np.int64) % modulus for g in gens]
         if gens:
             n = gens[0].shape[0]
@@ -256,8 +256,6 @@ class StabChain:
                     raise ValueError("chain input generators must be involutions")
                 seed.append((g[None], g[None]))
         self._build(seed)
-        if order_guard is not None and self.order() > order_guard:
-            raise OrderGuardExceeded("order %d exceeds guard %d" % (self.order(), order_guard))
 
     def order(self):
         order = (self.lift or 1) ** len(self.kernel)
@@ -533,7 +531,7 @@ class Listed:
     bytes (see "Listed groups" in the module docstring).
     """
 
-    def __init__(self, gens, modulus, n=None, bound=256, order_guard=None):
+    def __init__(self, gens, modulus, n=None, bound=256):
         gens = [np.asarray(g, dtype=np.int64) % modulus for g in gens]
         if gens:
             n = gens[0].shape[0]
@@ -557,8 +555,6 @@ class Listed:
             frontier = prods[fresh]
             blocks.append(frontier)
         self._elements = np.concatenate(blocks)
-        if order_guard is not None and self.order() > order_guard:
-            raise OrderGuardExceeded("order %d exceeds guard %d" % (self.order(), order_guard))
 
     def _keys(self, mats):
         """The bytes of each int64 matrix of a stack, in one list."""

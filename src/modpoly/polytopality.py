@@ -24,9 +24,30 @@ closure is not tried again for the segments that contain it.  A check
 sifts the elements of a listed side through the other group, or else
 counts the cosets of the shared segment <r_k .. r_{n-2}> in the smaller
 side that lie in the other (engine's "Coset walk"), so segments at an end
-of the string give only orders and memberships and may be lifted chains.
+of the string, or of a block between commuting cuts (below), give only
+orders and memberships and may be lifted chains.
+
+Commuting cuts.  A cut is a position c, 0 < c < rank, where the
+coordinates that r_0 .. r_{c-1} move (rows or columns that differ from the
+identity mod d) are disjoint from those that r_c .. r_{rank-1} move, as at
+a "," in the diagram (a 2 in the Schlafli symbol).
+
+    Both sides are block diagonal on complementary coordinates,
+    so they commute elementwise and meet only in the identity:
+    a segment across c is A_1 x A_2, and (A_1 x A_2) meet (B_1 x B_2)
+    = (A_1 meet B_1) x (A_2 meet B_2).
+
+So a segment's order is the product of its pieces' orders, and no group is
+built across a cut.  A check (r, k) with a cut c, k <= c <= r-1, holds
+outright: its sides meet in <r_k .. r_{c-1}> x <r_c .. r_{r-2}>.  Otherwise,
+with c the last cut below k (0 without one), the check measures
+<r_c .. r_{r-2}> in place of <r_0 .. r_{r-2}>: the factor dropped meets the
+other side trivially.  A segment that touches a block end (lo or hi is 0, a
+cut or rank) gives only orders and memberships; the shared segment
+touches none.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +55,7 @@ import numpy as np
 from .engine import (
     BoundExceeded,
     Listed,
+    OrderGuardExceeded,
     StabChain,
     element_period,
     enumerate_small,
@@ -98,7 +120,9 @@ class Verifier:
 
     Generators are indexed 0 .. rank-1 in string order.  The listed groups
     and stabilizer chains of contiguous segments [lo, hi) are cached across
-    checks.
+    checks; the verifier asks for none across a commuting cut (module
+    docstring), and segment_order multiplies the orders of the pieces
+    between cuts and applies the order guard to the product.
     """
 
     def __init__(self, mats, modulus, order_guard=None, orbit_guard=1_000_000):
@@ -108,6 +132,8 @@ class Verifier:
         self.dim = self.mats[0].shape[0] if self.mats else 0
         self.order_guard = order_guard
         self.orbit_guard = orbit_guard
+        self.cuts = _cuts(self.mats, modulus)
+        self._ends = {0, *self.cuts, self.rank}  # the ends of the blocks between cuts
         self._chains = {}
 
     def chain(self, lo, hi):
@@ -122,20 +148,23 @@ class Verifier:
         if all(self._chains[k].order() <= _LIST_BOUND
                for k in ((lo, hi - 1), (lo + 1, hi)) if k in self._chains):
             try:
-                return Listed(mats, self.modulus, n=self.dim, bound=_LIST_BOUND,
-                              order_guard=self.order_guard)
+                return Listed(mats, self.modulus, n=self.dim, bound=_LIST_BOUND)
             except BoundExceeded:
                 pass
-        # end segments give orders and memberships only (module docstring)
-        return StabChain(mats, self.modulus, n=self.dim, order_guard=self.order_guard,
-                         order_only=lo == 0 or hi == self.rank)
+        # segments at a block end give orders and memberships only (module docstring)
+        return StabChain(mats, self.modulus, n=self.dim,
+                         order_only=lo in self._ends or hi in self._ends)
 
     def segment_order(self, lo, hi):
-        return self.chain(lo, hi).order() if lo < hi else 1
+        ends = [lo, *(c for c in self.cuts if lo < c < hi), hi]
+        order = math.prod(self.chain(a, b).order() for a, b in zip(ends, ends[1:]) if a < b)
+        if self.order_guard is not None and order > self.order_guard:
+            raise OrderGuardExceeded("order %d exceeds guard %d" % (order, self.order_guard))
+        return order
 
     def schlafli(self):
-        # each period divides the order of the whole group, which verify()
-        # has already listed or put in a chain
+        # each period divides the order of the whole group, whose blocks
+        # verify() has already listed or put in chains
         cap = self.segment_order(0, self.rank)
         return tuple(element_period(self.mats[i - 1] @ self.mats[i] % self.modulus,
                                     self.modulus, cap=cap)
@@ -182,10 +211,15 @@ class Verifier:
         if not sggi:
             return VerificationReport(self.modulus, NOT_SGGI, order, schlafli, checks)
         for r in range(2, self.rank + 1):
+            # the last cut at or below r-1; checks with k <= c hold (module docstring)
+            c = max((cut for cut in self.cuts if cut < r), default=0)
             for k in range(1, r):
+                if k <= c:
+                    checks.append(CheckRecord("intersection r=%d k=%d" % (r, k), True))
+                    continue
                 expected = self.segment_order(k, r - 1)
                 measured = intersection_order(
-                    self.chain(0, r - 1), self.chain(k, r),
+                    self.chain(c, r - 1), self.chain(k, r),
                     self.chain(k, r - 1) if k < r - 1 else None,
                     orbit_guard=self.orbit_guard)
                 ok = measured == expected
@@ -198,6 +232,17 @@ class Verifier:
                     return VerificationReport(self.modulus, INTERSECTION_FAILS,
                                               order, schlafli, checks)
         return VerificationReport(self.modulus, STRING_C_GROUP, order, schlafli, checks)
+
+
+def _cuts(mats, modulus):
+    """The commuting cuts of a generator list (module docstring)."""
+    if not mats:
+        return ()
+    diff = np.stack(mats) != np.eye(mats[0].shape[0], dtype=np.int64) % modulus
+    moved = diff.any(axis=1) | diff.any(axis=2)  # per generator, the coordinates it moves
+    below = np.logical_or.accumulate(moved)
+    above = np.logical_or.accumulate(moved[::-1])[::-1]
+    return tuple(c for c in range(1, len(mats)) if not (below[c - 1] & above[c]).any())
 
 
 def verify_diagram(diagram, modulus, window=None, **guards):

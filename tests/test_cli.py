@@ -123,11 +123,24 @@ def test_order_guard_trips_on_a_listed_group(capsys, monkeypatch):
 
 
 def test_guard_orbit_exit_3(capsys):
-    code, _, err = run_cli(
-        ["verify", "-d", "1 - 2 - 2 - 2 - 4 - 4", "-m", "6", "--guard-orbit", "100"],
-        capsys)
-    assert code == 3
-    assert "guard: coset orbit exceeds guard 100" in err
+    # the second diagram's walks lie right of its commuting cut
+    for text in ("1 - 2 - 2 - 2 - 4 - 4", "1 , 1 - 2 - 2 - 2 - 4 - 4"):
+        code, _, err = run_cli(
+            ["verify", "-d", text, "-m", "6", "--guard-orbit", "100"], capsys)
+        assert code == 3, text
+        assert "guard: coset orbit exceeds guard 100" in err, text
+
+
+@pytest.mark.parametrize("guard,code,err", [
+    ("10", 3, "guard: order 1024 exceeds guard 10\n"),
+    ("100", 3, "guard: order 1024 exceeds guard 100\n"),
+    ("1024", 0, ""),
+])
+def test_order_guard_reads_the_order_across_a_cut(guard, code, err, capsys):
+    # two blocks of 32 elements each: the guard reads their product
+    got, _, got_err = run_cli(
+        ["verify", "-d", "1 - 2 - 1 , 1 - 2 - 1", "-m", "4", "--guard-order", guard], capsys)
+    assert (got, got_err) == (code, err)
 
 
 def test_order_guard_trips_before_a_large_chain(capsys, monkeypatch):

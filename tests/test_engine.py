@@ -11,7 +11,6 @@ from modpoly.engine import (
     BoundExceeded,
     Listed,
     OrbitGuardExceeded,
-    OrderGuardExceeded,
     PointSpace,
     PointSpaceOverflow,
     StabChain,
@@ -230,11 +229,6 @@ def test_trivial_and_empty_chains():
     assert chain.member(np.eye(2, dtype=np.int64))
     ident_only = StabChain([np.eye(2, dtype=np.int64)], 3)
     assert ident_only.order() == 1
-
-
-def test_order_guard():
-    with pytest.raises(OrderGuardExceeded):
-        StabChain(ModularRep(parse_diagram("2 - 1 - 2"), 6).mats, 6, order_guard=10)
 
 
 def brute_intersection(text, modulus, left, right):
@@ -675,14 +669,11 @@ def test_listed_groups_match_the_chain_and_the_closure():
     assert (listed, past_bound) == (113, 7) and outside > 1000
 
 
-def test_listed_group_bound_and_order_guard():
+def test_listed_group_bound():
     mats = ModularRep(parse_diagram("1 - 2 - 1"), 4).mats
     assert Listed(mats, 4, bound=32).order() == 32
     with pytest.raises(BoundExceeded):
         Listed(mats, 4, bound=31)
-    with pytest.raises(OrderGuardExceeded, match="^order 32 exceeds guard 10$"):
-        Listed(mats, 4, order_guard=10)
-    assert Listed(mats, 4, order_guard=32).order() == 32
     trivial = Listed([], 4, n=3)
     assert trivial.order() == 1 and trivial.member(np.eye(3, dtype=np.int64) + 4)
     # a group of 4 elements over 50000^2 points, past the chains' limit

@@ -1,13 +1,16 @@
 import hashlib
+import importlib.util
 import itertools
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import modpoly.polytopality as polytopality
 from modpoly.diagram import parse_diagram
-from modpoly.engine import Listed, element_period, enumerate_small
+from modpoly.engine import Listed, OrderGuardExceeded, element_period, enumerate_small
 from modpoly.matrep import ModularRep, predict_branch_periods, predict_collapse
 from modpoly.polytopality import Verifier, verify_diagram, verify_words, word_matrices
 
@@ -180,6 +183,9 @@ BRUTE_CASES = [
     ("1 - 2 - 2 - 1", 2), ("1 - 2 - 2 - 1", 3),
     ("2 - 1 - 3 - 6", 2), ("2 - 1 - 3 - 6", 3),
     ("1 , 1", 3), ("3 - 1 - 4", 2), ("3 - 1 - 4", 4),
+    # commuting cuts; the first two fail at r=3 k=1 and at r=4 k=2
+    ("1 - 4 - 1 , 1", 6), ("1 , 1 - 4 - 1", 6), ("1 - 2 , 1", 2), ("1 - 2 , 1", 5),
+    ("2 - 1 , 1 - 2", 4), ("1 , 1 , 1", 3),
 ]
 
 
@@ -237,3 +243,61 @@ def test_a_segment_past_the_list_bound_is_not_listed_again(monkeypatch):
     # neither sub-segment of (1, 6) is cached yet
     assert v.segment_order(1, 6) == 720 and tried == [5, 5]
     assert isinstance(v.chain(1, 3), Listed) and v.segment_order(1, 3) == 6
+
+
+def test_order_guard():
+    # the guard reads segment_order, whether the group is listed or chained
+    with pytest.raises(OrderGuardExceeded):
+        Verifier(ModularRep(parse_diagram("2 - 1 - 2"), 6).mats, 6, order_guard=10).verify()
+    mats = ModularRep(parse_diagram("1 - 2 - 1"), 4).mats
+    with pytest.raises(OrderGuardExceeded, match="^order 32 exceeds guard 10$"):
+        Verifier(mats, 4, order_guard=10).segment_order(0, 3)
+    assert Verifier(mats, 4, order_guard=32).segment_order(0, 3) == 32
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# disconnected diagrams: each "," is a commuting cut
+CUT_CASES = [("1 - 4 - 1 , 1", 6), ("1 , 1 - 4 - 1", 6), ("2 - 1 , 1 - 2", 4),
+             ("1 - 2 - 1 , 1 - 2 - 1", 4), ("1 , 1 , 1", 3), ("1 - 1 , 2 - 2 - 1", 5)]
+
+
+def sweep_diagrams(seed):
+    """The benchmark sweep's diagram texts for seed, from its own generator."""
+    spec = importlib.util.spec_from_file_location("sweep", ROOT / "bench" / "sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep.diagrams(seed)
+
+
+def test_commuting_cuts_change_no_report(monkeypatch):
+    cases = [(text, d) for text in sweep_diagrams(3) if "," in text for d in range(2, 8)]
+    # a word repeated right of the cut: checks across it pass, then r=5 k=3 fails
+    words = (parse_diagram("1 - 2 , 1 - 2"), 5, [[2], [3], [0], [1], [0]])
+
+    def payload():
+        reports = [verify_diagram(parse_diagram(text), d) for text, d in cases]
+        reports.append(verify_words(*words))
+        return json.dumps([r.to_dict() for r in reports], sort_keys=True)
+
+    with_cuts = payload()
+    monkeypatch.setattr(polytopality, "_cuts", lambda mats, modulus: ())
+    assert payload() == with_cuts
+    assert len(cases) > 200 and '"IntersectionFails"' in with_cuts
+
+
+@pytest.mark.parametrize("text,modulus", CUT_CASES)
+def test_no_group_is_built_across_a_cut(text, modulus):
+    diagram = parse_diagram(text)
+    v = Verifier(ModularRep(diagram, modulus).mats, modulus)
+    v.verify()
+    assert v.cuts == tuple(part.start for part in diagram.components()[1:])
+    assert not any(lo < c < hi for lo, hi in v._chains for c in v.cuts)
+
+
+@pytest.mark.parametrize("text,modulus", CUT_CASES)
+def test_order_across_cuts_is_the_product_of_the_components(text, modulus):
+    diagram = parse_diagram(text)
+    v = Verifier(ModularRep(diagram, modulus).mats, modulus)
+    parts = [verify_diagram(diagram.subdiagram(part), modulus).order
+             for part in diagram.components()]
+    assert v.segment_order(0, diagram.rank) == math.prod(parts)
