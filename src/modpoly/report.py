@@ -178,7 +178,7 @@ def render(command, payload, fmt):
     """Serialize a command payload to bytes in the requested format."""
     if fmt == "json":
         return to_json(payload)
-    if isinstance(payload, dict) and "results" in payload and command != "reproduce":
+    if "results" in payload:
         chunks = [RENDER_TEXT[command](p) for p in payload["results"]]
         return "\n".join(chunk.rstrip("\n") for chunk in chunks).encode() + b"\n"
     return RENDER_TEXT[command](payload).encode("utf-8")

@@ -864,22 +864,29 @@ def classify(diagram, modulus):
 # ---------------------------------------------------------------------------
 # splitting, faithfulness, and the quotient criterion
 
-def _translation_scan(kernel, s, member):
-    """Scan the nontrivial classes of T^s for a translation that passes member.
+def _translation_meet(tsub, s, lo, hi, kernel):
+    """Intersection of T^s with the group of segment [lo, hi) of tsub's frame.
 
-    kernel is _kernel_data(tsub, s).  Walks one exponent vector per class of
-    Z^m modulo the kernel lattice and returns (classes checked, exponents of
-    the first hit or None).
+    kernel is _kernel_data(tsub, s).  Walks one exponent vector per
+    nontrivial class of Z^m modulo the kernel lattice, in order, and stops at
+    the first translation in the segment group.
     """
+    group = Verifier(ModularRep(tsub.frame_diagram, s).mats, s).chain(lo, hi)
     _, pows, basis, pivots, _ = kernel
-    checked = 0
+    checked, witness = 0, None
     for rep_a in itertools.product(*(range(r[p]) for r, p in zip(basis, pivots))):
         if not any(rep_a):
             continue
         checked += 1
-        if member(_chain_power(pows, rep_a, s)):
-            return checked, list(rep_a)
-    return checked, None
+        if group.member(_chain_power(pows, rep_a, s)):
+            witness = list(rep_a)
+            break
+    return {
+        "subgroup_order": group.order(),
+        "translations_checked": checked,
+        "trivial": witness is None,
+        "witness_exponents": witness,
+    }
 
 
 def check_translation_splitting(diagram, window, modulus):
@@ -932,16 +939,10 @@ def check_translation_splitting(diagram, window, modulus):
         "action_kernel_index": _lattice_index(kv_basis, kv_piv, m),
     }
 
-    right = tuple(range(frame_w[0] + 1, n))
-    right_chain = Verifier(rep.mats, s).chain(right[0], n)
-    checked, witness = _translation_scan(kernel, s, right_chain.member)
     intersection = {
-        "with_nodes": list(right),
+        "with_nodes": list(range(frame_w[0] + 1, n)),
         "frame_coordinates": tsub.flipped,
-        "subgroup_order": right_chain.order(),
-        "translations_checked": checked,
-        "trivial": witness is None,
-        "witness_exponents": witness,
+        **_translation_meet(tsub, s, frame_w[0] + 1, n, kernel),
     }
     return {
         "window": [win[0], win[-1]],
@@ -964,7 +965,6 @@ class QuotientResult:
     base_modulus: int
     modulus: int
     checks: tuple
-    report: object = None
 
     @property
     def ok(self):
@@ -981,33 +981,19 @@ class QuotientResult:
         }
 
 
-def _condition10(tsub, modulus):
-    """Intersection of T^d with the subgroup dropping node 0 of tsub's diagram,
-    in tsub's frame (where that node is the last one when tsub is flipped)."""
-    n = tsub.frame_diagram.rank
-    lo, hi = (0, n - 1) if tsub.flipped else (1, n)
-    chain = Verifier(ModularRep(tsub.frame_diagram, modulus).mats, modulus).chain(lo, hi)
-    kernel = _kernel_data(tsub, modulus)
-    checked, witness = _translation_scan(kernel, modulus, chain.member)
-    return {
-        "t_order": kernel[4],
-        "subgroup_order": chain.order(),
-        "translations_checked": checked,
-        "trivial": witness is None,
-        "witness_exponents": witness,
-    }
-
-
 def quotient_criterion(diagram, base, modulus):
     """Lift string-C-group status from a verified base modulus to a multiple.
 
     Case (a): the facet subgroup (all nodes but the last) is spherical and
     keeps its full order mod base.  Case (b): the facet subgroup is Euclidean
-    with a spherical point group that keeps its full order mod base, and the
-    translation intersection at the target modulus is trivial.  Either case
-    certifies the target without building its stabilizer chain; both are also
-    attempted on the flipped diagram (the dual form).  When neither applies,
-    the target is verified directly and reported as such.
+    in its printed frame, so node 0 is the special node j with t_1 = r_j h
+    and the point group is <r_1 .. r_{n-2}>; that point group is spherical
+    and keeps its full order mod base, and the translation subgroup meets
+    <r_1 .. r_{n-1}> trivially at the target modulus.  A facet that is
+    Euclidean only read backwards fails case (b).  Either case certifies the
+    target without building its stabilizer chain; both are also attempted on
+    the flipped diagram (the dual form).  When neither applies, the target
+    is verified directly and reported as such.
     """
     s = int(base)
     d = int(modulus)
@@ -1015,24 +1001,22 @@ def quotient_criterion(diagram, base, modulus):
         raise ValueError("need base >= 2 and base | modulus")
     base_v = Verifier(ModularRep(diagram, s).mats, s)
     base_rep = base_v.verify()
-    checks = [{
-        "name": "base modulus %d gives a string C-group" % s,
-        "passed": base_rep.ok,
-        "detail": {"verdict": base_rep.verdict, "order": base_rep.order},
-    }]
+    checks = []
+
+    def check(name, passed, **detail):
+        checks.append({"name": name, "passed": passed, "detail": detail})
+        return passed
 
     def full_order(name, match, lo, hi):
         """Record whether segment [lo, hi) keeps the char-0 order of match mod s."""
         (kind, k), _, fd, fw = match
         char0 = _spherical_char0(kind, k, fd, fw)
         reduced = base_v.segment_order(lo, hi)
-        checks.append({
-            "name": name + " is spherical with full order mod %d" % s,
-            "passed": reduced == char0,
-            "detail": {"pattern": kind, "char0_order": char0, "reduced_order": reduced},
-        })
-        return reduced == char0
+        return check(name + " is spherical with full order mod %d" % s, reduced == char0,
+                     pattern=kind, char0_order=char0, reduced_order=reduced)
 
+    check("base modulus %d gives a string C-group" % s, base_rep.ok,
+          verdict=base_rep.verdict, order=base_rep.order)
     # a rank-1 diagram has an empty facet window: neither case applies
     if base_rep.ok and diagram.rank > 1:
         n = diagram.rank
@@ -1049,38 +1033,26 @@ def quotient_criterion(diagram, base, modulus):
                     return QuotientResult("StringCGroup-by-criterion", "a", dual, s, d,
                                           tuple(checks))
                 continue
-            if _match(di, facet, _euclidean_system) is None:
-                checks.append({
-                    "name": tag + "facet subgroup matches no spherical or Euclidean system",
-                    "passed": False,
-                    "detail": {},
-                })
+            euc = _match(di, facet, _euclidean_system)
+            if euc is None:
+                check(tag + "facet subgroup matches no spherical or Euclidean system", False)
                 continue
-            point = tuple(range(1, n - 1))
-            psph = _match(di, point, _spherical_system)
-            if psph is None:
-                checks.append({
-                    "name": tag + "point group matches no spherical system",
-                    "passed": False,
-                    "detail": {},
-                })
+            if euc[1]:    # matched only in the flipped frame
+                check(tag + "facet subgroup is Euclidean only with its special node last",
+                      False)
                 continue
+            # the point group of a printed Euclidean system is spherical
+            psph = _match(di, tuple(range(1, n - 1)), _spherical_system)
             if not full_order(tag + "point group", psph, 1, n - 1):
                 continue
             tsub = translation_generators(di, facet)
-            cond = _condition10(tsub, d)
-            checks.append({
-                "name": tag + "translation intersection trivial mod %d" % d,
-                "passed": cond["trivial"],
-                "detail": cond,
-            })
-            if cond["trivial"]:
+            kernel = _kernel_data(tsub, d)
+            meet = _translation_meet(tsub, d, 1, n, kernel)
+            if check(tag + "translation intersection trivial mod %d" % d, meet["trivial"],
+                     t_order=kernel[4], **meet):
                 return QuotientResult("StringCGroup-by-criterion", "b", dual, s, d,
                                       tuple(checks))
     direct = verify_diagram(diagram, d)
-    checks.append({
-        "name": "direct verification mod %d" % d,
-        "passed": direct.ok,
-        "detail": {"verdict": direct.verdict, "order": direct.order},
-    })
-    return QuotientResult(direct.verdict, "direct", False, s, d, tuple(checks), direct)
+    check("direct verification mod %d" % d, direct.ok,
+          verdict=direct.verdict, order=direct.order)
+    return QuotientResult(direct.verdict, "direct", False, s, d, tuple(checks))

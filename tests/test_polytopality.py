@@ -186,6 +186,8 @@ BRUTE_CASES = [
     # commuting cuts; the first two fail at r=3 k=1 and at r=4 k=2
     ("1 - 4 - 1 , 1", 6), ("1 , 1 - 4 - 1", 6), ("1 - 2 , 1", 2), ("1 - 2 , 1", 5),
     ("2 - 1 , 1 - 2", 4), ("1 , 1 , 1", 3),
+    # its facet is Euclidean only read backwards; fails at r=4 k=1
+    ("1 - 3 - 3 - 1", 4),
 ]
 
 

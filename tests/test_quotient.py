@@ -1,9 +1,17 @@
+import itertools
+
 import pytest
 
 from modpoly import engine
-from modpoly.diagram import parse_diagram
+from modpoly.diagram import Branch, Diagram, parse_diagram
 from modpoly.polytopality import verify_diagram
-from modpoly.toroids import check_translation_splitting, quotient_criterion
+from modpoly.toroids import (
+    _euclidean_system,
+    _match,
+    _spherical_system,
+    check_translation_splitting,
+    quotient_criterion,
+)
 
 
 def test_right_infinity_label_four_refusals():
@@ -108,6 +116,9 @@ AGREEMENT_PAIRS = [
     ("2 - 1 - 2", 2, 4),
     ("4 - 2 - 2 - 1 - 1", 2, 4),
     ("2 - 1 - 1 - 2 - 2", 2, 4),
+    # facets Euclidean only read backwards: IntersectionFails mod 4
+    ("1 - 3 - 3 - 1", 2, 4),
+    ("3 - 1 - 1 - 3", 2, 4),
 ]
 
 
@@ -167,6 +178,62 @@ def test_dual_point_group_case_b():
     assert cond["name"] == "dual translation intersection trivial mod 6"
     assert cond["passed"] and cond["detail"]["trivial"]
     assert cond["detail"]["t_order"] == 3 and cond["detail"]["subgroup_order"] == 4
+
+
+def test_backward_euclidean_facet_goes_to_the_dual_pass():
+    # the printed facet "1 - 4" is Euclidean only read backwards, where its
+    # special node is the last one, so case (b) waits for the dual facet
+    res = quotient_criterion(parse_diagram("1 - 4 = 4"), 3, 9)
+    assert res.ok and res.case == "b" and res.dual
+    assert res.checks[1] == {
+        "name": "facet subgroup is Euclidean only with its special node last",
+        "passed": False, "detail": {}}
+    assert res.checks[-1]["name"] == "dual translation intersection trivial mod 9"
+
+
+def test_printed_euclidean_point_groups_are_spherical():
+    # case (b) reads the point group <r_1 .. r_{n-2}> of a facet that is
+    # Euclidean in its printed frame as a spherical system
+    seen = set()
+    for rank in range(2, 7):
+        for labels in itertools.product((1, 2, 3, 4), repeat=rank):
+            for branch in ((Branch.SINGLE, Branch.DOUBLE) if rank == 2 else (Branch.SINGLE,)):
+                d = Diagram(labels, (branch,) * (rank - 1))
+                system = _euclidean_system(d, tuple(range(rank)))
+                if system is not None:
+                    seen.add(system)
+                    assert _match(d, tuple(range(1, rank)), _spherical_system), d.render()
+    assert seen == {"P%d" % i for i in range(1, 10)}
+
+
+def _small_diagrams():
+    """Every valid rank-3 and rank-4 diagram with labels 1-4 and branches
+    "-" or "=", one per flip pair."""
+    seen = {}
+    for rank in (3, 4):
+        for labels in itertools.product("1234", repeat=rank):
+            for branches in itertools.product("-=", repeat=rank - 1):
+                text = labels[0] + "".join(" %s %s" % bl for bl in zip(branches, labels[1:]))
+                try:
+                    d = parse_diagram(text)
+                except ValueError:
+                    continue
+                seen.setdefault(min(d.render(), d.flip().render()), d)
+    return list(seen.values())
+
+
+@pytest.mark.long
+def test_every_certificate_agrees_with_direct_verification():
+    diagrams = _small_diagrams()
+    assert len(diagrams) == 140
+    cases = {"a": 0, "b": 0, "direct": 0}
+    for d in diagrams:
+        for base, target in [(2, 4), (2, 6), (3, 6), (3, 9), (4, 8)]:
+            res = quotient_criterion(d, base, target)
+            cases[res.case] += 1
+            if res.case != "direct":
+                assert verify_diagram(d, target).ok, (d.render(), base, target, res.case)
+    assert cases == {"a": 160, "b": 76, "direct": 464}
 
 
 @pytest.mark.parametrize("call,most", [

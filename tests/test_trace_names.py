@@ -4,6 +4,7 @@ A refactor that renames or re-signs a traced function would otherwise break
 only the traced benchmark pass, so the names are checked here.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -86,3 +87,12 @@ def test_only_the_verifier_builds_chains():
 
     assert builds("StabChain") == {"polytopality.py": 1, "engine.py": 1}
     assert builds("Listed") == {"polytopality.py": 1}
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O drops assert statements, so no check may rest on one
+    found = [(path.name, node.lineno)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
