@@ -16,7 +16,7 @@ two inputs that normalize to the same labels denote the same basic system.
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from math import factorial, gcd
 
 INFINITY = 0  # branch period sentinel; compares as "infinite" everywhere below
 
@@ -38,14 +38,37 @@ class ParseError(ValueError):
         self.position = position
 
 
+def coxeter_order(periods):
+    """Order of the real group of a connected string with these branch periods.
+
+    The finite ones are A_m (all 3), B_m (one 4 at either end, the rest 3),
+    F_4 (3, 4, 3) and I_2(p) (one period p).  None when the group is infinite
+    or a period of 2 leaves the string disconnected.
+    """
+    m = len(periods) + 1
+    if m <= 2:
+        return 2 * max(periods, default=1) if set(periods) <= {3, 4, 6} else None
+    ends, inner_a = {periods[0], periods[-1]}, set(periods[1:-1]) <= {3}
+    if inner_a and ends == {3}:
+        return factorial(m + 1)
+    if inner_a and ends == {3, 4}:
+        return 2 ** m * factorial(m)
+    return 1152 if tuple(periods) == (3, 4, 3) else None
+
+
 def _cartan_pair(kind, a, b):
     # (m_ij, m_ji) for left node i with label a, right node j with label b.
-    # The smaller label receives the larger Cartan integer.
+    # The smaller label receives the larger Cartan integer.  Raises
+    # ValueError when the labels cannot flank a branch of this kind.
     if kind is Branch.NONE:
         return (0, 0)
     if kind is Branch.DOUBLE:
+        if a != b:
+            raise ValueError("double branch requires equal labels (%d = %d)" % (a, b))
         return (2, 2)
     lo, hi = min(a, b), max(a, b)
+    if hi % lo or hi > 4 * lo:
+        raise ValueError("single branch needs label ratio 1, 2, 3 or 4 (%d - %d)" % (a, b))
     ratio = hi // lo
     if ratio == 1:
         return (1, 1)
@@ -62,6 +85,12 @@ class Diagram:
             raise ValueError("diagram needs at least one node")
         if len(self.branches) != len(self.labels) - 1:
             raise ValueError("need exactly one branch between consecutive nodes")
+        if min(self.labels) < 1:
+            raise ValueError("labels must be positive")
+        # the pairs are checked and kept once; they are not a field
+        object.__setattr__(self, "_pairs", tuple(
+            _cartan_pair(kind, a, b)
+            for kind, a, b in zip(self.branches, self.labels, self.labels[1:])))
 
     @property
     def rank(self):
@@ -104,10 +133,7 @@ class Diagram:
 
     def cartan_pairs(self):
         """(m_{i,i+1}, m_{i+1,i}) per branch."""
-        return tuple(
-            _cartan_pair(k, self.labels[i], self.labels[i + 1])
-            for i, k in enumerate(self.branches)
-        )
+        return self._pairs
 
     def cartan_row(self, i):
         """Row i of the Cartan matrix: m_{i,j} for all j (m_{ii} = -2)."""
@@ -187,14 +213,10 @@ def parse_diagram(text):
         raise ParseError("dangling branch at end of diagram", tokens[-1][2])
 
     for i, (kind, pos) in enumerate(branches):
-        a, b = labels[i][0], labels[i + 1][0]
-        if kind is Branch.DOUBLE and a != b:
-            raise ParseError("double branch requires equal labels (%d = %d)" % (a, b), pos)
-        if kind is Branch.SINGLE:
-            lo, hi = min(a, b), max(a, b)
-            if hi % lo != 0 or hi // lo not in (1, 2, 3, 4):
-                raise ParseError(
-                    "single branch needs label ratio 1, 2, 3 or 4 (%d - %d)" % (a, b), pos)
+        try:
+            _cartan_pair(kind, labels[i][0], labels[i + 1][0])
+        except ValueError as exc:
+            raise ParseError(str(exc), pos) from None
 
     raw = Diagram(tuple(v for v, _ in labels), tuple(k for k, _ in branches))
     return _normalize(raw)

@@ -4,9 +4,11 @@ A contiguous window of a diagram generates a subgroup whose mod-s image is
 either a finite spherical group (simplex, hyperoctahedral, F_4, dihedral),
 the automorphism group of a regular toroid {4,3^{m-2},4}_q, {3,3,4,3}_q,
 {3,6}_q, or {...}_q over [oo], or something degenerate.  This module
-recognises the window patterns, predicts the outcome from rules keyed on
-modulus arithmetic and node parity classes, and measures the outcome
-exactly:
+recognises a window by its branch periods, which name the spherical or
+affine group (its char-0 order comes from `diagram.coxeter_order`), while
+its labels fix the printed or flipped frame.  It predicts the outcome from
+rules keyed on modulus arithmetic and node parity classes, and measures
+the outcome exactly:
 
 * spherical windows: predicted vs measured group order;
 * Euclidean windows: predicted vs measured toroid type vector q = (q^k, 0^(m-k)).
@@ -17,8 +19,8 @@ builds each Euclidean window's translation subgroup.  `_section` then builds
 the SectionClass of a resolved window at each modulus.
 
 Type vectors are measured from the translation subgroup.  Standard
-generators t_1..t_m are constructed over the integers (t_1 = r_j h for the
-unique point-group element h making a translation; the rest by reflection
+generators t_1..t_m are constructed over the integers (t_1 = r_j s_theta
+for the highest root theta of the point group; the rest by reflection
 conjugacy), and the kernel lattice K = {a : t_1^a1 ... t_m^am = e mod s}
 is enumerated exactly and compared, in Hermite normal form, against the
 scaled reference lattices q . span(orbit of t_1 ... t_k) of the legal
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Branch, Diagram, INFINITY
-from .engine import element_period
+from .diagram import Diagram, INFINITY, coxeter_order
+from .engine import BoundExceeded, element_period
 from .matrep import (
     ModularRep,
     embed_window_vector,
@@ -53,8 +55,7 @@ from .matrep import (
 )
 from .polytopality import Verifier, verify_diagram
 
-_POINT_BOUND = 2000     # safety cap on point-group closure (largest real case: 1152)
-_ORBIT_BOUND = 4000     # safety cap on conjugacy orbits of translations
+_ORBIT_BOUND = 4000     # safety cap on conjugacy orbits of translations and sigma_k
 
 
 # ---------------------------------------------------------------------------
@@ -168,63 +169,44 @@ def _check_modulus(modulus):
     return s
 
 
-def _ratios(labels):
-    g = math.gcd(*labels)
-    return tuple(l // g for l in labels)
+def _periods(diagram, window):
+    """Branch periods inside a contiguous window."""
+    return diagram.branch_periods()[window[0]:window[-1]]
 
 
 def _euclidean_system(diagram, window):
-    """Printed-orientation Euclidean basic system matched by the window, or None."""
-    sub = diagram.subdiagram(window)
-    k = sub.rank
-    if k == 2:
-        a, b = sub.labels
-        if sub.branches[0] is Branch.DOUBLE:
-            return "P8" if a == b else None
-        if sub.branches[0] is Branch.SINGLE and a == 4 * b:
-            return "P9"
+    """Printed-frame Euclidean basic system matched by the window, or None.
+
+    The branch periods name the affine group; the labels fix the frame."""
+    pers, a = _periods(diagram, window), diagram.labels[window[0]:window[-1] + 1]
+    if pers == (INFINITY,):
+        return "P8" if a[0] == a[1] else "P9" if a[0] > a[1] else None
+    if pers == (3, 6):
+        return "P6" if a[1] < a[2] else "P7"
+    if pers == (3, 3, 4, 3):
+        return "P4" if a[2] < a[3] else "P5"
+    if len(pers) < 2 or pers[0] != 4 or pers[-1] != 4 or any(p != 3 for p in pers[1:-1]):
         return None
-    if k < 3 or any(br is not Branch.SINGLE for br in sub.branches):
-        return None
-    r = _ratios(sub.labels)
-    if k == 3 and r == (1, 1, 3):
-        return "P6"
-    if k == 3 and r == (3, 3, 1):
-        return "P7"
-    if k == 5 and r == (1, 1, 1, 2, 2):
-        return "P4"
-    if k == 5 and r == (2, 2, 2, 1, 1):
-        return "P5"
-    if r == (2,) + (1,) * (k - 2) + (2,):
-        return "P1"
-    if r == (1,) + (2,) * (k - 2) + (1,):
-        return "P2"
-    if r == (4,) + (2,) * (k - 2) + (1,):
-        return "P3"
-    return None
+    if a[0] < a[1]:
+        return "P2" if a[-1] < a[-2] else None
+    return "P1" if a[-1] > a[-2] else "P3"
 
 
 def _spherical_system(diagram, window):
-    """(kind, node count) of the spherical pattern in printed orientation, or None."""
-    sub = diagram.subdiagram(window)
-    k = sub.rank
-    if k == 1:
-        return ("A", 1)
-    if any(br is not Branch.SINGLE for br in sub.branches):
+    """(kind, node count) of the printed-frame spherical system, or None.
+
+    The branch periods name the finite group; the labels fix the frame."""
+    pers, a, k = _periods(diagram, window), diagram.labels[window[0]:window[-1] + 1], len(window)
+    if coxeter_order(pers) is None:
         return None
-    r = _ratios(sub.labels)
-    if all(x == 1 for x in r):
+    if all(p == 3 for p in pers):
         return ("A", k)
     if k == 2:
-        p = sub.branch_periods()[0]
-        return ("I2", 2) if p in (4, 6) else None
-    if k == 4 and r == (1, 1, 2, 2):
-        return ("F4", 4)
-    if k >= 3 and r == (1,) + (2,) * (k - 1):
-        return ("Bsys1", k)
-    if k >= 3 and r == (2,) + (1,) * (k - 1):
-        return ("Bsys2", k)
-    return None
+        return ("I2", 2)
+    if pers[0] == 4:
+        return ("Bsys1" if a[0] < a[1] else "Bsys2", k)
+    # what is left is F_4 or B_m with its 4 last, which reads flipped
+    return ("F4", 4) if pers == (3, 4, 3) and a[1] < a[2] else None
 
 
 def _match(diagram, window, system):
@@ -241,12 +223,6 @@ def _match(diagram, window, system):
     if got is not None:
         return got, True, frame_d, frame_w
     return None
-
-
-def _family_name(diagram, window):
-    """Window family, named by the as-read branch periods, e.g. "[4,3,4]"."""
-    pers = diagram.subdiagram(window).branch_periods()
-    return "[" + ",".join("oo" if p == INFINITY else str(p) for p in pers) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +301,11 @@ class TranslationSubgroup:
 # ---------------------------------------------------------------------------
 # translation generator construction
 
-def _orbit(start, images, bound, error):
+def _orbit(start, images, name):
     """Breadth-first orbit of an integer array, sorted for determinism.
 
-    images(x) lists the neighbours of x; raises ValueError(error) once the
-    orbit would exceed bound elements.
+    images(x) lists the neighbours of x.  Raises BoundExceeded, naming the
+    orbit, once it would exceed _ORBIT_BOUND elements.
     """
     seen = {start.tobytes(): start}
     frontier = [start]
@@ -339,8 +315,8 @@ def _orbit(start, images, bound, error):
             for y in images(x):
                 key = y.tobytes()
                 if key not in seen:
-                    if len(seen) >= bound:
-                        raise ValueError(error)
+                    if len(seen) >= _ORBIT_BOUND:
+                        raise BoundExceeded("%s orbit exceeded bound %d" % (name, _ORBIT_BOUND))
                     seen[key] = y
                     step.append(y)
         frontier = step
@@ -374,8 +350,7 @@ def _conj_orbit(mat, gens, c_ambient, window):
     Returns {w row: matrix}; the char-0 window action is faithful, so the
     translation vector determines the matrix.
     """
-    seen = _orbit(mat, lambda x: [g @ x @ g for g in gens], _ORBIT_BOUND,
-                  "translation orbit exceeded bound")
+    seen = _orbit(mat, lambda x: [g @ x @ g for g in gens], "translation")
     out = {}
     for x in seen:
         w = _translation_row(x, c_ambient, window)
@@ -397,13 +372,39 @@ def _sigma_indices(kind, m):
     }[kind]
 
 
+def _first_translation(frame_d, frame_w, c_amb):
+    """(t_1, w_1) with t_1 = r_j s_theta, j = frame_w[0]; see translation_generators.
+
+    theta = c - b_j is made primitive, so s_theta's coefficients 2 B(b_l, theta)
+    / B(theta, theta) are integers; 2 B(b_l, v) = -a_l (C v)_l for the Gram
+    form B of gram_matrix and the Cartan matrix C."""
+    j = frame_w[0]
+    theta = c_amb.copy()
+    theta[j] = 0
+    theta //= math.gcd(*theta.tolist())
+    two_b = -np.array(frame_d.labels) * (np.array(frame_d.cartan_matrix()) @ theta)
+    coef, rem = np.divmod(2 * two_b, theta @ two_b)
+    if rem.any():
+        raise AssertionError("highest-root reflection is not integral")
+    s_theta = np.eye(frame_d.rank, dtype=np.int64) - np.outer(theta, coef)
+    t1 = reflection_matrices(frame_d)[j] @ s_theta
+    w1 = _translation_row(t1, c_amb, frame_w)
+    if w1 is None or not any(w1):
+        raise AssertionError("r_j s_theta is not a nontrivial translation")
+    return t1, w1
+
+
 def translation_generators(diagram, window):
     """Standard generators t_1..t_m of a Euclidean window's translation subgroup.
 
-    t_1 is r_j h for the unique point-group element h such that r_j h is a
-    translation (a nontrivial unipotent with finite order would contradict
-    the faithfulness of the char-0 window action, so h is unique).  For the
-    cubic systems the rest follow by successive reflection conjugation; for
+    j is the window's first node in its printed frame.  The affine Weyl
+    group is the translations times the point group <r_i : i != j>, and
+    b_j = c - theta for the radical vector c and the highest root theta of
+    the point group, so t_1 = r_j s_theta is a translation (Humphreys,
+    "Reflection Groups and Coxeter Groups" 4.2; McMullen & Schulte,
+    "Abstract Regular Polytopes" ch. 6).  It is the only one of the form
+    r_j h with h in the point group, since the char-0 window action is
+    faithful.  For the cubic systems the rest follow by successive reflection conjugation; for
     [3,3,4,3] and [3,6] the mates are chosen from the conjugacy orbit of t_1
     by the orbit-span index of the key translation t_1 t_2, and for
     [3,3,4,3] the last two generators complete the orbit to a basis.
@@ -425,19 +426,7 @@ def translation_generators(diagram, window):
 
     point_nodes = tuple(frame_w[1:])
     point_gens = [refl[i] for i in point_nodes]
-    eye = np.eye(frame_d.rank, dtype=np.int64)
-    h_els = _orbit(eye, lambda x: [x @ g for g in point_gens], _POINT_BOUND,
-                   "point-group closure exceeded bound %d" % _POINT_BOUND)
-
-    cands = []
-    for h in h_els:
-        x = refl[j] @ h
-        w = _translation_row(x, c_amb, frame_w)
-        if w is not None and any(w):
-            cands.append(x)
-    if len(cands) != 1:
-        raise AssertionError("translation search found %d candidates" % len(cands))
-    t1 = cands[0]
+    t1, w1 = _first_translation(frame_d, frame_w, c_amb)
     orbit = _conj_orbit(t1, point_gens, c_amb, frame_w)
     w_all = sorted(orbit)
     full_hnf, full_piv = _row_hnf(w_all, m + 1)
@@ -448,7 +437,6 @@ def translation_generators(diagram, window):
             r = refl[j + i]
             mats.append(r @ mats[-1] @ r)
     elif kind != "inf":
-        w1 = _translation_row(t1, c_amb, frame_w)
         if len(full_hnf) != m:
             raise AssertionError("translation orbit does not span rank %d" % m)
         target = 3 if kind == "hex" else 4
@@ -514,14 +502,12 @@ def translation_generators(diagram, window):
             if tuple(sum(coeffs[i] * w_rows[i][t2] for i in range(m)) for t2 in range(m + 1)) != wx:
                 raise AssertionError("conjugation coordinates do not reproduce the vector")
             cols.append(coeffs)
-        amat = np.array(cols, dtype=np.int64).T
-        conj[l] = amat
+        conj[l] = np.array(cols, dtype=np.int64).T
     sigma_lattices = {}
     for k, want in _sigma_indices(kind, m).items():
         sigma = (1,) * k + (0,) * (m - k)
         orb = _orbit(np.array(sigma, dtype=np.int64),
-                     lambda v: [a @ v for a in conj.values()], _POINT_BOUND,
-                     "sigma orbit exceeded bound %d" % _POINT_BOUND)
+                     lambda v: [a @ v for a in conj.values()], "sigma")
         h, p = _row_hnf(sorted(tuple(int(x) for x in v) for v in orb), m)
         idx = _lattice_index(h, p, m)
         if idx != want:
@@ -532,7 +518,8 @@ def translation_generators(diagram, window):
         diagram=diagram, window=win, flipped=flipped, system=system, m=m,
         frame_diagram=frame_d, frame_window=frame_w, c_window=tuple(c_win),
         c_ambient=c_amb, mats=mats, inverses=inverses, w_rows=w_rows,
-        point_order=len(h_els), sigma_lattices=sigma_lattices,
+        point_order=coxeter_order(_periods(frame_d, point_nodes)),
+        sigma_lattices=sigma_lattices,
     )
     # the exponent-coordinate conjugation matrices must reproduce the matrices
     for l, amat in conj.items():
@@ -649,19 +636,6 @@ def type_vector(tsub, modulus):
 # ---------------------------------------------------------------------------
 # spherical classification
 
-def _spherical_char0(kind, k, diagram=None, window=None):
-    """Order of a spherical system's real (characteristic 0) group."""
-    if kind == "A":
-        return math.factorial(k + 1)
-    if kind == "I2":
-        return 2 * diagram.subdiagram(window).branch_periods()[0]
-    if kind in ("Bsys1", "Bsys2"):
-        return 2 ** k * math.factorial(k)
-    if kind == "F4":
-        return 1152
-    raise AssertionError(kind)
-
-
 def _spherical_predict(kind, k, frame_d, frame_w, s):
     """(family, order, row id, annotation) for a spherical window.
 
@@ -669,7 +643,7 @@ def _spherical_predict(kind, k, frame_d, frame_w, s):
     read the parity classes of the window's nodes in the frame.
     """
     j = frame_w[0]
-    full = _spherical_char0(kind, k, frame_d, frame_w)
+    full = coxeter_order(_periods(frame_d, frame_w))
     name = {"A": "A_%d" % k, "I2": "I_2(%d)" % (full // 2), "Bsys1": "B_%d" % k,
             "Bsys2": "B_%d" % k, "F4": "F_4"}[kind]
     if kind == "A":
@@ -687,7 +661,7 @@ def _spherical_predict(kind, k, frame_d, frame_w, s):
         return (name, 2 * per, "I2:s2", note)
     if kind == "Bsys1":
         if frame_d.node_parity(j) == "ee":
-            return ("A_%d" % (k - 1), _spherical_char0("A", k - 1), "Bsys1:s2-ee",
+            return ("A_%d" % (k - 1), coxeter_order((3,) * (k - 2)), "Bsys1:s2-ee",
                     "the short-label generator reduces to the identity")
         return (name, full, "Bsys1:s2-oe", "")
     if kind == "Bsys2":
@@ -798,7 +772,10 @@ def _section(diagram, win, got, s, collapse, rep):
         row_id, predicted_q = _predict_row(got.system, got.frame_diagram, got.frame_window, s)
         tv = type_vector(got, s)
         fields = dict(kind="Other" if row_id is None else "Euclidean",
-                      family=_family_name(diagram, win), predicted_q=predicted_q,
+                      # named by the as-read branch periods, e.g. "[4,3,4]"
+                      family="[%s]" % ",".join("oo" if p == INFINITY else str(p)
+                                               for p in _periods(diagram, win)),
+                      predicted_q=predicted_q,
                       measured_q=None if tv is None else tv.vector,
                       annotation=_OTHER_NOTE if row_id is None else "")
     else:
@@ -1008,12 +985,11 @@ def quotient_criterion(diagram, base, modulus):
         return passed
 
     def full_order(name, match, lo, hi):
-        """Record whether segment [lo, hi) keeps the char-0 order of match mod s."""
-        (kind, k), _, fd, fw = match
-        char0 = _spherical_char0(kind, k, fd, fw)
+        """Record whether segment [lo, hi), matched as match, keeps its char-0 order mod s."""
+        char0 = coxeter_order(_periods(diagram, range(lo, hi)))
         reduced = base_v.segment_order(lo, hi)
         return check(name + " is spherical with full order mod %d" % s, reduced == char0,
-                     pattern=kind, char0_order=char0, reduced_order=reduced)
+                     pattern=match[0][0], char0_order=char0, reduced_order=reduced)
 
     check("base modulus %d gives a string C-group" % s, base_rep.ok,
           verdict=base_rep.verdict, order=base_rep.order)

@@ -255,6 +255,20 @@ def test_classify_json(capsys):
     assert [s["kind"] for s in sections] == ["Euclidean", "Euclidean"]
 
 
+def test_classify_cubic_window_with_point_group_b5(capsys):
+    code, out, _ = run_cli(["classify", "-d", "1 - 2 - 2 - 2 - 2 - 1", "-m", "3"], capsys)
+    assert code == 0
+    assert "nodes 0..5 Euclidean [4,3,3,3,4] q=(3,0,0,0,0) row=P2:odd" in out
+
+
+def test_oversized_classify_window_exits_3(capsys):
+    # the orbit of sigma_12 = (1^12) under B_12 has 2^12 = 4096 > 4000 elements
+    text = " - ".join(["1"] + ["2"] * 11 + ["1"])
+    code, out, err = run_cli(["classify", "-d", text, "-m", "3"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "guard: sigma orbit exceeded bound 4000\n"
+
+
 def test_classify_text(capsys):
     code, out, _ = run_cli(["classify", "-d", "4 - 2 - 2 - 1 - 1", "-m", "4"],
                            capsys)

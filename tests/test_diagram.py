@@ -1,7 +1,29 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from modpoly.diagram import Branch, Diagram, ParseError, parse_diagram, parse_file
+from modpoly.diagram import (Branch, Diagram, ParseError, coxeter_order, parse_diagram,
+                             parse_file)
+from modpoly.engine import enumerate_small
+from modpoly.matrep import ModularRep, gram_matrix
+
+
+def strings(rank, kinds, labels):
+    """Every valid diagram of this rank with these branch kinds and labels."""
+    bonds = []
+    for a, kind, b in itertools.product(labels, map(Branch, kinds), labels):
+        try:
+            Diagram((a, b), (kind,))
+        except ValueError:
+            continue
+        bonds.append((a, kind, b))
+    rows = [((a,), ()) for a in labels]
+    for _ in range(rank - 1):
+        rows = [(ls + (b,), bs + (kind,)) for ls, bs in rows
+                for a, kind, b in bonds if a == ls[-1]]
+    return [Diagram(ls, bs) for ls, bs in rows]
 
 
 def test_parse_basic():
@@ -48,6 +70,29 @@ def test_double_needs_equal_labels():
         parse_diagram("1 = 2")
 
 
+@pytest.mark.parametrize("text,message,position", [
+    ("1 - 5", "single branch needs label ratio 1, 2, 3 or 4 (1 - 5)", 2),
+    ("1 - 2 - 3", "single branch needs label ratio 1, 2, 3 or 4 (2 - 3)", 6),
+    ("1 = 2", "double branch requires equal labels (1 = 2)", 2),
+])
+def test_branch_errors_name_the_labels_and_the_branch_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_diagram(text)
+    assert str(err.value) == "%s (at position %d)" % (message, position)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("labels,branch", [
+    ((2, 3), Branch.SINGLE),     # 3/2 is not integral
+    ((1, 5), Branch.SINGLE),     # ratio 5
+    ((1, 2), Branch.DOUBLE),     # unequal labels
+    ((0, 1), Branch.SINGLE),
+])
+def test_diagram_rejects_bonds_its_labels_cannot_form(labels, branch):
+    with pytest.raises(ValueError):
+        Diagram(labels, (branch,))
+
+
 def test_dangling_and_empty():
     with pytest.raises(ParseError):
         parse_diagram("1 -")
@@ -75,6 +120,45 @@ def test_branch_periods():
     assert parse_diagram("1 - 4").branch_periods() == (0,)
     assert parse_diagram("1 = 1").branch_periods() == (0,)
     assert parse_diagram("1 , 1").branch_periods() == (2,)
+
+
+@pytest.mark.parametrize("periods,order", [
+    ((), 2), ((3,), 6), ((4,), 8), ((6,), 12),
+    ((3, 3, 3), 120), ((4, 3, 3), 384), ((3, 3, 4), 384), ((3, 4, 3), 1152),
+    ((4, 3, 3, 3), 3840),
+    ((0,), None), ((2,), None), ((3, 2, 3), None), ((4, 4), None), ((3, 6), None),
+    ((4, 3, 4), None), ((3, 3, 4, 3), None), ((3, 4, 3, 3), None),
+])
+def test_coxeter_order(periods, order):
+    assert coxeter_order(periods) == order
+
+
+def _positive_definite(gram):
+    """Sylvester's criterion: every pivot of elimination without swaps is positive."""
+    g = [row[:] for row in gram]
+    for i in range(len(g)):
+        if g[i][i] <= 0:
+            return False
+        for r in range(i + 1, len(g)):
+            f = g[r][i] / g[i][i]
+            g[r] = [x - f * y for x, y in zip(g[r], g[i])]
+    return True
+
+
+def test_coxeter_order_matches_the_measured_order_mod_5():
+    # W is finite exactly when its Gram form is positive definite, and a
+    # finite W reduces faithfully mod d >= 3
+    connected = [d for rank in range(1, 6) for d in strings(rank, "-=", (1, 2, 3, 4))
+                 if math.gcd(*d.labels) == 1]
+    assert len(connected) == 1227
+    finite = 0
+    for d in connected:
+        order = coxeter_order(d.branch_periods())
+        assert (order is not None) == _positive_definite(gram_matrix(d)), d.render()
+        if order is not None:
+            finite += 1
+            assert len(enumerate_small(ModularRep(d, 5).mats, 5)) == order, d.render()
+    assert finite == 23
 
 
 def test_cartan_pairs_smaller_label_gets_larger_integer():

@@ -1,13 +1,14 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import modpoly.toroids as toroids
-from modpoly.diagram import ParseError, parse_diagram
+from modpoly.diagram import Branch, ParseError, coxeter_order, parse_diagram
 from modpoly.engine import enumerate_small
-from modpoly.matrep import reduce_mod, reflection_matrices
+from modpoly.matrep import embed_window_vector, radical_vector, reduce_mod, reflection_matrices
 from modpoly.polytopality import verify_diagram
 from modpoly.toroids import (
     _kernel_data,
@@ -20,6 +21,7 @@ from modpoly.toroids import (
     translation_generators,
     type_vector,
 )
+from test_diagram import strings
 
 # One witness embedding per Euclidean prediction row.  Windows are chosen so
 # the end-node parity classes (which see the ambient diagram) hit each row.
@@ -426,3 +428,116 @@ def test_verify_flip_invariance():
         assert a.order == b.order
         if a.schlafli is not None:
             assert b.schlafli == tuple(reversed(a.schlafli))
+
+
+# ---------------------------------------------------------------------------
+# the recognizers and t_1 against the label-ratio rules and the point-group
+# search that they replaced
+
+def _ratios(sub):
+    g = math.gcd(*sub.labels)
+    return tuple(x // g for x in sub.labels)
+
+
+def _ratio_euclidean(sub):
+    """Printed-frame Euclidean system of a whole diagram by its label ratios."""
+    k = sub.rank
+    if k == 2:
+        a, b = sub.labels
+        if sub.branches[0] is Branch.DOUBLE:
+            return "P8" if a == b else None
+        return "P9" if sub.branches[0] is Branch.SINGLE and a == 4 * b else None
+    if k < 3 or any(br is not Branch.SINGLE for br in sub.branches):
+        return None
+    r = _ratios(sub)
+    named = {(1, 1, 3): "P6", (3, 3, 1): "P7", (1, 1, 1, 2, 2): "P4", (2, 2, 2, 1, 1): "P5",
+             (2,) + (1,) * (k - 2) + (2,): "P1", (1,) + (2,) * (k - 2) + (1,): "P2",
+             (4,) + (2,) * (k - 2) + (1,): "P3"}
+    return named.get(r)
+
+
+def _ratio_spherical(sub):
+    """Printed-frame spherical system of a whole diagram by its label ratios."""
+    k = sub.rank
+    if k == 1:
+        return ("A", 1)
+    if any(br is not Branch.SINGLE for br in sub.branches):
+        return None
+    r = _ratios(sub)
+    if all(x == 1 for x in r):
+        return ("A", k)
+    if k == 2:
+        return ("I2", 2) if sub.branch_periods()[0] in (4, 6) else None
+    if k == 4 and r == (1, 1, 2, 2):
+        return ("F4", 4)
+    if r == (1,) + (2,) * (k - 1):
+        return ("Bsys1", k)
+    if r == (2,) + (1,) * (k - 1):
+        return ("Bsys2", k)
+    return None
+
+
+@pytest.mark.parametrize("kinds,most", [
+    ("-=", 5), ("-=,", 3), pytest.param("-=,", 5, marks=pytest.mark.long)])
+def test_recognizers_match_the_label_ratio_rules(kinds, most):
+    # every window of such a diagram is itself one of these diagrams
+    matched = 0
+    for rank in range(1, most + 1):
+        for d in strings(rank, kinds, (1, 2, 3, 4, 6, 12)):
+            whole = tuple(range(rank))
+            euc = toroids._euclidean_system(d, whole)
+            sph = toroids._spherical_system(d, whole)
+            assert (euc, sph) == (_ratio_euclidean(d), _ratio_spherical(d)), d.render()
+            matched += euc is not None or sph is not None
+    assert matched
+
+
+def _point_group_t1(frame_d, frame_w, c_amb):
+    """(t_1, |point group|) by search: r_j h for the one element h of the
+    point group that makes a nontrivial translation."""
+    refl = reflection_matrices(frame_d)
+    gens = [refl[i] for i in frame_w[1:]]
+    els = toroids._orbit(np.eye(frame_d.rank, dtype=np.int64),
+                         lambda x: [x @ g for g in gens], "point group")
+    found = [x for x in (refl[frame_w[0]] @ h for h in els)
+             if any(toroids._translation_row(x, c_amb, frame_w) or ())]
+    assert len(found) == 1
+    return found[0], len(els)
+
+
+@pytest.mark.parametrize("most,count", [(5, 501), pytest.param(7, 991, marks=pytest.mark.long)])
+def test_first_translation_matches_the_point_group_search(most, count):
+    # t_1 is the identity beyond the window's neighbours, and a "," neighbour
+    # acts as none, so the windows of 2 to 5 nodes with at most one neighbour
+    # on each side cover every embedding once the diagrams reach rank 7
+    seen = 0
+    for rank in range(2, most + 1):
+        for d in strings(rank, "-=", (1, 2, 3, 4)):
+            for lo, hi in {(0, rank), (1, rank), (0, rank - 1), (1, rank - 1)}:
+                if not 2 <= hi - lo <= 5:
+                    continue
+                match = toroids._match(d, tuple(range(lo, hi)), toroids._euclidean_system)
+                if match is None:
+                    continue
+                _, _, fd, fw = match
+                c_amb = embed_window_vector(radical_vector(fd, fw), fw, fd.rank)
+                t1, point_order = _point_group_t1(fd, fw, c_amb)
+                assert np.array_equal(toroids._first_translation(fd, fw, c_amb)[0], t1), d
+                assert coxeter_order(toroids._periods(fd, fw[1:])) == point_order, d
+                seen += 1
+    assert seen == count
+
+
+@pytest.mark.parametrize("text,row", [
+    ("1 - 2 - 2 - 2 - 2 - 1", "P2:"), ("2 - 1 - 1 - 1 - 1 - 2", "P1:")])
+def test_cubic_windows_with_point_group_b5_classify(text, row):
+    # B_5 has 3,840 elements: too many for the point-group search used before
+    diagram = parse_diagram(text)
+    for s in range(3, 7):
+        (sc,) = classify(diagram, s)
+        assert (sc.window, sc.kind, sc.flipped) == ((0, 5), "Euclidean", False)
+        assert sc.constraints_row_id.startswith(row)
+        assert sc.measured_q == sc.predicted_q, s
+    assert classify(diagram, 3)[0].measured_q == (3, 0, 0, 0, 0)
+    report = check_translation_splitting(diagram, tuple(range(6)), 3)
+    assert report["splitting"]["product_ok"] and report["splitting"]["H_faithful"]
