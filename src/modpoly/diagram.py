@@ -31,11 +31,17 @@ class Branch(Enum):
 
 
 class ParseError(ValueError):
-    """Raised on malformed diagram text; .position is a character offset."""
+    """Raised on malformed diagram text; .position is a character offset.
+
+    .message is the bare message; str() appends the position."""
 
     def __init__(self, message, position):
-        super().__init__("%s (at position %d)" % (message, position))
+        super().__init__(message, position)
+        self.message = message
         self.position = position
+
+    def __str__(self):
+        return "%s (at position %d)" % (self.message, self.position)
 
 
 def coxeter_order(periods):
@@ -243,5 +249,5 @@ def parse_file(text):
         try:
             out.append(parse_diagram(body))
         except ParseError as exc:
-            raise ParseError("line %d: %s" % (lineno, exc.args[0]), exc.position) from None
+            raise ParseError("line %d: %s" % (lineno, exc.message), exc.position) from None
     return out

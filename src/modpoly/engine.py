@@ -88,6 +88,22 @@ split again when b is composite: 30 = 5 * (3 * 2)), kept closed like V
 under conjugation by the input involutions.  The order is the product of
 the orbit sizes times the kernel chain's; a member sifts mod a to an element
 whose residue mod b is a member of the kernel chain, or I without one.
+
+Order bound.  A caller that knows an upper bound on |G|, such as the order
+of a finite Coxeter group W of which G is a quotient, may pass it as
+order_bound.  While the chain is built, the product of its basic orbit
+sizes, times p^dim V when lifted or the kernel chain's order when split, is
+a lower bound on |G|: each orbit so far lies in the full basic orbit of its
+level, and V and the kernel chain's group lie in the kernel.  When the
+lower bound reaches order_bound the two bounds meet, so every basic orbit
+is full, the pointwise stabilizer of the base is trivial (lifted: V is the
+whole kernel; split: the kernel chain holds the whole kernel), and the
+transversals already sift every member of G to the identity and leave
+every non-member stuck.  `_build` then stops: the Schreier generators
+still stashed or unformed can only sift to the identity.  A listed group
+stops its closure in the same way once it holds order_bound elements.  An
+upper bound that |G| does not reach changes nothing; a value below |G|
+could stop a chain that is not complete, so it must not be passed.
 """
 
 from itertools import repeat
@@ -220,7 +236,7 @@ class StabChain:
     representatives.
     """
 
-    def __init__(self, gens, modulus, n=None, order_only=False):
+    def __init__(self, gens, modulus, n=None, order_only=False, order_bound=None):
         gens = [np.asarray(g, dtype=np.int64) % modulus for g in gens]
         if gens:
             n = gens[0].shape[0]
@@ -228,6 +244,7 @@ class StabChain:
             raise ValueError("empty generator list needs an explicit dimension")
         self.modulus = modulus
         self.n = n
+        self.order_bound = order_bound  # an upper bound on |G| ("Order bound")
         self.space = PointSpace(modulus, n) if n else None
         # lifted: the kernel's prime p, and an F_p basis of its X's as (pivot, row)
         self.lift = square_prime(modulus) if order_only and n else None
@@ -338,7 +355,8 @@ class StabChain:
     # -- construction ----------------------------------------------------
 
     def _build(self, stash):
-        while True:
+        # once the order meets its bound the chain is complete ("Order bound")
+        while self.order() != self.order_bound:
             residues = self._sift_stash(stash)
             stash = []  # blocks (mats, invs)
             if residues is not None:
@@ -528,10 +546,12 @@ class Listed:
     The elements come from a BFS closure of the generators, one frontier
     at a time; BoundExceeded is raised as soon as more than `bound` are
     found.  Elements are int64 mod d and membership reads a set of their
-    bytes (see "Listed groups" in the module docstring).
+    bytes (see "Listed groups" in the module docstring).  With order_bound,
+    an upper bound on the order, the closure stops once it holds that many
+    elements (see "Order bound").
     """
 
-    def __init__(self, gens, modulus, n=None, bound=256):
+    def __init__(self, gens, modulus, n=None, bound=256, order_bound=None):
         gens = [np.asarray(g, dtype=np.int64) % modulus for g in gens]
         if gens:
             n = gens[0].shape[0]
@@ -554,6 +574,8 @@ class Listed:
                 raise BoundExceeded("closure exceeds bound %d" % bound)
             frontier = prods[fresh]
             blocks.append(frontier)
+            if len(self.keys) == order_bound:  # the next frontier finds nothing new
+                break
         self._elements = np.concatenate(blocks)
 
     def _keys(self, mats):

@@ -45,10 +45,52 @@ with c the last cut below k (0 without one), the check measures
 other side trivially.  A segment that touches a block end (lo or hi is 0, a
 cut or rank) gives only orders and memberships; the shared segment
 touches none.
+
+Faithful segments.  Given the diagram's branch periods, a segment [lo, hi)
+with no cut inside has a char-0 group W = W_[lo,hi), the Coxeter group with
+m_{i,i+1} the period of r_i r_{i+1} and m_ij = 2 further apart.  Its
+matrices satisfy W's relations (checked below), so the segment group G is
+a quotient of W.  The segment is faithful when W is finite
+(`diagram.coxeter_order`) and |G| = |W|: then reduction mod d maps W
+isomorphically onto G.
+
+    For d >= 3 every finite W is faithful: the kernel of GL_n(Z) ->
+    GL_n(Z_d) is torsion-free (Minkowski), so it meets the finite group W
+    trivially.  At d = 2 the measured order decides (B_m and F_4 mod 2
+    are not faithful).
+    A sub-segment of a faithful segment is faithful: its W is a standard
+    parabolic subgroup of the larger W, on which the isomorphism restricts.
+
+Standard parabolic subgroups of a Coxeter group meet in the parabolic
+subgroup of the shared generators (Humphreys, Reflection Groups and Coxeter
+Groups, Section 5.5), and an isomorphism keeps the meets.  So at layer r,
+with c the last cut below r:
+
+- If [c, r) is faithful, every check with k > c holds.
+- Otherwise, if the vertex figure [c+1, r) is faithful, only k = c+1 is
+  computed.  The facet group <r_c .. r_{r-2}> is a string C-group by the
+  layers below, the vertex-figure group is one as a Coxeter group, and
+  k = c+1 asks that the two meet in <r_{c+1} .. r_{r-2}>.  By McMullen and
+  Schulte, op. cit., Proposition 2E16(a), a pass makes <r_c .. r_{r-1}> a
+  string C-group, so the remaining checks hold.
+- A failing k = c+1 is the layer's first computed check with or without
+  the shortcut (the checks k <= c are never computed), so verification
+  stops there with the same witness, and the report does not change.
+
+Faithfulness is tested first on the longest spherical segment starting at
+c or c+1, once per block, and only if that fails on the layer's own
+segment, whose chain is a side of that layer's checks or the next's anyway.
+A spherical segment's chain or listing takes |W| as its order bound
+(engine's "Order bound"), and for d >= 3 one with |W| > _LIST_BOUND gets a
+chain without a listing first.  The verifier trusts the periods only once its
+matrices satisfy W's relations mod d: the sggi checks pass and
+(r_i r_{i+1})^m = I for each finite period m.  Otherwise it ignores them,
+as it does without periods (`verify_words`).
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +103,7 @@ from .engine import (
     enumerate_small,
     intersection_order,
 )
+from .diagram import coxeter_order
 from .matrep import ModularRep
 
 STRING_C_GROUP = "StringCGroup"
@@ -122,10 +165,12 @@ class Verifier:
     and stabilizer chains of contiguous segments [lo, hi) are cached across
     checks; the verifier asks for none across a commuting cut (module
     docstring), and segment_order multiplies the orders of the pieces
-    between cuts and applies the order guard to the product.
+    between cuts and applies the order guard to the product.  periods, the
+    branch periods of the diagram the matrices come from, let faithful
+    segments settle checks (module docstring).
     """
 
-    def __init__(self, mats, modulus, order_guard=None, orbit_guard=1_000_000):
+    def __init__(self, mats, modulus, order_guard=None, orbit_guard=1_000_000, periods=None):
         self.mats = [np.asarray(m, dtype=np.int64) % modulus for m in mats]
         self.modulus = modulus
         self.rank = len(self.mats)
@@ -135,6 +180,7 @@ class Verifier:
         self.cuts = _cuts(self.mats, modulus)
         self._ends = {0, *self.cuts, self.rank}  # the ends of the blocks between cuts
         self._chains = {}
+        self._given_periods = periods
 
     def chain(self, lo, hi):
         key = (lo, hi)
@@ -142,18 +188,55 @@ class Verifier:
             self._chains[key] = self._group(lo, hi)
         return self._chains[key]
 
+    @cached_property
+    def periods(self):
+        """The branch periods given, or None unless the matrices satisfy W's
+        relations mod d: the sggi checks and (r_i r_{i+1})^m_i = I."""
+        given = self._given_periods
+        if given is None or len(given) != self.rank - 1 or not self._generator_checks[0]:
+            return None
+        ident = np.eye(self.dim, dtype=np.int64)
+        for a, b, m in zip(self.mats, self.mats[1:], given):
+            prod, power = a @ b % self.modulus, ident
+            for _ in range(m):  # an infinite period, 0, asks nothing
+                power = power @ prod % self.modulus
+            if not np.array_equal(power, ident):
+                return None
+        return tuple(given)
+
+    def _coxeter_order(self, lo, hi):
+        """|W| of the segment [lo, hi), None when infinite or not known."""
+        return None if self.periods is None else coxeter_order(self.periods[lo:hi - 1])
+
     def _group(self, lo, hi):
-        mats = self.mats[lo:hi]
-        # a segment holds its two sub-segments, so one past the bound is too
-        if all(self._chains[k].order() <= _LIST_BOUND
-               for k in ((lo, hi - 1), (lo + 1, hi)) if k in self._chains):
+        mats, bound = self.mats[lo:hi], self._coxeter_order(lo, hi)
+        # a segment holds its two sub-segments, so one past the bound is too;
+        # for d >= 3 a diagram's finite W is the group itself (module
+        # docstring), so one with |W| past the bound is too
+        if (bound is None or bound <= _LIST_BOUND or self.modulus == 2) and all(
+                self._chains[k].order() <= _LIST_BOUND
+                for k in ((lo, hi - 1), (lo + 1, hi)) if k in self._chains):
             try:
-                return Listed(mats, self.modulus, n=self.dim, bound=_LIST_BOUND)
+                return Listed(mats, self.modulus, n=self.dim, bound=_LIST_BOUND,
+                              order_bound=bound)
             except BoundExceeded:
                 pass
         # segments at a block end give orders and memberships only (module docstring)
-        return StabChain(mats, self.modulus, n=self.dim,
+        return StabChain(mats, self.modulus, n=self.dim, order_bound=bound,
                          order_only=lo in self._ends or hi in self._ends)
+
+    def _faithful(self, lo, hi):
+        """Whether [lo, hi), inside one block, is faithful (module docstring).
+
+        The longest spherical segment from lo is tried first, then [lo, hi)."""
+        if self.periods is None:
+            return False
+        end = min(e for e in self._ends if e > lo)
+        top = lo + 1
+        while top < end and self._coxeter_order(lo, top + 1) is not None:
+            top += 1
+        return hi <= top and any(self.segment_order(lo, h) == self._coxeter_order(lo, h)
+                                 for h in (top, hi))
 
     def segment_order(self, lo, hi):
         ends = [lo, *(c for c in self.cuts if lo < c < hi), hi]
@@ -170,7 +253,9 @@ class Verifier:
                                     self.modulus, cap=cap)
                      for i in range(1, self.rank))
 
+    @cached_property
     def _generator_checks(self):
+        """(sggi, involutions, check records) for the generators."""
         ident = np.eye(self.dim, dtype=np.int64) % self.modulus
         checks = []
         sggi = True
@@ -200,7 +285,8 @@ class Verifier:
     def verify(self):
         if self.rank == 0:
             return VerificationReport(self.modulus, DEGENERATE, 1, (), [])
-        sggi, involutions, checks = self._generator_checks()
+        sggi, involutions, checks = self._generator_checks
+        checks = list(checks)
         if not involutions:
             # no stabilizer chain without involutions; order by plain closure
             size = int(enumerate_small(self.mats, self.modulus,
@@ -211,10 +297,14 @@ class Verifier:
         if not sggi:
             return VerificationReport(self.modulus, NOT_SGGI, order, schlafli, checks)
         for r in range(2, self.rank + 1):
-            # the last cut at or below r-1; checks with k <= c hold (module docstring)
+            # the last cut at or below r-1; checks with k <= held hold, and with
+            # a faithful vertex figure a passed k = c+1 settles the layer
+            # (module docstring)
             c = max((cut for cut in self.cuts if cut < r), default=0)
+            held = r if c + 1 < r and self._faithful(c, r) else c
+            vertex = held < r - 1 and self._faithful(c + 1, r)
             for k in range(1, r):
-                if k <= c:
+                if k <= held:
                     checks.append(CheckRecord("intersection r=%d k=%d" % (r, k), True))
                     continue
                 expected = self.segment_order(k, r - 1)
@@ -231,6 +321,8 @@ class Verifier:
                 if not ok:
                     return VerificationReport(self.modulus, INTERSECTION_FAILS,
                                               order, schlafli, checks)
+                if vertex:
+                    held = r
         return VerificationReport(self.modulus, STRING_C_GROUP, order, schlafli, checks)
 
 
@@ -253,9 +345,11 @@ def verify_diagram(diagram, modulus, window=None, **guards):
     """
     rep = ModularRep(diagram, modulus)
     window = range(diagram.rank) if window is None else list(window)
-    v = Verifier(rep.select(window), modulus, **guards)
+    sub = diagram.subdiagram(window) if len(window) else None
+    v = Verifier(rep.select(window), modulus,
+                 periods=sub and sub.branch_periods(), **guards)
     report = v.verify()
-    report.diagram = diagram.subdiagram(window).render() if len(window) else ""
+    report.diagram = sub.render() if sub else ""
     return report
 
 

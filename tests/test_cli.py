@@ -368,6 +368,14 @@ def test_file_input(tmp_path, capsys):
     assert [p["order"] for p in payload["results"]] == ["32", "64"]
 
 
+def test_file_parse_error_prints_one_line(tmp_path, capsys):
+    path = tmp_path / "diagrams.txt"
+    path.write_text("1 - 2\n1 = 3\n")
+    code, out, err = run_cli(["verify", "-f", str(path), "-m", "4"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: double branch requires equal labels (1 = 3) (at position 2)\n"
+
+
 def test_cache_roundtrip(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     argv = ["verify", "-d", "1 - 2 - 4", "-m", "4", "--format", "json",

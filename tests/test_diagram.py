@@ -220,6 +220,11 @@ def test_parse_file_error_carries_line():
     with pytest.raises(ParseError) as err:
         parse_file("1 - 2\n1 = 3\n")
     assert "line 2" in str(err.value)
+    # the position is given once, after the line
+    assert str(err.value) == \
+        "line 2: double branch requires equal labels (1 = 3) (at position 2)"
+    assert err.value.message == "line 2: double branch requires equal labels (1 = 3)"
+    assert err.value.position == 2
 
 
 _labels = st.integers(min_value=1, max_value=12)

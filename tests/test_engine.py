@@ -1,12 +1,13 @@
 import hashlib
+import itertools
 import random
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
 import modpoly.engine as engine
-from modpoly.diagram import ParseError, parse_diagram
+from modpoly.diagram import Branch, Diagram, ParseError, coxeter_order, parse_diagram
 from modpoly.engine import (
     BoundExceeded,
     Listed,
@@ -795,3 +796,64 @@ def test_enumeration_sifts_in_blocks(monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK", 20)
     assert intersection_order(a, b, None) == expected
     assert sum(sizes) == a.order() and max(sizes) == 20 // a.n
+
+
+# -- order bounds: the unbounded chain and closure are the oracles ----------
+
+BOUND_MODULI = (2, 3, 4, 5, 6, 8, 9)  # direct, lifted (4, 8, 9) and split (6) chains
+
+
+def spherical_strings(max_rank=5, labels=(1, 2, 3, 4)):
+    """Every connected string with these labels, gcd 1, whose W is finite."""
+    out = []
+    for rank in range(1, max_rank + 1):
+        for ls in itertools.product(labels, repeat=rank):
+            try:
+                d = Diagram(ls, (Branch.SINGLE,) * (rank - 1))
+            except ValueError:
+                continue
+            if gcd(*ls) == 1 and coxeter_order(d.branch_periods()) is not None:
+                out.append(d)
+    return out
+
+
+def test_bounded_chains_match_unbounded_ones(monkeypatch):
+    rng = np.random.default_rng(17)
+    sifts = {True: 0, False: 0}
+    sift_stash = StabChain._sift_stash
+
+    def counting(self, stash):
+        sifts[self.order_bound is not None] += 1
+        return sift_stash(self, stash)
+
+    monkeypatch.setattr(StabChain, "_sift_stash", counting)
+    strings = spherical_strings()
+    assert len(strings) == 23  # A_1..5, B_3..5 four ways, F_4 two ways, five rank-2 strings
+    kinds, outside = set(), 0
+    for d, modulus in itertools.product(strings, BOUND_MODULI):
+        w = coxeter_order(d.branch_periods())
+        mats = ModularRep(d, modulus).mats
+        members = plain_words(mats, modulus, 8, rng)
+        # one entry raised by 1, or random entries by a proper divisor d/p,
+        # which leaves a matrix unchanged mod d/p
+        shifts = [modulus // p for p in set(prime_factors(modulus)) if p < modulus]
+        cands = np.concatenate([np.stack(mats), members, near_misses(members, modulus, rng)] + [
+            (members + s * rng.integers(2, size=members.shape)) % modulus for s in shifts])
+        for order_only in (False, True):
+            free = StabChain(mats, modulus, order_only=order_only)
+            bounded = StabChain(mats, modulus, order_only=order_only, order_bound=w)
+            case = (d.render(), modulus, order_only)
+            kinds.add("lifted" if bounded.lift else "split" if bounded.split else "direct")
+            assert bounded.order() == free.order() <= w, case
+            assert bounded.check(), case
+            mask = free.member_mask(cands)
+            assert np.array_equal(bounded.member_mask(cands), mask), case
+            outside += int(np.count_nonzero(~mask))
+        try:
+            closure = Listed(mats, modulus).elements()
+        except BoundExceeded:
+            continue
+        assert np.array_equal(Listed(mats, modulus, order_bound=w).elements(), closure), case
+    assert kinds == {"direct", "lifted", "split"} and outside > 1000
+    # the bound stops the construction of faithful chains early
+    assert sifts[True] < sifts[False]

@@ -188,6 +188,9 @@ BRUTE_CASES = [
     ("2 - 1 , 1 - 2", 4), ("1 , 1 , 1", 3),
     # its facet is Euclidean only read backwards; fails at r=4 k=1
     ("1 - 3 - 3 - 1", 4),
+    # faithful segments: A_3, B_3 and F_4, whole or in part, at d = 2 too
+    ("1 - 1 - 1", 4), ("1 - 1 - 2", 2), ("1 - 1 - 2", 4),
+    ("1 - 1 - 2 - 2", 2), ("1 - 1 - 2 - 2", 3),
 ]
 
 
@@ -303,3 +306,104 @@ def test_order_across_cuts_is_the_product_of_the_components(text, modulus):
     parts = [verify_diagram(diagram.subdiagram(part), modulus).order
              for part in diagram.components()]
     assert v.segment_order(0, diagram.rank) == math.prod(parts)
+
+
+def plain_report(diagram, modulus):
+    """The report of a Verifier given no branch periods."""
+    report = Verifier(ModularRep(diagram, modulus).mats, modulus).verify()
+    report.diagram = diagram.render()
+    return report
+
+
+def test_faithful_segments_change_no_report(monkeypatch):
+    cases = [(parse_diagram(text), d) for text in sweep_diagrams(3) for d in range(2, 8)]
+    calls = []
+    counted = polytopality.intersection_order
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(polytopality, "intersection_order", counting)
+    with_periods = [verify_diagram(diagram, d).to_dict() for diagram, d in cases]
+    shortcut = len(calls)
+    assert with_periods == [plain_report(diagram, d).to_dict() for diagram, d in cases]
+    verdicts = {r["verdict"] for r in with_periods}
+    assert len(cases) == 360 and "IntersectionFails" in verdicts
+    assert shortcut < len(calls) - shortcut
+
+
+def test_a_failing_vertex_figure_check_keeps_the_report(monkeypatch):
+    # the vertex-figure shortcut forced on: the layer's first computed
+    # check, k = 1, fails, as it does without the shortcut
+    diagram = parse_diagram("1 - 3 - 3 - 1")
+    plain = plain_report(diagram, 4)
+    assert plain.checks[-1].witness["rank"] == 4 and plain.checks[-1].witness["k"] == 1
+    monkeypatch.setattr(Verifier, "_faithful", lambda self, lo, hi: lo == 1)
+    forced = verify_diagram(diagram, 4)
+    payload = json.dumps(forced.to_dict(), sort_keys=True)
+    assert payload == json.dumps(plain.to_dict(), sort_keys=True)
+    # the report before faithful segments, byte for byte
+    assert hashlib.sha256(payload.encode()).hexdigest() == \
+        "38992b84b7a6fcb4b1d984e781765847586b21817e0e1e1f8c51c3f8e0ecb452"
+    assert forced.checks[-1].witness == {"rank": 4, "k": 1, "expected": 6, "measured": 12,
+                                         "index": 2}
+
+
+@pytest.mark.parametrize("matrices,periods", [
+    ("1 - 1 - 2", (3, 3)), ("1 - 1 - 1", (3, 4)), ("1 - 1 - 1", (3,)),
+    ("1 - 1 - 2 - 2", (3, 4, 4)), ("1 - 1 , 1", (3, 3)),
+])
+@pytest.mark.parametrize("modulus", [2, 3, 4])
+def test_mismatched_periods_are_ignored(matrices, periods, modulus):
+    # A_3's periods given with B_3's matrices, and the like
+    diagram = parse_diagram(matrices)
+    mats = ModularRep(diagram, modulus).mats
+    v = Verifier(mats, modulus, periods=periods)
+    assert v.periods is None
+    plain = Verifier(mats, modulus).verify()
+    assert v.verify().to_dict() == plain.to_dict()
+    for lo, hi in itertools.combinations(range(diagram.rank + 1), 2):
+        assert v.segment_order(lo, hi) == enumerate_small(mats[lo:hi], modulus).shape[0]
+    # the true periods are trusted whenever the sggi checks pass
+    trusted = Verifier(mats, modulus, periods=diagram.branch_periods()).periods
+    assert (trusted is not None) == (plain.verdict != "NotSGGI")
+
+
+def test_faithful_segments_are_read_only_from_trusted_periods():
+    b3 = parse_diagram("1 - 1 - 2")
+    v = Verifier(ModularRep(b3, 3).mats, 3, periods=b3.branch_periods())
+    assert v.periods == (3, 4)
+    assert v._faithful(0, 3) and v._faithful(1, 3)
+    # B_3 mod 2 is not faithful, its A_2 part is
+    v = Verifier(ModularRep(b3, 2).mats, 2, periods=b3.branch_periods())
+    assert v.segment_order(0, 3) < 48 and not v._faithful(0, 3) and v._faithful(0, 2)
+    assert not Verifier(ModularRep(b3, 3).mats, 3)._faithful(0, 3)
+
+
+BIG_CHAIN = "1 - 1 - 2 - 2 - 2 - 2 - 2 - 2"
+
+
+@pytest.mark.parametrize("text,modulus,chains,meets,listings", [
+    # F_4 settles layers 2-4, the vertex figure B_7 one check of each later
+    # layer; only the whole group and B_3 are tried as listings
+    (BIG_CHAIN, 4, 9, 4, 2),
+    # at d = 2 the whole group A_20 is tried as a listing before its chain
+    (" - ".join(["1"] * 20), 2, 1, 0, 1),
+])
+def test_faithful_segments_save_chains_and_intersections(text, modulus, chains, meets,
+                                                         listings, monkeypatch):
+    counts = {"chains": 0, "meets": 0, "listings": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polytopality, "StabChain", counting("chains", polytopality.StabChain))
+    monkeypatch.setattr(polytopality, "intersection_order",
+                        counting("meets", polytopality.intersection_order))
+    monkeypatch.setattr(polytopality, "Listed", counting("listings", polytopality.Listed))
+    assert verify_diagram(parse_diagram(text), modulus).ok
+    assert counts == {"chains": chains, "meets": meets, "listings": listings}
