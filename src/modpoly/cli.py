@@ -227,8 +227,7 @@ def _verify_subgroup(diagram, modulus, words, **guards):
     when the subgroup order does not divide the parent order.
     """
     parent = Verifier(ModularRep(diagram, modulus).mats, modulus,
-                      order_guard=guards.get("order_guard"),
-                      periods=diagram.branch_periods()).segment_order(0, diagram.rank)
+                      order_guard=guards.get("order_guard")).segment_order(0, diagram.rank)
     sub = verify_words(diagram, modulus, words, **guards)
     index, rem = divmod(parent, sub.order)
     return sub, parent, None if rem else index

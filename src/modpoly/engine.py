@@ -100,10 +100,9 @@ is full, the pointwise stabilizer of the base is trivial (lifted: V is the
 whole kernel; split: the kernel chain holds the whole kernel), and the
 transversals already sift every member of G to the identity and leave
 every non-member stuck.  `_build` then stops: the Schreier generators
-still stashed or unformed can only sift to the identity.  A listed group
-stops its closure in the same way once it holds order_bound elements.  An
-upper bound that |G| does not reach changes nothing; a value below |G|
-could stop a chain that is not complete, so it must not be passed.
+still stashed or unformed can only sift to the identity.  An upper bound
+that |G| does not reach changes nothing; a value below |G| could stop a
+chain that is not complete, so it must not be passed.
 """
 
 from itertools import repeat
@@ -546,12 +545,10 @@ class Listed:
     The elements come from a BFS closure of the generators, one frontier
     at a time; BoundExceeded is raised as soon as more than `bound` are
     found.  Elements are int64 mod d and membership reads a set of their
-    bytes (see "Listed groups" in the module docstring).  With order_bound,
-    an upper bound on the order, the closure stops once it holds that many
-    elements (see "Order bound").
+    bytes (see "Listed groups" in the module docstring).
     """
 
-    def __init__(self, gens, modulus, n=None, bound=256, order_bound=None):
+    def __init__(self, gens, modulus, n=None, bound=256):
         gens = [np.asarray(g, dtype=np.int64) % modulus for g in gens]
         if gens:
             n = gens[0].shape[0]
@@ -574,8 +571,6 @@ class Listed:
                 raise BoundExceeded("closure exceeds bound %d" % bound)
             frontier = prods[fresh]
             blocks.append(frontier)
-            if len(self.keys) == order_bound:  # the next frontier finds nothing new
-                break
         self._elements = np.concatenate(blocks)
 
     def _keys(self, mats):

@@ -46,18 +46,18 @@ other side trivially.  A segment that touches a block end (lo or hi is 0, a
 cut or rank) gives only orders and memberships; the shared segment
 touches none.
 
-Faithful segments.  Given the diagram's branch periods, a segment [lo, hi)
-with no cut inside has a char-0 group W = W_[lo,hi), the Coxeter group with
-m_{i,i+1} the period of r_i r_{i+1} and m_ij = 2 further apart.  Its
-matrices satisfy W's relations (checked below), so the segment group G is
-a quotient of W.  The segment is faithful when W is finite
-(`diagram.coxeter_order`) and |G| = |W|: then reduction mod d maps W
-isomorphically onto G.
+Faithful segments.  Let m_i be the measured period of r_i r_{i+1}, the
+entries of the Schlafli symbol.  For a segment [lo, hi) with no cut inside,
+W = W_[lo,hi) is the Coxeter group with m_{i,i+1} = m_i and m_ij = 2
+further apart.  Once the sggi checks pass, the segment group G satisfies
+W's relations, so it is a quotient of W.  The segment is faithful when W is
+finite (`diagram.coxeter_order`) and |G| = |W|; then G is W.
 
-    For d >= 3 every finite W is faithful: the kernel of GL_n(Z) ->
-    GL_n(Z_d) is torsion-free (Minkowski), so it meets the finite group W
-    trivially.  At d = 2 the measured order decides (B_m and F_4 mod 2
-    are not faithful).
+    Matrices read from a diagram at d >= 3 make every segment whose char-0
+    group is finite faithful: the kernel of GL_n(Z) -> GL_n(Z_d) is
+    torsion-free (Minkowski), so it meets that finite group trivially,
+    and the measured periods are its own.  At d = 2, and for words, the
+    measured order decides (B_m and F_4 mod 2 are not faithful).
     A sub-segment of a faithful segment is faithful: its W is a standard
     parabolic subgroup of the larger W, on which the isomorphism restricts.
 
@@ -77,15 +77,15 @@ with c the last cut below r:
   the shortcut (the checks k <= c are never computed), so verification
   stops there with the same witness, and the report does not change.
 
-Faithfulness is tested first on the longest spherical segment starting at
-c or c+1, once per block, and only if that fails on the layer's own
-segment, whose chain is a side of that layer's checks or the next's anyway.
-A spherical segment's chain or listing takes |W| as its order bound
-(engine's "Order bound"), and for d >= 3 one with |W| > _LIST_BOUND gets a
-chain without a listing first.  The verifier trusts the periods only once its
-matrices satisfy W's relations mod d: the sggi checks pass and
-(r_i r_{i+1})^m = I for each finite period m.  Otherwise it ignores them,
-as it does without periods (`verify_words`).
+The verifier tests [lo, hi) through the longest spherical segment [lo, top)
+that holds it, or else on its own.  The first test waits until the group of
+[lo, top) is at hand, as it is from the start when top ends a block; the
+second builds the group of [c+1, r), a side of the check k = c+1, or of
+[c, r), the next layer's facet.  So the tests build no group that the
+checks would not, except that of [c, r) when it is spherical but not
+faithful and layer r fails.
+A spherical segment's chain takes |W| as its order bound (engine's "Order
+bound").
 """
 
 import math
@@ -165,12 +165,11 @@ class Verifier:
     and stabilizer chains of contiguous segments [lo, hi) are cached across
     checks; the verifier asks for none across a commuting cut (module
     docstring), and segment_order multiplies the orders of the pieces
-    between cuts and applies the order guard to the product.  periods, the
-    branch periods of the diagram the matrices come from, let faithful
+    between cuts and applies the order guard to the product.  Faithful
     segments settle checks (module docstring).
     """
 
-    def __init__(self, mats, modulus, order_guard=None, orbit_guard=1_000_000, periods=None):
+    def __init__(self, mats, modulus, order_guard=None, orbit_guard=1_000_000):
         self.mats = [np.asarray(m, dtype=np.int64) % modulus for m in mats]
         self.modulus = modulus
         self.rank = len(self.mats)
@@ -180,7 +179,7 @@ class Verifier:
         self.cuts = _cuts(self.mats, modulus)
         self._ends = {0, *self.cuts, self.rank}  # the ends of the blocks between cuts
         self._chains = {}
-        self._given_periods = periods
+        self._tops = {}  # lo -> end of the longest spherical segment from lo
 
     def chain(self, lo, hi):
         key = (lo, hi)
@@ -190,53 +189,46 @@ class Verifier:
 
     @cached_property
     def periods(self):
-        """The branch periods given, or None unless the matrices satisfy W's
-        relations mod d: the sggi checks and (r_i r_{i+1})^m_i = I."""
-        given = self._given_periods
-        if given is None or len(given) != self.rank - 1 or not self._generator_checks[0]:
-            return None
-        ident = np.eye(self.dim, dtype=np.int64)
-        for a, b, m in zip(self.mats, self.mats[1:], given):
-            prod, power = a @ b % self.modulus, ident
-            for _ in range(m):  # an infinite period, 0, asks nothing
-                power = power @ prod % self.modulus
-            if not np.array_equal(power, ident):
-                return None
-        return tuple(given)
+        """The period of each r_i r_{i+1}; 0 when it passes element_period's cap."""
+        out = []
+        for a, b in zip(self.mats, self.mats[1:]):
+            try:
+                out.append(element_period(a @ b % self.modulus, self.modulus))
+            except BoundExceeded:
+                out.append(0)
+        return tuple(out)
 
     def _coxeter_order(self, lo, hi):
-        """|W| of the segment [lo, hi), None when infinite or not known."""
-        return None if self.periods is None else coxeter_order(self.periods[lo:hi - 1])
+        """|W| of the segment [lo, hi), None when infinite or not an sggi."""
+        return coxeter_order(self.periods[lo:hi - 1]) if self._generator_checks[0] else None
 
     def _group(self, lo, hi):
-        mats, bound = self.mats[lo:hi], self._coxeter_order(lo, hi)
-        # a segment holds its two sub-segments, so one past the bound is too;
-        # for d >= 3 a diagram's finite W is the group itself (module
-        # docstring), so one with |W| past the bound is too
-        if (bound is None or bound <= _LIST_BOUND or self.modulus == 2) and all(
-                self._chains[k].order() <= _LIST_BOUND
-                for k in ((lo, hi - 1), (lo + 1, hi)) if k in self._chains):
+        mats = self.mats[lo:hi]
+        # a segment holds its two sub-segments, so one past the bound is too
+        if all(self._chains[k].order() <= _LIST_BOUND
+               for k in ((lo, hi - 1), (lo + 1, hi)) if k in self._chains):
             try:
-                return Listed(mats, self.modulus, n=self.dim, bound=_LIST_BOUND,
-                              order_bound=bound)
+                return Listed(mats, self.modulus, n=self.dim, bound=_LIST_BOUND)
             except BoundExceeded:
                 pass
         # segments at a block end give orders and memberships only (module docstring)
-        return StabChain(mats, self.modulus, n=self.dim, order_bound=bound,
+        return StabChain(mats, self.modulus, n=self.dim, order_bound=self._coxeter_order(lo, hi),
                          order_only=lo in self._ends or hi in self._ends)
 
     def _faithful(self, lo, hi):
-        """Whether [lo, hi), inside one block, is faithful (module docstring).
-
-        The longest spherical segment from lo is tried first, then [lo, hi)."""
-        if self.periods is None:
-            return False
-        end = min(e for e in self._ends if e > lo)
-        top = lo + 1
-        while top < end and self._coxeter_order(lo, top + 1) is not None:
-            top += 1
-        return hi <= top and any(self.segment_order(lo, h) == self._coxeter_order(lo, h)
-                                 for h in (top, hi))
+        """Whether [lo, hi), inside one block, is faithful (module docstring)."""
+        if lo not in self._tops:
+            end = min(e for e in self._ends if e > lo)
+            top = lo + 1
+            while top < end and self._coxeter_order(lo, top + 1) is not None:
+                top += 1
+            self._tops[lo] = top
+        top = self._tops[lo]
+        # the longest spherical segment from lo settles [lo, hi) once its
+        # group is at hand; until then [lo, hi) is tried on its own
+        tried = (top, hi) if (lo, top) in self._chains else (hi,)
+        return hi <= top and any(self.chain(lo, h).order() == self._coxeter_order(lo, h)
+                                 for h in tried)
 
     def segment_order(self, lo, hi):
         ends = [lo, *(c for c in self.cuts if lo < c < hi), hi]
@@ -246,12 +238,11 @@ class Verifier:
         return order
 
     def schlafli(self):
-        # each period divides the order of the whole group, whose blocks
-        # verify() has already listed or put in chains
-        cap = self.segment_order(0, self.rank)
-        return tuple(element_period(self.mats[i - 1] @ self.mats[i] % self.modulus,
-                                    self.modulus, cap=cap)
-                     for i in range(1, self.rank))
+        # a period past the cap divides the order of the whole group, whose
+        # blocks verify() has already listed or put in chains
+        return tuple(p or element_period(self.mats[i] @ self.mats[i + 1] % self.modulus,
+                                         self.modulus, cap=self.segment_order(0, self.rank))
+                     for i, p in enumerate(self.periods))
 
     @cached_property
     def _generator_checks(self):
@@ -345,11 +336,9 @@ def verify_diagram(diagram, modulus, window=None, **guards):
     """
     rep = ModularRep(diagram, modulus)
     window = range(diagram.rank) if window is None else list(window)
-    sub = diagram.subdiagram(window) if len(window) else None
-    v = Verifier(rep.select(window), modulus,
-                 periods=sub and sub.branch_periods(), **guards)
+    v = Verifier(rep.select(window), modulus, **guards)
     report = v.verify()
-    report.diagram = sub.render() if sub else ""
+    report.diagram = diagram.subdiagram(window).render() if len(window) else ""
     return report
 
 

@@ -849,11 +849,6 @@ def test_bounded_chains_match_unbounded_ones(monkeypatch):
             mask = free.member_mask(cands)
             assert np.array_equal(bounded.member_mask(cands), mask), case
             outside += int(np.count_nonzero(~mask))
-        try:
-            closure = Listed(mats, modulus).elements()
-        except BoundExceeded:
-            continue
-        assert np.array_equal(Listed(mats, modulus, order_bound=w).elements(), closure), case
     assert kinds == {"direct", "lifted", "split"} and outside > 1000
     # the bound stops the construction of faithful chains early
     assert sifts[True] < sifts[False]

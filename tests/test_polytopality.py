@@ -308,15 +308,19 @@ def test_order_across_cuts_is_the_product_of_the_components(text, modulus):
     assert v.segment_order(0, diagram.rank) == math.prod(parts)
 
 
-def plain_report(diagram, modulus):
-    """The report of a Verifier given no branch periods."""
-    report = Verifier(ModularRep(diagram, modulus).mats, modulus).verify()
-    report.diagram = diagram.render()
-    return report
+def no_spherical_segments(monkeypatch):
+    """Take every segment's Coxeter group for infinite: no faithful segment
+    settles a check and no chain has an order bound."""
+    monkeypatch.setattr(polytopality, "coxeter_order", lambda periods: None)
 
 
 def test_faithful_segments_change_no_report(monkeypatch):
     cases = [(parse_diagram(text), d) for text in sweep_diagrams(3) for d in range(2, 8)]
+    # word lists: the string read backwards, and a duplicate that fails at r=3
+    words = [(diagram, d, [[i] for i in reversed(range(diagram.rank))])
+             for diagram, d in cases[::7]]
+    words += [(parse_diagram("1 - 1 - 2"), 3, [[0], [1], [0]]),
+              (parse_diagram("1 - 1 - 2 - 2"), 3, [[0], [1], [2], [3, 2, 3]])]
     calls = []
     counted = polytopality.intersection_order
 
@@ -324,20 +328,28 @@ def test_faithful_segments_change_no_report(monkeypatch):
         calls.append(1)
         return counted(*args, **kwargs)
 
+    def payload():
+        reports = [verify_diagram(diagram, d) for diagram, d in cases]
+        reports += [verify_words(*w) for w in words]
+        return [r.to_dict() for r in reports]
+
     monkeypatch.setattr(polytopality, "intersection_order", counting)
-    with_periods = [verify_diagram(diagram, d).to_dict() for diagram, d in cases]
-    shortcut = len(calls)
-    assert with_periods == [plain_report(diagram, d).to_dict() for diagram, d in cases]
-    verdicts = {r["verdict"] for r in with_periods}
-    assert len(cases) == 360 and "IntersectionFails" in verdicts
-    assert shortcut < len(calls) - shortcut
+    shortcut = payload()
+    faithful_calls = len(calls)
+    no_spherical_segments(monkeypatch)
+    assert shortcut == payload()
+    verdicts = {r["verdict"] for r in shortcut}
+    assert len(cases) == 360 and len(words) == 54 and "IntersectionFails" in verdicts
+    assert faithful_calls < len(calls) - faithful_calls
 
 
 def test_a_failing_vertex_figure_check_keeps_the_report(monkeypatch):
     # the vertex-figure shortcut forced on: the layer's first computed
     # check, k = 1, fails, as it does without the shortcut
     diagram = parse_diagram("1 - 3 - 3 - 1")
-    plain = plain_report(diagram, 4)
+    with monkeypatch.context() as m:
+        no_spherical_segments(m)
+        plain = verify_diagram(diagram, 4)
     assert plain.checks[-1].witness["rank"] == 4 and plain.checks[-1].witness["k"] == 1
     monkeypatch.setattr(Verifier, "_faithful", lambda self, lo, hi: lo == 1)
     forced = verify_diagram(diagram, 4)
@@ -350,35 +362,22 @@ def test_a_failing_vertex_figure_check_keeps_the_report(monkeypatch):
                                          "index": 2}
 
 
-@pytest.mark.parametrize("matrices,periods", [
-    ("1 - 1 - 2", (3, 3)), ("1 - 1 - 1", (3, 4)), ("1 - 1 - 1", (3,)),
-    ("1 - 1 - 2 - 2", (3, 4, 4)), ("1 - 1 , 1", (3, 3)),
-])
-@pytest.mark.parametrize("modulus", [2, 3, 4])
-def test_mismatched_periods_are_ignored(matrices, periods, modulus):
-    # A_3's periods given with B_3's matrices, and the like
-    diagram = parse_diagram(matrices)
-    mats = ModularRep(diagram, modulus).mats
-    v = Verifier(mats, modulus, periods=periods)
-    assert v.periods is None
-    plain = Verifier(mats, modulus).verify()
-    assert v.verify().to_dict() == plain.to_dict()
-    for lo, hi in itertools.combinations(range(diagram.rank + 1), 2):
-        assert v.segment_order(lo, hi) == enumerate_small(mats[lo:hi], modulus).shape[0]
-    # the true periods are trusted whenever the sggi checks pass
-    trusted = Verifier(mats, modulus, periods=diagram.branch_periods()).periods
-    assert (trusted is not None) == (plain.verdict != "NotSGGI")
-
-
-def test_faithful_segments_are_read_only_from_trusted_periods():
+def test_faithful_segments_are_read_from_measured_periods():
     b3 = parse_diagram("1 - 1 - 2")
-    v = Verifier(ModularRep(b3, 3).mats, 3, periods=b3.branch_periods())
-    assert v.periods == (3, 4)
+    v = Verifier(ModularRep(b3, 3).mats, 3)
+    assert v.periods == (3, 4) == v.schlafli()
     assert v._faithful(0, 3) and v._faithful(1, 3)
-    # B_3 mod 2 is not faithful, its A_2 part is
-    v = Verifier(ModularRep(b3, 2).mats, 2, periods=b3.branch_periods())
-    assert v.segment_order(0, 3) < 48 and not v._faithful(0, 3) and v._faithful(0, 2)
-    assert not Verifier(ModularRep(b3, 3).mats, 3)._faithful(0, 3)
+    # B_3 mod 2 keeps its periods but not its order; its A_2 part is faithful
+    v = Verifier(ModularRep(b3, 2).mats, 2)
+    assert v.periods == (3, 4) and v.segment_order(0, 3) < 48
+    assert not v._faithful(0, 3) and v._faithful(0, 2)
+    # words give periods too: r_0, r_1, r_0 generate A_2, read as a string
+    # with periods 3 and 3, whose A_3 does not fit in it
+    v = Verifier(word_matrices(ModularRep(b3, 3), [[0], [1], [0]]), 3)
+    assert v.periods == (3, 3) and not v._faithful(0, 3) and v._faithful(0, 2)
+    # a period of 2 inside a block leaves W disconnected, and not spherical
+    v = Verifier(word_matrices(ModularRep(b3, 3), [[0], [2]]), 3)
+    assert v.periods == (2,) and v.cuts == () and not v._faithful(0, 2)
 
 
 BIG_CHAIN = "1 - 1 - 2 - 2 - 2 - 2 - 2 - 2"
@@ -386,8 +385,8 @@ BIG_CHAIN = "1 - 1 - 2 - 2 - 2 - 2 - 2 - 2"
 
 @pytest.mark.parametrize("text,modulus,chains,meets,listings", [
     # F_4 settles layers 2-4, the vertex figure B_7 one check of each later
-    # layer; only the whole group and B_3 are tried as listings
-    (BIG_CHAIN, 4, 9, 4, 2),
+    # layer; of six listings tried, three pass 256 elements
+    (BIG_CHAIN, 4, 9, 4, 6),
     # at d = 2 the whole group A_20 is tried as a listing before its chain
     (" - ".join(["1"] * 20), 2, 1, 0, 1),
 ])
