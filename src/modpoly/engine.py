@@ -37,25 +37,22 @@ cosets gT of a subgroup T of A ∩ B in the smaller group S whose canonical
 representative lies in the larger group L (A ∩ B is a union of such
 cosets).  A coset gT is named by descending T's chain and, at each level,
 multiplying g by the transversal element u for which g·u sends the base
-point to the least encoded point of g·(orbit).  The walk goes from T one
-BFS layer at a time under S's input generators: the products gen·rep of a
-layer, rep-major then generator, are canonicalized as one stack and
-deduplicated in that order, as one product at a time would visit them, and
-the new layer is sifted through L at once.  Canonicalization works in
-blocks whose temporaries hold about _CHUNK*n entries: _CHUNK/n candidate
-matrices, or _CHUNK images.  A listed T (below) names gT otherwise.
+point to the least encoded point of g·(orbit).  A listed T (below) is
+first put in a chain of its generators, stopped at |T| ("Order bound").
+The walk goes from T one BFS layer at a time under S's input generators:
+the products gen·rep of a layer, rep-major then generator, are
+canonicalized as one stack and deduplicated in that order, as one product
+at a time would visit them, and the new layer is sifted through L at once.
+Canonicalization works in blocks whose temporaries hold about _CHUNK*n
+entries: _CHUNK/n candidate matrices, or _CHUNK images.
 
 Listed groups.  A group of a few hundred elements is cheaper to list than
 to put in a chain.  `Listed` takes the BFS closure of its generators, one
 frontier at a time, and raises BoundExceeded as soon as it holds more than
 its bound.  Its elements are int64 mod d.  The products of a frontier are
 keyed by their bytes in one pass (a void view read by tolist()), and a
-membership test is one set lookup per matrix.  A listed T names the coset
-gT by its least product g·t, lexicographic over the entries in row-major
-order: a block of products is packed, most significant entry first, into
-int64 words of as many base-d digits as fit, and the words are compared
-one column at a time.  `intersection_order` sifts the elements of a
-listed side through the other group.
+membership test is one set lookup per matrix.  `intersection_order` sifts
+the elements of a listed side through the other group.
 
 Lifted order.  A chain built with order_only=True is asked for its order
 and memberships, never for elements or coset representatives, so when
@@ -112,7 +109,6 @@ import numpy as np
 _CHUNK = 16384
 _FLOAT32_EXACT = 2 ** 24  # float32 holds every integer below this
 _BLAS_WORK = 2048         # multiply-adds from which float32 BLAS beats int32 matmul
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 class PointSpaceOverflow(ValueError):
@@ -602,7 +598,9 @@ def intersection_order(a, b, sub, orbit_guard=1_000_000, enum_bound=20_000):
     other group, and so has a direct chain of at most enum_bound elements;
     otherwise the cosets of T in the smaller group are walked (see "Coset
     walk" in the module docstring).  That needs only memberships from a and
-    b, so they may be lifted or split chains; sub may not.
+    b, so they may be lifted or split chains; sub may not.  A walk puts a
+    listed sub in a chain, so its generators must then be involutions, as
+    those of every generator segment are (ValueError otherwise).
     """
     if isinstance(sub, StabChain) and not sub.direct:
         raise ValueError("a lifted or split chain has no coset representatives")
@@ -613,6 +611,8 @@ def intersection_order(a, b, sub, orbit_guard=1_000_000, enum_bound=20_000):
     if sub is not None and sub.input_gens and not all(
             c.member_mask(np.stack(sub.input_gens)).all() for c in (a, b)):
         raise ValueError("sub is not a subgroup of both groups")
+    if isinstance(sub, Listed):  # its listed order is the order bound
+        sub = StabChain(sub.input_gens, sub.modulus, n=sub.n, order_bound=sub.order())
     sub_order = 1 if sub is None else sub.order()
     n = small.n
     frontier = _canonical_coset_reps(sub, small.identity[None].copy())
@@ -652,10 +652,8 @@ def _count_members(group, mats):
 
 def _canonical_coset_reps(group, gs):
     """Canonical representatives of the cosets g·T of a stack of matrices,
-    written over gs (see "Coset walk" and "Listed groups"); None stands for
-    a trivial T."""
-    if isinstance(group, Listed):
-        return _least_products(group, gs)
+    written over gs, for T given by its chain (see "Coset walk"); None
+    stands for a trivial T."""
     for lev in group.levels if group is not None else ():
         trans = lev.trans.view()
         vecs_t = np.ascontiguousarray(trans[:, :, lev.beta_col]).T
@@ -664,27 +662,6 @@ def _canonical_coset_reps(group, gs):
             block = gs[at:at + rows]
             pts = group.space.weights @ group._mul(block, vecs_t)
             gs[at:at + rows] = group._mul(block, trans[pts.argmin(axis=1)])
-    return gs
-
-
-def _least_products(group, gs):
-    """Each row g of gs replaced by the lexicographically least product g·t,
-    t in the listed group (see "Listed groups")."""
-    d, n, elems = group.modulus, group.n, group.elements()
-    digits = 1  # base-d digits whose words stay below _INT64_MAX
-    while d ** (digits + 1) < 2 ** 63:
-        digits += 1
-    place = d ** np.arange(digits - 1, -1, -1, dtype=np.int64)  # most significant first
-    rows = max(1, _CHUNK // (elems.shape[0] * n))
-    for at in range(0, gs.shape[0], rows):
-        prods = np.matmul(gs[at:at + rows, None].astype(np.int64), elems) % d
-        flat = prods.reshape(prods.shape[0], elems.shape[0], n * n)
-        least = np.ones(flat.shape[:2], dtype=bool)
-        for col in range(0, n * n, digits):
-            word = flat[:, :, col:col + digits] @ place[max(0, col + digits - n * n):]
-            word[~least] = _INT64_MAX  # above every word: d^digits - 1 < 2^63 - 1
-            least = word == word.min(axis=1, keepdims=True)
-        gs[at:at + rows] = prods[np.arange(prods.shape[0]), least.argmax(axis=1)]
     return gs
 
 

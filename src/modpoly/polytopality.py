@@ -232,7 +232,11 @@ class Verifier:
 
     def segment_order(self, lo, hi):
         ends = [lo, *(c for c in self.cuts if lo < c < hi), hi]
-        order = math.prod(self.chain(a, b).order() for a, b in zip(ends, ends[1:]) if a < b)
+        return self._guarded(math.prod(self.chain(a, b).order()
+                                       for a, b in zip(ends, ends[1:]) if a < b))
+
+    def _guarded(self, order):
+        """The order, once it is checked against the order guard."""
         if self.order_guard is not None and order > self.order_guard:
             raise OrderGuardExceeded("order %d exceeds guard %d" % (order, self.order_guard))
         return order
@@ -280,8 +284,8 @@ class Verifier:
         checks = list(checks)
         if not involutions:
             # no stabilizer chain without involutions; order by plain closure
-            size = int(enumerate_small(self.mats, self.modulus,
-                                       bound=_CLOSURE_BOUND).shape[0])
+            size = self._guarded(int(enumerate_small(self.mats, self.modulus,
+                                                     bound=_CLOSURE_BOUND).shape[0]))
             return VerificationReport(self.modulus, NOT_SGGI, size, None, checks)
         order = self.segment_order(0, self.rank)
         schlafli = self.schlafli()

@@ -341,6 +341,11 @@ def coset_chain(text, modulus, large):
         # <r0, r1 r0 r1>: a proper subgroup with a base orbit of many points
         r0, r1 = rep.mats[0], rep.mats[1]
         mats = [r0, r1 @ r0 @ r1 % modulus]
+    elif large[0] == "listed":
+        # the chain a coset walk puts a listed T in, bounded by its order
+        listed = Listed(rep.select(large[1]), modulus)
+        return rep.mats, StabChain(listed.input_gens, modulus, n=listed.n,
+                                   order_bound=listed.order())
     else:
         mats = rep.select(large)
     return rep.mats, StabChain(mats, modulus)
@@ -352,6 +357,13 @@ def coset_chain(text, modulus, large):
     ("1 - 1 - 1", 4, [0], np.int32),
     ("1 = 1", 4100, "conjugate", np.int64),
     ("1 - 2", 6007, [1], np.int64),
+    ("2 - 1 - 2", 6, ("listed", [1, 2]), np.int32),
+    ("1 - 1 - 1", 9, ("listed", [0, 1]), np.int32),
+    # the most entries: 8 by 8 mod 2, and 5 by 5 mod 9
+    ("1 - 1 - 1 - 1 - 1 - 1 - 1 - 1", 2, ("listed", [0, 1, 2, 4]), np.int32),
+    ("1 - 1 - 1 - 1 - 1", 9, ("listed", [1, 2, 3]), np.int32),
+    ("1 = 1", 4100, ("listed", [0]), np.int64),
+    ("1 - 2", 6007, ("listed", [1]), np.int64),
 ])
 def test_canonical_coset_reps_match_the_scalar_oracle(text, modulus, large, dtype,
                                                       chunk, monkeypatch):
@@ -684,12 +696,6 @@ def test_listed_group_bound():
             build(commuting, 50_000)
 
 
-def least_product(listed, g):
-    """The lexicographically least g·t over a listed group (oracle)."""
-    prods = [np.asarray(g, dtype=np.int64) @ t % listed.modulus for t in listed.elements()]
-    return min(prods, key=lambda m: tuple(m.ravel()))
-
-
 def plain_words(mats, modulus, count, rng, length=12):
     """count random products of `length` matrices from mats, int64 mod d."""
     out = np.empty((count,) + mats[0].shape, dtype=np.int64)
@@ -699,35 +705,6 @@ def plain_words(mats, modulus, count, rng, length=12):
             g = g @ mats[i] % modulus
         out[row] = g
     return out
-
-
-@pytest.mark.parametrize("chunk", [None, 5])
-@pytest.mark.parametrize("text,modulus,sub,dtype", [
-    ("2 - 1 - 2", 6, [1, 2], np.int32),
-    ("1 - 1 - 1", 9, [0, 1], np.int32),
-    # 64 entries: two words of 62 and 2 bits
-    ("1 - 1 - 1 - 1 - 1 - 1 - 1 - 1", 2, [0, 1, 2, 4], np.int32),
-    # 25 entries: two words of 19 and 6 base-9 digits
-    ("1 - 1 - 1 - 1 - 1", 9, [1, 2, 3], np.int32),
-    ("1 = 1", 4100, [0], np.int64),
-    ("1 - 2", 6007, [1], np.int64),
-])
-def test_least_products_match_the_scalar_oracle(text, modulus, sub, dtype, chunk,
-                                                monkeypatch):
-    rep = ModularRep(parse_diagram(text), modulus)
-    listed = Listed(rep.select(sub), modulus)
-    rng = np.random.default_rng(5)
-    gs = plain_words(rep.mats, modulus, 30, rng)
-    hs = plain_words(listed.input_gens, modulus, 30, rng)
-    if chunk:
-        monkeypatch.setattr(engine, "_CHUNK", chunk)
-    reps = _canonical_coset_reps(listed, gs.astype(dtype))
-    assert reps.dtype == dtype
-    for g, rep_g in zip(gs, reps):
-        assert np.array_equal(rep_g, least_product(listed, g))
-    # a coset invariant: g and g·h (h in T) have the same representative
-    moved = (gs @ hs % modulus).astype(dtype)
-    assert np.array_equal(_canonical_coset_reps(listed, moved), reps)
 
 
 def listed_or_chain(text, modulus, indices, order_only):
@@ -752,32 +729,50 @@ def test_intersection_order_with_listed_groups(text, modulus, left, right, monke
     expected = intersection_order(a, b, sub, enum_bound=1)
     assert expected == brute_intersection(text, modulus, left, right)
     shared = [i for i in left if i in right]
-    walks = []
-    least_products = engine._least_products
+    walks, bounds = [], []
+    canonical_coset_reps, init = engine._canonical_coset_reps, StabChain.__init__
 
     def counting(group, gs):
         walks.append(gs.shape[0])
-        return least_products(group, gs)
+        return canonical_coset_reps(group, gs)
 
-    monkeypatch.setattr(engine, "_least_products", counting)
+    def recording(self, *args, **kwargs):
+        bounds.append(kwargs.get("order_bound"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_canonical_coset_reps", counting)
     listed_a = listed_or_chain(text, modulus, left, order_only)
     listed_b = listed_or_chain(text, modulus, right, order_only)
     assert isinstance(listed_a, Listed) or isinstance(listed_b, Listed)
+    monkeypatch.setattr(StabChain, "__init__", recording)
     for chunk in (engine._CHUNK, 3):
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         if shared:
-            # a listed shared segment between two chain sides
+            # a listed shared segment between two chain sides: each walk
+            # names its cosets through one chain, bounded by the listed order
             listed_sub = Listed(ModularRep(parse_diagram(text), modulus).select(shared),
                                 modulus)
-            walks.clear()
-            assert intersection_order(a, b, listed_sub, enum_bound=1) == expected
-            assert intersection_order(b, a, listed_sub, enum_bound=1) == expected
-            assert walks
+            for x, y in ((a, b), (b, a)):
+                walks.clear()
+                bounds.clear()
+                assert intersection_order(x, y, listed_sub, enum_bound=1) == expected
+                assert walks and bounds == [listed_sub.order()]
         # listed sides, which are sifted whatever the bound
         for x, y in ((listed_a, b), (a, listed_b), (listed_a, listed_b)):
             for t in (sub, None):
                 assert intersection_order(x, y, t, enum_bound=1) == expected
                 assert intersection_order(y, x, t, enum_bound=1) == expected
+
+
+def test_a_walk_over_a_listed_sub_needs_involutions():
+    # a walk names cosets through a chain, whose generators are involutions;
+    # every segment's are, so no verifier check hands it such a sub
+    mats = ModularRep(parse_diagram("1 - 1 - 1"), 3).mats
+    a, b = StabChain(mats, 3), StabChain(mats[:2], 3)
+    rotations = Listed([mats[0] @ mats[1] % 3], 3)
+    assert intersection_order(a, b, rotations) == b.order()  # b is enumerated
+    with pytest.raises(ValueError, match="involutions"):
+        intersection_order(a, b, rotations, enum_bound=1)
 
 
 def test_enumeration_sifts_in_blocks(monkeypatch):

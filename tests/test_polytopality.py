@@ -260,6 +260,16 @@ def test_order_guard():
     assert Verifier(mats, 4, order_guard=32).segment_order(0, 3) == 32
 
 
+def test_order_guard_bounds_a_closure_of_non_involutions():
+    # generators that are not involutions get their order from a closure,
+    # under the same guard and message as segment_order
+    diagram, words = parse_diagram("1 - 2 - 1"), [(0, 1), (2,)]
+    with pytest.raises(OrderGuardExceeded, match="^order 16 exceeds guard 5$"):
+        verify_words(diagram, 4, words, order_guard=5)
+    report = verify_words(diagram, 4, words, order_guard=16)
+    assert (report.verdict, report.order) == ("NotSGGI", 16)
+
+
 ROOT = Path(__file__).resolve().parents[1]
 # disconnected diagrams: each "," is a commuting cut
 CUT_CASES = [("1 - 4 - 1 , 1", 6), ("1 , 1 - 4 - 1", 6), ("2 - 1 , 1 - 2", 4),

@@ -78,14 +78,16 @@ def test_intersection_hook_reads_listed_sides(monkeypatch):
 def test_only_the_verifier_builds_chains():
     # chains and listed groups are built in one place, so the segment cache
     # is the only source of orders and memberships and spans see every
-    # chain build; the one other chain construction is a split chain's
-    # kernel chain, built inside its parent's span
+    # chain build; the two other chain constructions are a split chain's
+    # kernel chain, built inside its parent's span, and the chain a coset
+    # walk puts a listed shared segment in, built inside the intersection's
+    # span
     def builds(name):
         counts = {path.name: path.read_text(encoding="utf-8").count(name + "(")
                   for path in SRC.glob("*.py")}
         return {path: k for path, k in counts.items() if k}
 
-    assert builds("StabChain") == {"polytopality.py": 1, "engine.py": 1}
+    assert builds("StabChain") == {"polytopality.py": 1, "engine.py": 2}
     assert builds("Listed") == {"polytopality.py": 1}
 
 
@@ -96,3 +98,29 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_private_module_name_is_read():
+    # a module-level _function, _Class or _CONSTANT that no other code in
+    # the package reads is dead; a definition's reads of itself do not count
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    defined, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = set()
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = {top.name}
+            elif isinstance(top, ast.Assign):
+                names = {t.id for t in top.targets if isinstance(t, ast.Name)}
+            defined.update((name, path.name) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+            read.update(set(reads(top)) - names)
+    assert {name: mod for name, mod in defined.items() if name not in read} == {}
