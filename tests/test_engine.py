@@ -359,9 +359,12 @@ def coset_chain(text, modulus, large):
     ("1 - 2", 6007, [1], np.int64),
     ("2 - 1 - 2", 6, ("listed", [1, 2]), np.int32),
     ("1 - 1 - 1", 9, ("listed", [0, 1]), np.int32),
-    # the most entries: 8 by 8 mod 2, and 5 by 5 mod 9
-    ("1 - 1 - 1 - 1 - 1 - 1 - 1 - 1", 2, ("listed", [0, 1, 2, 4]), np.int32),
-    ("1 - 1 - 1 - 1 - 1", 9, ("listed", [1, 2, 3]), np.int32),
+    # the most entries: 8 by 8 mod 2, and 5 by 5 mod 9; short ids keep the
+    # chunk in the first 100 characters of the test's name
+    pytest.param("1 - 1 - 1 - 1 - 1 - 1 - 1 - 1", 2, ("listed", [0, 1, 2, 4]),
+                 np.int32, id="8x8-mod2-listed"),
+    pytest.param("1 - 1 - 1 - 1 - 1", 9, ("listed", [1, 2, 3]), np.int32,
+                 id="5x5-mod9-listed"),
     ("1 = 1", 4100, ("listed", [0]), np.int64),
     ("1 - 2", 6007, ("listed", [1]), np.int64),
 ])
