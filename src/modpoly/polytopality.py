@@ -252,12 +252,16 @@ class Verifier:
     def _generator_checks(self):
         """(sggi, involutions, check records) for the generators."""
         ident = np.eye(self.dim, dtype=np.int64) % self.modulus
+        stack = np.array(self.mats).reshape(self.rank, self.dim, self.dim)
+        prods = stack[:, None] @ stack[None] % self.modulus  # prods[i, j] = r_i r_j
+        gens = np.arange(self.rank)
+        square_oks = (prods[gens, gens] == ident).all(axis=(1, 2)).tolist()
+        trivials = (stack == ident).all(axis=(1, 2)).tolist()
+        commutes = (prods == prods.swapaxes(0, 1)).all(axis=(2, 3)).tolist()
         checks = []
         sggi = True
         involutions = True
-        for i, m in enumerate(self.mats):
-            square_ok = bool(np.array_equal(m @ m % self.modulus, ident))
-            trivial = bool(np.array_equal(m, ident))
+        for i, (square_ok, trivial) in enumerate(zip(square_oks, trivials)):
             ok = square_ok and not trivial
             wit = None
             if not square_ok:
@@ -269,8 +273,7 @@ class Verifier:
             checks.append(CheckRecord("involution r%d" % i, ok, wit))
         for i in range(self.rank):
             for j in range(i + 2, self.rank):
-                a, b = self.mats[i], self.mats[j]
-                ok = bool(np.array_equal(a @ b % self.modulus, b @ a % self.modulus))
+                ok = commutes[i][j]
                 if not ok:
                     sggi = False
                 checks.append(CheckRecord("commute r%d r%d" % (i, j), ok,

@@ -1,15 +1,22 @@
+import collections
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import modpoly
+import modpoly.cache as cache
 import modpoly.cli as cli
+import modpoly.diagram as diagram
 import modpoly.engine as engine
+import modpoly.entry as entry
 import modpoly.polytopality as polytopality
+import modpoly.toroids as toroids
 from modpoly.cli import main
 from modpoly.registry import GoldenCase, get_case, registry
 
@@ -533,3 +540,130 @@ def test_cli_import_loads_only_numpy_and_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def run_python(args, importtime=False):
+    """`python args` on this checkout's sources, without MODPOLY_CACHE:
+    (exit code, stdout, stderr, modules named by -X importtime).
+    """
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("MODPOLY_CACHE", None)
+    flags = ["-X", "importtime"] if importtime else []
+    proc = subprocess.run([sys.executable, *flags, *args], capture_output=True, env=env)
+    err = proc.stderr.decode()
+    imported = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+                if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, err, imported
+
+
+def run_module(argv, importtime=False):
+    return run_python(["-m", "modpoly", *argv], importtime)
+
+
+def loads_solver(imported):
+    return "modpoly.engine" in imported or any(
+        name == "numpy" or name.startswith("numpy.") for name in imported)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["verify", "-d", "2 - 1 - 3 - 6", "-m", "6"], 1),
+    (["classify", "-d", "3 - 3 - 1 - 1", "-m", "4", "--format", "json"], 0),
+    (["subgroup", "-d", "1 - 2 - 1", "-m", "4", "--word", "0", "--word", "2"], 0),
+], ids=["verify", "classify", "subgroup"])
+def test_a_replay_loads_neither_numpy_nor_the_engine(argv, want, tmp_path):
+    argv = argv + ["--cache", str(tmp_path)]
+    code, cold, _, imported = run_module(argv, importtime=True)
+    assert code == want and cold and loads_solver(imported)
+    code, warm, _, imported = run_module(argv, importtime=True)
+    assert (code, warm) == (want, cold)
+    assert not loads_solver(imported), sorted(imported)
+
+
+def test_a_tampered_entry_is_recomputed_through_the_module_entry(tmp_path):
+    argv = ["verify", "-d", "1 - 2 - 4", "-m", "4", "--cache", str(tmp_path)]
+    code, cold, _, _ = run_module(argv)
+    [out_file] = tmp_path.glob("*.out")
+    stored = out_file.read_bytes()
+    out_file.write_bytes(b"TAMPERED")
+    again, rerun, _, imported = run_module(argv, importtime=True)
+    assert (again, rerun) == (code, cold) == (0, stored)
+    assert loads_solver(imported)
+    assert out_file.read_bytes() == stored
+
+
+def test_importing_the_package_loads_no_numpy():
+    code, _, err, imported = run_python(["-c", "import modpoly, modpoly.entry"], importtime=True)
+    assert code == 0 and "modpoly.entry" in imported, err
+    assert not loads_solver(imported), sorted(imported)
+
+
+def test_every_public_name_is_the_object_of_its_submodule():
+    from modpoly import classify, parse_diagram, verify_diagram  # the README's import
+
+    assert parse_diagram is diagram.parse_diagram
+    assert verify_diagram is polytopality.verify_diagram
+    assert classify is toroids.classify
+    assert len(set(modpoly.__all__)) == len(modpoly.__all__) == 41
+    for name in modpoly.__all__:
+        obj = getattr(modpoly, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from modpoly import *", namespace)
+    assert set(modpoly.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        modpoly.no_such_name
+
+
+@pytest.mark.parametrize("argv,code,err_tail", [
+    (["--version"], 0, ""),
+    (["--help"], 0, ""),
+    (["verify", "-d", "1 - 2 - 1", "-m", "4", "--bogus"], 2,
+     "modpoly: error: unrecognized arguments: --bogus\n"),
+    (["verify", "-d", "1 = 2", "-m", "4"], 2,
+     "error: double branch requires equal labels (1 = 2) (at position 2)\n"),
+    (["verify", "-d", "1 - 2 - 1", "--mod-range", "5..2"], 2,
+     "error: empty modulus range 5..2\n"),
+], ids=["version", "help", "unknown-option", "bad-diagram", "empty-range"])
+def test_the_module_entry_prints_each_message_once(argv, code, err_tail, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = main(argv)
+    captured = capsys.readouterr()
+    proc_code, proc_out, proc_err, _ = run_module(argv)
+    assert (proc_code, proc_out.decode(), proc_err) == (got, captured.out, captured.err)
+    assert got == code
+    assert captured.err.endswith(err_tail) and captured.err.count("error:") == (code == 2)
+    assert captured.out.count("usage:") == (argv == ["--help"])
+    if argv == ["--version"]:
+        assert captured.out == "modpoly 0.1.0\n"
+
+
+def test_a_missed_run_parses_reads_and_looks_up_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MODPOLY_CACHE", raising=False)
+    path = tmp_path / "diagrams.txt"
+    path.write_text("1 - 2 - 1\n2 - 1 - 2\n")
+    calls = collections.Counter()
+
+    def count(owner, name, key=None):
+        real = getattr(owner, name, open)  # entry reads files with the builtin open
+
+        def counting(*args, **kwargs):
+            if key is None or key(*args):
+                calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting, raising=False)
+
+    count(entry, "build_parser")
+    count(entry, "open", key=lambda file, *rest: file == str(path))
+    count(entry, "parse_file")
+    count(cache, "load")
+    count(cache, "store")
+    count(cli, "execute")
+    argv = ["verify", "-f", str(path), "-m", "4", "--cache", str(tmp_path / "cache")]
+    code, cold, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert calls == {"build_parser": 1, "open": 1, "parse_file": 1, "load": 1,
+                     "store": 1, "execute": 1}
+    calls.clear()
+    assert run_cli(argv, capsys) == (code, cold, "")
+    assert calls == {"build_parser": 1, "open": 1, "parse_file": 1, "load": 1}

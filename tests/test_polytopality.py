@@ -136,6 +136,44 @@ def test_report_dict_shape():
     assert all(c["pass"] for c in data["checks"])
 
 
+def pairwise_generator_checks(mats, modulus):
+    """The generator checks one matrix product at a time, as a reference."""
+    ident = np.eye(mats[0].shape[0], dtype=np.int64)
+    sggi, involutions, checks = True, True, []
+    for i, m in enumerate(mats):
+        square_ok = np.array_equal(m @ m % modulus, ident)
+        trivial = np.array_equal(m, ident)
+        involutions &= square_ok
+        sggi &= square_ok and not trivial
+        checks.append({"name": "involution r%d" % i, "pass": square_ok and not trivial})
+        if not checks[-1]["pass"]:
+            checks[-1]["witness"] = {
+                "generator": i, "reason": "identity" if trivial else "square is not the identity"}
+    for i in range(len(mats)):
+        for j in range(i + 2, len(mats)):
+            ok = np.array_equal(mats[i] @ mats[j] % modulus, mats[j] @ mats[i] % modulus)
+            sggi &= ok
+            checks.append({"name": "commute r%d r%d" % (i, j), "pass": ok})
+            if not ok:
+                checks[-1]["witness"] = {"pair": [i, j]}
+    return sggi, involutions, checks
+
+
+@pytest.mark.parametrize("text,modulus,words", [
+    ("1 - 2 - 2 - 4 - 4", 2, None),           # r_0 collapses to the identity
+    ("2 - 1 - 3 - 6", 6, None),
+    ("1 - 2 - 1 , 1 - 2", 4, None),
+    ("1 - 2 - 1", 4, [[0, 1], [2], [1]]),      # r_0 r_1 is no involution
+    ("1 - 1 - 1 - 1", 3, [[0], [1], [0, 1, 0], [3]]),  # s_0 and s_2 do not commute
+])
+def test_generator_checks_match_the_pairwise_reference(text, modulus, words):
+    rep = ModularRep(parse_diagram(text), modulus)
+    mats = rep.mats if words is None else word_matrices(rep, words)
+    sggi, involutions, checks = Verifier(mats, modulus)._generator_checks
+    assert (sggi, involutions, [c.to_dict() for c in checks]) == \
+        pairwise_generator_checks([np.asarray(m) % modulus for m in mats], modulus)
+
+
 def brute_verdict(mats, modulus, bound=400_000):
     """Definition-level oracle: intersection property over all subset pairs."""
     n = len(mats)

@@ -7,7 +7,10 @@ only the traced benchmark pass, so the names are checked here.
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "modpoly"
@@ -25,6 +28,20 @@ def test_every_traced_name_resolves(monkeypatch):
             assert hasattr(owner, part), (layer, modname, attr)
             owner = getattr(owner, part)
         assert callable(owner), (layer, modname, attr)
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # the tracer wraps the LAYERS functions it finds in sys.modules right
+    # after `import modpoly.cli`; a module loaded later would go untraced
+    script = ("import sys\n"
+              "sys.path.insert(0, %r)\n"
+              "from spans import LAYERS\n"
+              "import modpoly.cli\n"
+              "missing = sorted({mod for _, mod, _ in LAYERS} - set(sys.modules))\n"
+              "assert not missing, missing\n" % str(BENCH))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_intersection_hook_parameters(monkeypatch):
