@@ -185,9 +185,9 @@ def _tokenize(text):
             tokens.append(("branch", Branch(ch), i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("label", int(text[i:j]), i))
             i = j

@@ -38,11 +38,11 @@ representative lies in the larger group L (A ∩ B is a union of such
 cosets).  A coset gT is named by descending T's chain and, at each level,
 multiplying g by the transversal element u for which g·u sends the base
 point to the least encoded point of g·(orbit).  A listed T (below) is
-first put in a chain of its generators, stopped at |T| ("Order bound").
-The walk goes from T one BFS layer at a time under S's input generators:
-the products gen·rep of a layer, rep-major then generator, are
-canonicalized as one stack and deduplicated in that order, as one product
-at a time would visit them, and the new layer is sifted through L at once.
+first put in a chain of its generators.  The walk goes from T one BFS
+layer at a time under S's input generators: the products gen·rep of a
+layer, rep-major then generator, are canonicalized as one stack and
+deduplicated in that order, as one product at a time would visit them,
+and the new layer is sifted through L at once.
 Canonicalization works in blocks whose temporaries hold about _CHUNK*n
 entries: _CHUNK/n candidate matrices, or _CHUNK images.
 
@@ -85,21 +85,6 @@ split again when b is composite: 30 = 5 * (3 * 2)), kept closed like V
 under conjugation by the input involutions.  The order is the product of
 the orbit sizes times the kernel chain's; a member sifts mod a to an element
 whose residue mod b is a member of the kernel chain, or I without one.
-
-Order bound.  A caller that knows an upper bound on |G|, such as the order
-of a finite Coxeter group W of which G is a quotient, may pass it as
-order_bound.  While the chain is built, the product of its basic orbit
-sizes, times p^dim V when lifted or the kernel chain's order when split, is
-a lower bound on |G|: each orbit so far lies in the full basic orbit of its
-level, and V and the kernel chain's group lie in the kernel.  When the
-lower bound reaches order_bound the two bounds meet, so every basic orbit
-is full, the pointwise stabilizer of the base is trivial (lifted: V is the
-whole kernel; split: the kernel chain holds the whole kernel), and the
-transversals already sift every member of G to the identity and leave
-every non-member stuck.  `_build` then stops: the Schreier generators
-still stashed or unformed can only sift to the identity.  An upper bound
-that |G| does not reach changes nothing; a value below |G| could stop a
-chain that is not complete, so it must not be passed.
 """
 
 from itertools import repeat
@@ -231,7 +216,7 @@ class StabChain:
     representatives.
     """
 
-    def __init__(self, gens, modulus, n=None, order_only=False, order_bound=None):
+    def __init__(self, gens, modulus, n=None, order_only=False):
         gens = [np.asarray(g, dtype=np.int64) % modulus for g in gens]
         if gens:
             n = gens[0].shape[0]
@@ -239,7 +224,6 @@ class StabChain:
             raise ValueError("empty generator list needs an explicit dimension")
         self.modulus = modulus
         self.n = n
-        self.order_bound = order_bound  # an upper bound on |G| ("Order bound")
         self.space = PointSpace(modulus, n) if n else None
         # lifted: the kernel's prime p, and an F_p basis of its X's as (pivot, row)
         self.lift = square_prime(modulus) if order_only and n else None
@@ -350,8 +334,7 @@ class StabChain:
     # -- construction ----------------------------------------------------
 
     def _build(self, stash):
-        # once the order meets its bound the chain is complete ("Order bound")
-        while self.order() != self.order_bound:
+        while True:
             residues = self._sift_stash(stash)
             stash = []  # blocks (mats, invs)
             if residues is not None:
@@ -611,8 +594,8 @@ def intersection_order(a, b, sub, orbit_guard=1_000_000, enum_bound=20_000):
     if sub is not None and sub.input_gens and not all(
             c.member_mask(np.stack(sub.input_gens)).all() for c in (a, b)):
         raise ValueError("sub is not a subgroup of both groups")
-    if isinstance(sub, Listed):  # its listed order is the order bound
-        sub = StabChain(sub.input_gens, sub.modulus, n=sub.n, order_bound=sub.order())
+    if isinstance(sub, Listed):
+        sub = StabChain(sub.input_gens, sub.modulus, n=sub.n)
     sub_order = 1 if sub is None else sub.order()
     n = small.n
     frontier = _canonical_coset_reps(sub, small.identity[None].copy())

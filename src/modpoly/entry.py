@@ -115,7 +115,7 @@ def _load_diagrams(args):
 def _moduli(args):
     if getattr(args, "mod_range", None):
         lo, sep, hi = args.mod_range.partition("..")
-        if not sep or not lo.isdigit() or not hi.isdigit():
+        if not sep or not lo.isdecimal() or not hi.isdecimal():
             raise InputError("--mod-range wants A..B, got %r" % args.mod_range)
         lo, hi = int(lo), int(hi)
         if hi < lo:

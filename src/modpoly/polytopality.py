@@ -84,8 +84,6 @@ second builds the group of [c+1, r), a side of the check k = c+1, or of
 [c, r), the next layer's facet.  So the tests build no group that the
 checks would not, except that of [c, r) when it is spherical but not
 faithful and layer r fails.
-A spherical segment's chain takes |W| as its order bound (engine's "Order
-bound").
 """
 
 import math
@@ -189,14 +187,11 @@ class Verifier:
 
     @cached_property
     def periods(self):
-        """The period of each r_i r_{i+1}; 0 when it passes element_period's cap."""
-        out = []
-        for a, b in zip(self.mats, self.mats[1:]):
-            try:
-                out.append(element_period(a @ b % self.modulus, self.modulus))
-            except BoundExceeded:
-                out.append(0)
-        return tuple(out)
+        """The period of each r_i r_{i+1}, the Schlafli symbol; each divides
+        the order of the whole group, which caps element_period."""
+        cap = self.segment_order(0, self.rank)
+        return tuple(element_period(a @ b % self.modulus, self.modulus, cap=cap)
+                     for a, b in zip(self.mats, self.mats[1:]))
 
     def _coxeter_order(self, lo, hi):
         """|W| of the segment [lo, hi), None when infinite or not an sggi."""
@@ -212,7 +207,7 @@ class Verifier:
             except BoundExceeded:
                 pass
         # segments at a block end give orders and memberships only (module docstring)
-        return StabChain(mats, self.modulus, n=self.dim, order_bound=self._coxeter_order(lo, hi),
+        return StabChain(mats, self.modulus, n=self.dim,
                          order_only=lo in self._ends or hi in self._ends)
 
     def _faithful(self, lo, hi):
@@ -240,13 +235,6 @@ class Verifier:
         if self.order_guard is not None and order > self.order_guard:
             raise OrderGuardExceeded("order %d exceeds guard %d" % (order, self.order_guard))
         return order
-
-    def schlafli(self):
-        # a period past the cap divides the order of the whole group, whose
-        # blocks verify() has already listed or put in chains
-        return tuple(p or element_period(self.mats[i] @ self.mats[i + 1] % self.modulus,
-                                         self.modulus, cap=self.segment_order(0, self.rank))
-                     for i, p in enumerate(self.periods))
 
     @cached_property
     def _generator_checks(self):
@@ -291,7 +279,7 @@ class Verifier:
                                                      bound=_CLOSURE_BOUND).shape[0]))
             return VerificationReport(self.modulus, NOT_SGGI, size, None, checks)
         order = self.segment_order(0, self.rank)
-        schlafli = self.schlafli()
+        schlafli = self.periods
         if not sggi:
             return VerificationReport(self.modulus, NOT_SGGI, order, schlafli, checks)
         for r in range(2, self.rank + 1):

@@ -99,6 +99,17 @@ def test_input_errors_exit_2(capsys, argv):
     assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "-d", "1 - ²"],
+    ["verify", "-d", "1 - 2 - 1", "--mod-range", "²..5"],
+])
+def test_a_superscript_digit_exits_2_with_one_error_line(capsys, argv):
+    # "²" is a digit to str.isdigit, but int() does not read it
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_arguments_exit_2(capsys):
     assert main(["verify", "-d", "1 - 2 - 1"]) == 2
     assert main(["no-such-command"]) == 2

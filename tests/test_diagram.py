@@ -108,6 +108,14 @@ def test_bad_character_position():
     assert err.value.position == 4
 
 
+def test_labels_are_read_from_decimal_digits_only():
+    # "²" is a digit to str.isdigit, but int() does not read it
+    with pytest.raises(ParseError) as err:
+        parse_diagram("1 - ²")
+    assert err.value.position == 4
+    assert parse_diagram("١ - ٢") == parse_diagram("1 - 2")  # Arabic-Indic digits
+
+
 def test_zero_label_rejected():
     with pytest.raises(ParseError):
         parse_diagram("0 - 1")

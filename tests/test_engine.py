@@ -342,10 +342,9 @@ def coset_chain(text, modulus, large):
         r0, r1 = rep.mats[0], rep.mats[1]
         mats = [r0, r1 @ r0 @ r1 % modulus]
     elif large[0] == "listed":
-        # the chain a coset walk puts a listed T in, bounded by its order
+        # the chain a coset walk puts a listed T in
         listed = Listed(rep.select(large[1]), modulus)
-        return rep.mats, StabChain(listed.input_gens, modulus, n=listed.n,
-                                   order_bound=listed.order())
+        return rep.mats, StabChain(listed.input_gens, modulus, n=listed.n)
     else:
         mats = rep.select(large)
     return rep.mats, StabChain(mats, modulus)
@@ -732,7 +731,7 @@ def test_intersection_order_with_listed_groups(text, modulus, left, right, monke
     expected = intersection_order(a, b, sub, enum_bound=1)
     assert expected == brute_intersection(text, modulus, left, right)
     shared = [i for i in left if i in right]
-    walks, bounds = [], []
+    walks, chains = [], []
     canonical_coset_reps, init = engine._canonical_coset_reps, StabChain.__init__
 
     def counting(group, gs):
@@ -740,8 +739,8 @@ def test_intersection_order_with_listed_groups(text, modulus, left, right, monke
         return canonical_coset_reps(group, gs)
 
     def recording(self, *args, **kwargs):
-        bounds.append(kwargs.get("order_bound"))
         init(self, *args, **kwargs)
+        chains.append(self)
 
     monkeypatch.setattr(engine, "_canonical_coset_reps", counting)
     listed_a = listed_or_chain(text, modulus, left, order_only)
@@ -752,14 +751,14 @@ def test_intersection_order_with_listed_groups(text, modulus, left, right, monke
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         if shared:
             # a listed shared segment between two chain sides: each walk
-            # names its cosets through one chain, bounded by the listed order
+            # names its cosets through one chain, built in full
             listed_sub = Listed(ModularRep(parse_diagram(text), modulus).select(shared),
                                 modulus)
             for x, y in ((a, b), (b, a)):
                 walks.clear()
-                bounds.clear()
+                chains.clear()
                 assert intersection_order(x, y, listed_sub, enum_bound=1) == expected
-                assert walks and bounds == [listed_sub.order()]
+                assert walks and [c.order() for c in chains] == [listed_sub.order()]
         # listed sides, which are sifted whatever the bound
         for x, y in ((listed_a, b), (a, listed_b), (listed_a, listed_b)):
             for t in (sub, None):
@@ -796,9 +795,9 @@ def test_enumeration_sifts_in_blocks(monkeypatch):
     assert sum(sizes) == a.order() and max(sizes) == 20 // a.n
 
 
-# -- order bounds: the unbounded chain and closure are the oracles ----------
+# -- order-only chains on spherical strings: the direct chain is the oracle --
 
-BOUND_MODULI = (2, 3, 4, 5, 6, 8, 9)  # direct, lifted (4, 8, 9) and split (6) chains
+ORACLE_MODULI = (2, 3, 4, 5, 6, 8, 9)  # direct, lifted (4, 8, 9) and split (6) chains
 
 
 def spherical_strings(max_rank=5, labels=(1, 2, 3, 4)):
@@ -815,20 +814,12 @@ def spherical_strings(max_rank=5, labels=(1, 2, 3, 4)):
     return out
 
 
-def test_bounded_chains_match_unbounded_ones(monkeypatch):
+def test_order_only_chains_match_direct_ones():
     rng = np.random.default_rng(17)
-    sifts = {True: 0, False: 0}
-    sift_stash = StabChain._sift_stash
-
-    def counting(self, stash):
-        sifts[self.order_bound is not None] += 1
-        return sift_stash(self, stash)
-
-    monkeypatch.setattr(StabChain, "_sift_stash", counting)
     strings = spherical_strings()
     assert len(strings) == 23  # A_1..5, B_3..5 four ways, F_4 two ways, five rank-2 strings
     kinds, outside = set(), 0
-    for d, modulus in itertools.product(strings, BOUND_MODULI):
+    for d, modulus in itertools.product(strings, ORACLE_MODULI):
         w = coxeter_order(d.branch_periods())
         mats = ModularRep(d, modulus).mats
         members = plain_words(mats, modulus, 8, rng)
@@ -837,16 +828,13 @@ def test_bounded_chains_match_unbounded_ones(monkeypatch):
         shifts = [modulus // p for p in set(prime_factors(modulus)) if p < modulus]
         cands = np.concatenate([np.stack(mats), members, near_misses(members, modulus, rng)] + [
             (members + s * rng.integers(2, size=members.shape)) % modulus for s in shifts])
-        for order_only in (False, True):
-            free = StabChain(mats, modulus, order_only=order_only)
-            bounded = StabChain(mats, modulus, order_only=order_only, order_bound=w)
-            case = (d.render(), modulus, order_only)
-            kinds.add("lifted" if bounded.lift else "split" if bounded.split else "direct")
-            assert bounded.order() == free.order() <= w, case
-            assert bounded.check(), case
-            mask = free.member_mask(cands)
-            assert np.array_equal(bounded.member_mask(cands), mask), case
-            outside += int(np.count_nonzero(~mask))
+        direct = StabChain(mats, modulus)
+        small = StabChain(mats, modulus, order_only=True)
+        case = (d.render(), modulus)
+        kinds.add("lifted" if small.lift else "split" if small.split else "direct")
+        assert small.order() == direct.order() <= w, case
+        assert direct.check() and small.check(), case
+        mask = direct.member_mask(cands)
+        assert np.array_equal(small.member_mask(cands), mask), case
+        outside += int(np.count_nonzero(~mask))
     assert kinds == {"direct", "lifted", "split"} and outside > 1000
-    # the bound stops the construction of faithful chains early
-    assert sifts[True] < sifts[False]

@@ -13,6 +13,7 @@ from modpoly.diagram import parse_diagram
 from modpoly.engine import Listed, OrderGuardExceeded, element_period, enumerate_small
 from modpoly.matrep import ModularRep, predict_branch_periods, predict_collapse
 from modpoly.polytopality import Verifier, verify_diagram, verify_words, word_matrices
+from modpoly.toroids import classify
 
 PREDICTION_SAMPLES = [
     "1",
@@ -358,7 +359,7 @@ def test_order_across_cuts_is_the_product_of_the_components(text, modulus):
 
 def no_spherical_segments(monkeypatch):
     """Take every segment's Coxeter group for infinite: no faithful segment
-    settles a check and no chain has an order bound."""
+    settles a check."""
     monkeypatch.setattr(polytopality, "coxeter_order", lambda periods: None)
 
 
@@ -413,7 +414,7 @@ def test_a_failing_vertex_figure_check_keeps_the_report(monkeypatch):
 def test_faithful_segments_are_read_from_measured_periods():
     b3 = parse_diagram("1 - 1 - 2")
     v = Verifier(ModularRep(b3, 3).mats, 3)
-    assert v.periods == (3, 4) == v.schlafli()
+    assert v.periods == (3, 4)
     assert v._faithful(0, 3) and v._faithful(1, 3)
     # B_3 mod 2 keeps its periods but not its order; its A_2 part is faithful
     v = Verifier(ModularRep(b3, 2).mats, 2)
@@ -426,6 +427,18 @@ def test_faithful_segments_are_read_from_measured_periods():
     # a period of 2 inside a block leaves W disconnected, and not spherical
     v = Verifier(word_matrices(ModularRep(b3, 3), [[0], [2]]), 3)
     assert v.periods == (2,) and v.cuts == () and not v._faithful(0, 2)
+
+
+def test_an_order_alone_forms_no_period(monkeypatch):
+    # the spherical windows of classify, among others, ask only for orders
+    def no_period(*args, **kwargs):
+        raise AssertionError("element_period called")
+
+    monkeypatch.setattr(polytopality, "element_period", no_period)
+    a5 = parse_diagram("1 - 1 - 1 - 1 - 1")
+    v = Verifier(ModularRep(a5, 3).mats, 3)
+    assert v.segment_order(0, 5) == 720 and isinstance(v.chain(0, 5), polytopality.StabChain)
+    assert [(c.kind, c.measured_order) for c in classify(a5, 3)] == [("Spherical", 720)]
 
 
 BIG_CHAIN = "1 - 1 - 2 - 2 - 2 - 2 - 2 - 2"

@@ -141,3 +141,21 @@ def test_every_private_module_name_is_read():
                            if name.startswith("_") and not name.startswith("__"))
             read.update(set(reads(top)) - names)
     assert {name: mod for name, mod in defined.items() if name not in read} == {}
+
+
+def test_every_imported_name_is_read():
+    # an import that its module never reads is dead, except the package's
+    # and the CLI's intended re-exports
+    reexports = {("__init__.py", "GoldenCase"), ("__init__.py", "get_case"),
+                 ("__init__.py", "registry"), ("cli.py", "main")}
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread |= {(path.name, name) for name in imported - read}
+    assert unread == reexports
