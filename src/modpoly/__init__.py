@@ -7,14 +7,10 @@ string C-group structure, classify spherical and Euclidean windows, and
 compute toroid type vectors.
 
 The public names load their submodule on first use (PEP 562), so importing
-the package alone, as a replayed command-line run does, loads no numpy.
+the package alone, as a replayed command-line run does, loads no submodule.
 """
 
 import importlib
-
-# loaded at once: a later import of the submodule would rebind the package
-# attribute `registry` from the function to the module
-from .registry import GoldenCase, get_case, registry
 
 __version__ = "0.1.0"
 
@@ -29,7 +25,7 @@ _SUBMODULE = {name: module for module, names in (
     ("toroids", "QuotientResult SectionClass TranslationSubgroup TypeVector "
                 "check_translation_splitting classify classify_euclidean classify_spherical "
                 "predicted_type_vector quotient_criterion translation_generators type_vector"),
-    ("registry", "GoldenCase get_case registry"),
+    ("registry", "GoldenCase get_case"),
 ) for name in names.split()}
 
 __all__ = list(_SUBMODULE)

@@ -1,8 +1,8 @@
 """Byte-exact result cache for CLI runs.
 
-A cache entry stores the exact serialized output bytes for one
-fully-specified run, and beside them the process exit code and the sha256
-of those bytes; an entry whose bytes no longer match the digest is a miss.
+A cache entry is one file, named by its key.  Its first line holds the
+process exit code and the sha256 of the output bytes; the exact output
+bytes follow.  An entry whose bytes no longer match the digest is a miss.
 The key hashes every input that affects the output: command, canonical
 diagram text, modulus, guards, words, output format, and the package
 version (stale entries die on upgrade).
@@ -22,27 +22,28 @@ def cache_key(parts):
 
 def load(cache_dir, key):
     """Stored (bytes, exit_code) for key, or None on miss or damage."""
-    base = os.path.join(cache_dir, key)
     try:
-        with open(base + ".code", "r", encoding="ascii") as fh:
-            code, digest = fh.read().split()
-            code = int(code)
-        with open(base + ".out", "rb") as fh:
-            data = fh.read()
+        with open(os.path.join(cache_dir, key), "rb") as fh:
+            head, _, data = fh.read().partition(b"\n")
+        code, digest = head.split()
+        code = int(code)
     except (OSError, ValueError):
         return None
-    if hashlib.sha256(data).hexdigest() != digest:
+    if hashlib.sha256(data).hexdigest().encode("ascii") != digest:
         return None
     return data, code
 
 
 def store(cache_dir, key, data, code):
+    """Write the entry for key; an OSError leaves no file behind."""
     os.makedirs(cache_dir, exist_ok=True)
-    base = os.path.join(cache_dir, key)
     # temp-file + rename so a concurrent reader never sees a torn entry
-    meta = b"%d %s\n" % (code, hashlib.sha256(data).hexdigest().encode("ascii"))
-    for suffix, payload in ((".out", data), (".code", meta)):
-        fd, tmp = tempfile.mkstemp(dir=cache_dir)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir)
+    try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, base + suffix)
+            fh.write(b"%d %s\n" % (code, hashlib.sha256(data).hexdigest().encode("ascii")))
+            fh.write(data)
+        os.replace(tmp, os.path.join(cache_dir, key))
+    except OSError:
+        os.remove(tmp)
+        raise

@@ -17,7 +17,7 @@ from .engine import (BoundExceeded, OrbitGuardExceeded, OrderGuardExceeded,
 from .entry import EXIT_GUARD, EXIT_NEGATIVE, EXIT_OK, InputError, main  # noqa: F401
 from .matrep import ModularRep
 from .polytopality import Verifier, verify_diagram, verify_words
-from .registry import registry
+from .registry import CASES
 from .toroids import classify
 
 _GUARD_ERRORS = (BoundExceeded, OrbitGuardExceeded, OrderGuardExceeded,
@@ -130,7 +130,7 @@ def _run_case(case):
 
 def cmd_reproduce(run):
     args = run.args
-    cases = list(registry())
+    cases = CASES
     if args.case:
         known = {c.ident for c in cases}
         for ident in args.case:

@@ -667,6 +667,9 @@ def enumerate_small(mats, modulus, bound=1_000_000):
     """BFS closure of a matrix set mod d; raises BoundExceeded past bound.
 
     Returns the elements as one (size, n, n) array in discovery order.
+    Nothing in the package calls it: it is the independent BFS oracle that
+    the tests and the benchmark's order check compare `Listed` and the
+    chains with, one product at a time.
     """
     mats = [np.asarray(m, dtype=np.int64) % modulus for m in mats]
     if not mats:

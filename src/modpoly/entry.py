@@ -4,16 +4,16 @@ Exit codes: 0 success (verify/subgroup: the group is a string C-group;
 reproduce: no case failed), 1 negative verdict or failed case, 2 input or
 parse error, 3 a computation guard tripped.
 
-With a cache directory (--cache or the MODPOLY_CACHE environment variable,
-the latter winning when both are set), verify/classify/subgroup runs store
-their exact output bytes and exit code; a later identical run replays them
-byte-for-byte.  A replay needs neither numpy nor the solver: this module
-parses the arguments and the diagrams, looks the run up in the cache, and
-imports `modpoly.cli`, which computes, only when it has to.
+With a cache directory (--cache DIR), verify/classify/subgroup runs store
+their exact output bytes and exit code, one file per run; a later identical
+run replays them byte-for-byte.  A replay needs neither numpy nor the
+solver: this module parses the arguments and the diagrams, looks the run up
+in the cache, and imports `modpoly.cli`, which computes, only when it has
+to.  A cache that cannot be written costs a run one `cache:` line on
+stderr, not its result.
 """
 
 import argparse
-import os
 import sys
 
 from . import __version__, cache
@@ -86,7 +86,7 @@ def build_parser():
     p = sub.add_parser("reproduce", parents=[fmt_opts, cache_opts],
                        help="recompute the golden-case registry")
     p.add_argument("--long", action="store_true",
-                   help="run the degree-4096 cases too")
+                   help="run the long cases too (rank 6 mod 4 and mod 6)")
     p.add_argument("--case", action="append", metavar="ID",
                    help="run only this case id (repeatable)")
 
@@ -179,7 +179,7 @@ class Run:
             if args.command == "subgroup":
                 self.words = _parse_words(args.word)
             self.guards = _guards(args)
-            self.cache_dir = os.environ.get("MODPOLY_CACHE") or args.cache
+            self.cache_dir = args.cache
             if self.cache_dir:
                 words = None if self.words is None else [list(w) for w in self.words]
                 self.key = cache.cache_key([
@@ -194,9 +194,12 @@ class Run:
 
     def finish(self, data, code):
         """Store a computed run's bytes when it has a key, write them and
-        return its exit code."""
+        return its exit code; a failed store only costs the entry."""
         if self.key:
-            cache.store(self.cache_dir, self.key, data, code)
+            try:
+                cache.store(self.cache_dir, self.key, data, code)
+            except OSError as exc:
+                print("cache: %s" % exc, file=sys.stderr)
         return _write(data, code)
 
 

@@ -98,7 +98,6 @@ from .engine import (
     OrderGuardExceeded,
     StabChain,
     element_period,
-    enumerate_small,
     intersection_order,
 )
 from .diagram import coxeter_order
@@ -274,9 +273,9 @@ class Verifier:
         sggi, involutions, checks = self._generator_checks
         checks = list(checks)
         if not involutions:
-            # no stabilizer chain without involutions; order by plain closure
-            size = self._guarded(int(enumerate_small(self.mats, self.modulus,
-                                                     bound=_CLOSURE_BOUND).shape[0]))
+            # no stabilizer chain without involutions; order by listing
+            size = self._guarded(Listed(self.mats, self.modulus, n=self.dim,
+                                        bound=_CLOSURE_BOUND).order())
             return VerificationReport(self.modulus, NOT_SGGI, size, None, checks)
         order = self.segment_order(0, self.rank)
         schlafli = self.periods

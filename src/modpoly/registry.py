@@ -3,9 +3,9 @@
 Each case pins the expected outcome of one fully-specified run: a diagram,
 a modulus, optionally a derived-generator word list, and the values a
 correct implementation must measure.  Orders are stored as decimal strings
-(they are compared exactly, never approximately).  Cases flagged long need
-stabilizer chains on degree-4096 point spaces; the reproduce command skips
-them unless asked not to.
+(they are compared exactly, never approximately).  Cases flagged long are
+the rank-6 systems mod 4 and mod 6, of orders above 10^8; the reproduce
+command skips them unless asked not to.
 """
 
 from dataclasses import dataclass
@@ -135,11 +135,6 @@ CASES = (
               note="derived rank-6 system (d) fails the intersection "
                    "condition mod 6 too (order is a measured regression pin)"),
 )
-
-
-def registry():
-    """All golden cases, in registry order."""
-    return CASES
 
 
 def get_case(ident):

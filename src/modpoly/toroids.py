@@ -56,6 +56,7 @@ from .matrep import (
 from .polytopality import Verifier, verify_diagram
 
 _ORBIT_BOUND = 4000     # safety cap on conjugacy orbits of translations and sigma_k
+_BOX_BOUND = 1 << 22    # safety cap on the exponent box of a kernel lattice
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +539,10 @@ def _kernel_data(tsub, s):
 
     Returns (periods, pows, basis, pivots, index): pows[i][a] = t_i^a mod s.
     The kernel contains each periods[i] * e_i, so the coset box over the
-    periods covers every class; its identity hits span the kernel.  Nothing
-    is cached: a caller that needs the data twice keeps the tuple.
+    periods covers every class; its identity hits span the kernel.  Raises
+    BoundExceeded before the box is formed when it would hold more than
+    _BOX_BOUND exponent vectors.  Nothing is cached: a caller that needs the
+    data twice keeps the tuple.
     """
     m = tsub.m
     n = tsub.frame_diagram.rank
@@ -557,6 +560,10 @@ def _kernel_data(tsub, s):
             arr[a] = arr[a - 1] @ tm % s
         periods.append(p)
         pows.append(arr)
+    box = math.prod(periods)
+    if box > _BOX_BOUND:
+        raise BoundExceeded("exponent box %s exceeds bound %d"
+                            % (" x ".join(map(str, periods)), _BOX_BOUND))
     acc = pows[0]
     for i in range(1, m - 1):
         acc = np.einsum("aij,bjk->abik", acc, pows[i]).reshape(-1, n, n) % s
@@ -572,7 +579,6 @@ def _kernel_data(tsub, s):
             for hidx in hits:
                 a = np.unravel_index(int(hidx), prefix)
                 found.append(tuple(int(x) for x in a) + (b,))
-    box = math.prod(periods)
     rows = list(found)
     for i in range(m):
         rows.append(tuple(periods[i] if t == i else 0 for t in range(m)))

@@ -18,7 +18,7 @@ import modpoly.entry as entry
 import modpoly.polytopality as polytopality
 import modpoly.toroids as toroids
 from modpoly.cli import main
-from modpoly.registry import GoldenCase, get_case, registry
+from modpoly.registry import CASES, GoldenCase, get_case
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -184,8 +184,7 @@ def test_order_guard_trips_before_a_large_chain(capsys, monkeypatch):
 BIG_CHAIN = "1 - 1 - 2 - 2 - 2 - 2 - 2 - 2"
 
 
-def test_big_chain_verify_matches_the_benchmark_digest(capsys, monkeypatch):
-    monkeypatch.delenv("MODPOLY_CACHE", raising=False)
+def test_big_chain_verify_matches_the_benchmark_digest(capsys):
     expected = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
     code, out, _ = run_cli(["verify", "-d", BIG_CHAIN, "-m", "4", "--format", "json"], capsys)
     assert code == 0
@@ -206,9 +205,8 @@ SWEEP_STEPS = (("verify", "2..6", 1), ("classify", "2..8", 0))
 
 
 @pytest.mark.long
-def test_sweep_seed_7_matches_the_benchmark_digests(tmp_path, capsysbinary, monkeypatch):
+def test_sweep_seed_7_matches_the_benchmark_digests(tmp_path, capsysbinary):
     # the sweep workload's two steps, in-process
-    monkeypatch.delenv("MODPOLY_CACHE", raising=False)
     path = sweep_file(tmp_path, 7)
     expected = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
     for command, mod_range, want_code in SWEEP_STEPS:
@@ -229,8 +227,7 @@ SWEEP_DIGESTS = {
 
 @pytest.mark.long
 @pytest.mark.parametrize("seed", sorted(SWEEP_DIGESTS))
-def test_sweep_seeds_keep_their_digests(seed, tmp_path, capsysbinary, monkeypatch):
-    monkeypatch.delenv("MODPOLY_CACHE", raising=False)
+def test_sweep_seeds_keep_their_digests(seed, tmp_path, capsysbinary):
     path = sweep_file(tmp_path, seed)
     for command, mod_range, want_code in SWEEP_STEPS:
         code = main([command, "-f", path, "--mod-range", mod_range, "--format", "json"])
@@ -287,6 +284,24 @@ def test_oversized_classify_window_exits_3(capsys):
     assert err == "guard: sigma orbit exceeded bound 4000\n"
 
 
+def test_an_oversized_exponent_box_exits_3_before_it_is_formed():
+    # its 24^6 box of 7-by-7 matrices would take some GB
+    script = ("import resource, sys, time\n"
+              "from modpoly.entry import main\n"
+              "start = time.perf_counter()\n"
+              "code = main(sys.argv[1:])\n"
+              "print(time.perf_counter() - start,\n"
+              "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    code, out, err, _ = run_python(
+        ["-c", script, "classify", "-d", "1 - 2 - 2 - 2 - 2 - 2 - 1", "-m", "48"])
+    guard, stats = err.splitlines()
+    assert (code, out) == (3, b"")
+    assert guard == "guard: exponent box 24 x 24 x 24 x 24 x 24 x 24 exceeds bound 4194304"
+    seconds, peak_kb = stats.split()
+    assert float(seconds) < 1 and int(peak_kb) < 100 * 1024
+
+
 def test_classify_text(capsys):
     code, out, _ = run_cli(["classify", "-d", "4 - 2 - 2 - 1 - 1", "-m", "4"],
                            capsys)
@@ -327,6 +342,14 @@ def test_subgroup_non_involutory(capsys):
     assert payload["verdict"] == "NotSGGI"
     failing = [c for c in payload["checks"] if not c["pass"]]
     assert failing[0]["witness"]["reason"] == "square is not the identity"
+
+
+def test_an_over_bound_closure_of_non_involutions_exits_3(capsys, monkeypatch):
+    # r0 r1 has order 4 mod 4, so the words generate no sggi: a closure lists them
+    argv = ["subgroup", "-d", "1 - 2 - 1", "-m", "4", "--word", "0 1", "--word", "2"]
+    assert run_cli(argv, capsys)[0] == 1
+    monkeypatch.setattr(polytopality, "_CLOSURE_BOUND", 10)
+    assert run_cli(argv, capsys) == (3, "", "guard: closure exceeds bound 10\n")
 
 
 def test_subgroup_order_not_dividing_parent_raises(monkeypatch):
@@ -395,24 +418,37 @@ def test_file_parse_error_prints_one_line(tmp_path, capsys):
 
 
 def test_cache_roundtrip(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
+    cache_dir = tmp_path / "cache"
     argv = ["verify", "-d", "1 - 2 - 4", "-m", "4", "--format", "json",
-            "--cache", cache_dir]
+            "--cache", str(cache_dir)]
     code, cold, _ = run_cli(argv, capsys)
     assert code == 0
-    outs = list((tmp_path / "cache").glob("*.out"))
-    assert len(outs) == 1
+    [entry_file] = cache_dir.iterdir()
+    stored = entry_file.read_bytes()
     code, warm, _ = run_cli(argv, capsys)
     assert code == 0
     assert warm == cold
-    outs[0].write_bytes(b"TAMPERED")
+    # the digest line kept, the bytes behind it changed
+    entry_file.write_bytes(stored.partition(b"\n")[0] + b"\nTAMPERED")
     code, replay, _ = run_cli(argv, capsys)
     assert code == 0
     assert replay == cold
+    assert entry_file.read_bytes() == stored
     code, fresh, _ = run_cli(
         ["verify", "-d", "1 - 2 - 4", "-m", "2", "--format", "json",
-         "--cache", cache_dir], capsys)
+         "--cache", str(cache_dir)], capsys)
     assert json.loads(fresh)["modulus"] == 2
+    assert len(list(cache_dir.iterdir())) == 2
+
+
+def test_an_entry_is_one_file_of_code_digest_and_bytes(tmp_path, capsys):
+    argv = ["verify", "-d", "2 - 1 - 3 - 6", "-m", "6", "--cache", str(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    [entry_file] = tmp_path.iterdir()
+    head, _, data = entry_file.read_bytes().partition(b"\n")
+    assert data == out.encode()
+    assert head == b"%d %s" % (code, hashlib.sha256(data).hexdigest().encode())
+    assert code == 1
 
 
 def test_cache_truncated_entry_is_recomputed(tmp_path, capsys):
@@ -421,13 +457,15 @@ def test_cache_truncated_entry_is_recomputed(tmp_path, capsys):
             "--cache", str(cache_dir)]
     code, cold, _ = run_cli(argv, capsys)
     assert code == 0
-    [out_file] = cache_dir.glob("*.out")
-    stored = out_file.read_bytes()
-    out_file.write_bytes(stored[: len(stored) // 2])
-    code, rerun, _ = run_cli(argv, capsys)
-    assert code == 0
-    assert rerun == cold
-    assert out_file.read_bytes() == stored
+    [entry_file] = cache_dir.iterdir()
+    stored = entry_file.read_bytes()
+    # cut in the output bytes, then in the digest line
+    for size in (len(stored) // 2, 10):
+        entry_file.write_bytes(stored[:size])
+        code, rerun, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert rerun == cold
+        assert entry_file.read_bytes() == stored
 
 
 def test_cache_preserves_exit_code(tmp_path, capsys):
@@ -437,11 +475,54 @@ def test_cache_preserves_exit_code(tmp_path, capsys):
     assert run_cli(argv, capsys)[0] == 1
 
 
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    cache_dir = tmp_path / "envcache"
-    monkeypatch.setenv("MODPOLY_CACHE", str(cache_dir))
-    run_cli(["verify", "-d", "1 - 2 - 1", "-m", "4"], capsys)
-    assert len(list(cache_dir.glob("*.out"))) == 1
+def test_an_entry_in_the_two_file_layout_is_a_miss(tmp_path, capsys):
+    # an older layout stored <key>.out and <key>.code; such a pair is never read
+    argv = ["verify", "-d", "1 - 2 - 1", "-m", "4"]
+    code, cold, _ = run_cli(argv + ["--cache", str(tmp_path / "new")], capsys)
+    [entry_file] = (tmp_path / "new").iterdir()
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / (entry_file.name + ".out")).write_bytes(b"FAKE\n")
+    (old / (entry_file.name + ".code")).write_text(
+        "0 %s\n" % hashlib.sha256(b"FAKE\n").hexdigest())
+    assert run_cli(argv + ["--cache", str(old)], capsys) == (code, cold, "")
+    assert (old / entry_file.name).read_bytes() == entry_file.read_bytes()
+
+
+def test_the_cache_environment_variable_has_no_effect(tmp_path, capsys, monkeypatch):
+    argv = ["verify", "-d", "1 - 2 - 1", "-m", "4"]
+    code, cold, _ = run_cli(argv + ["--cache", str(tmp_path / "env")], capsys)
+    [entry_file] = (tmp_path / "env").iterdir()
+    cache.store(str(tmp_path / "env"), entry_file.name, b"FAKE\n", 0)
+    monkeypatch.setenv("MODPOLY_CACHE", str(tmp_path / "env"))
+    # it neither replays a run without --cache nor redirects one with it
+    assert run_cli(argv, capsys) == (code, cold, "")
+    assert run_cli(argv + ["--cache", str(tmp_path / "flag")], capsys) == (code, cold, "")
+    assert len(list((tmp_path / "flag").iterdir())) == 1
+    assert entry_file.read_bytes().endswith(b"\nFAKE\n")
+
+
+def test_a_cache_that_cannot_be_written_costs_only_the_entry(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["verify", "-d", "1 - 2 - 1", "-m", "4"]
+    code, out, _ = run_cli(argv, capsys)
+    got = run_cli(argv + ["--cache", str(blocker / "sub")], capsys)
+    assert got == (code, out, "cache: [Errno 20] Not a directory: %r\n" % str(blocker / "sub"))
+    # a negative verdict keeps its own exit code
+    assert run_cli(["verify", "-d", "2 - 1 - 3 - 6", "-m", "6", "--cache",
+                    str(blocker / "sub")], capsys)[0] == 1
+
+
+def test_a_failed_store_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def full(src, dst):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cache.os, "replace", full)
+    code, out, err = run_cli(["verify", "-d", "1 - 2 - 1", "-m", "4", "--cache",
+                              str(tmp_path)], capsys)
+    assert (code, err) == (0, "cache: [Errno 28] No space left on device\n")
+    assert "order: 32" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reproduce_case_filter(capsys):
@@ -462,7 +543,7 @@ def test_reproduce_skips_long_by_default(capsys):
 
 def test_large_registry_orders_are_flagged_long():
     # reproduce skips a case by its long flag alone
-    large = [c for c in registry() if c.expect_order is not None
+    large = [c for c in CASES if c.expect_order is not None
              and int(c.expect_order) > 10 ** 8]
     assert len(large) == 9
     assert all(c.long for c in large)
@@ -497,7 +578,7 @@ def test_reproduce_times_each_case_on_stderr_only(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "80da893e4e8f0057db5e400a4016e616849a2589105fdc7bbfdab2861623f76a"
     lines = [line.split("  ") for line in err.splitlines()]
-    assert [ident for ident, _ in lines] == [c.ident for c in registry()]
+    assert [ident for ident, _ in lines] == [c.ident for c in CASES]
     assert len(lines) == 30 and all(float(seconds) >= 0 for _, seconds in lines)
 
 
@@ -511,7 +592,7 @@ def test_reproduce_tampered_expected_fails(capsys, monkeypatch):
     case = get_case("square-1-2-1-mod4")
     tampered = GoldenCase(case.ident, case.diagram, case.modulus,
                          case.expect_verdict, "33")
-    monkeypatch.setattr(cli, "registry", lambda: (tampered,))
+    monkeypatch.setattr(cli, "CASES", (tampered,))
     code, out, _ = run_cli(["reproduce"], capsys)
     assert code == 1
     assert "FAIL" in out
@@ -554,12 +635,11 @@ def test_cli_import_loads_only_numpy_and_the_standard_library():
 
 
 def run_python(args, importtime=False):
-    """`python args` on this checkout's sources, without MODPOLY_CACHE:
+    """`python args` on this checkout's sources:
     (exit code, stdout, stderr, modules named by -X importtime).
     """
     env = dict(os.environ, COLUMNS="80",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    env.pop("MODPOLY_CACHE", None)
     flags = ["-X", "importtime"] if importtime else []
     proc = subprocess.run([sys.executable, *flags, *args], capture_output=True, env=env)
     err = proc.stderr.decode()
@@ -589,24 +669,30 @@ def test_a_replay_loads_neither_numpy_nor_the_engine(argv, want, tmp_path):
     code, warm, _, imported = run_module(argv, importtime=True)
     assert (code, warm) == (want, cold)
     assert not loads_solver(imported), sorted(imported)
+    assert "modpoly.registry" not in imported
 
 
 def test_a_tampered_entry_is_recomputed_through_the_module_entry(tmp_path):
     argv = ["verify", "-d", "1 - 2 - 4", "-m", "4", "--cache", str(tmp_path)]
     code, cold, _, _ = run_module(argv)
-    [out_file] = tmp_path.glob("*.out")
-    stored = out_file.read_bytes()
-    out_file.write_bytes(b"TAMPERED")
+    [entry_file] = tmp_path.iterdir()
+    stored = entry_file.read_bytes()
+    entry_file.write_bytes(b"TAMPERED")
     again, rerun, _, imported = run_module(argv, importtime=True)
-    assert (again, rerun) == (code, cold) == (0, stored)
+    assert (again, rerun) == (code, cold) == (0, stored.partition(b"\n")[2])
     assert loads_solver(imported)
-    assert out_file.read_bytes() == stored
+    assert entry_file.read_bytes() == stored
 
 
 def test_importing_the_package_loads_no_numpy():
     code, _, err, imported = run_python(["-c", "import modpoly, modpoly.entry"], importtime=True)
     assert code == 0 and "modpoly.entry" in imported, err
     assert not loads_solver(imported), sorted(imported)
+    assert "modpoly.registry" not in imported
+    # every public name loads lazily: the package alone imports no submodule
+    code, _, err, imported = run_python(["-c", "import modpoly"], importtime=True)
+    assert code == 0 and "modpoly" in imported, err
+    assert not [name for name in imported if name.startswith("modpoly.")]
 
 
 def test_every_public_name_is_the_object_of_its_submodule():
@@ -615,7 +701,7 @@ def test_every_public_name_is_the_object_of_its_submodule():
     assert parse_diagram is diagram.parse_diagram
     assert verify_diagram is polytopality.verify_diagram
     assert classify is toroids.classify
-    assert len(set(modpoly.__all__)) == len(modpoly.__all__) == 41
+    assert len(set(modpoly.__all__)) == len(modpoly.__all__) == 40
     for name in modpoly.__all__:
         obj = getattr(modpoly, name)
         assert getattr(sys.modules[obj.__module__], name) is obj, name
@@ -650,7 +736,6 @@ def test_the_module_entry_prints_each_message_once(argv, code, err_tail, capsys,
 
 
 def test_a_missed_run_parses_reads_and_looks_up_once(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("MODPOLY_CACHE", raising=False)
     path = tmp_path / "diagrams.txt"
     path.write_text("1 - 2 - 1\n2 - 1 - 2\n")
     calls = collections.Counter()

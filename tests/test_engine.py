@@ -635,9 +635,9 @@ def test_intersection_enumerates_a_small_direct_larger_side(text, modulus, left,
 @pytest.mark.long
 @pytest.mark.parametrize("ident", ["rank6-kb-mod6", "rank6-kd-mod6"])
 def test_split_order_of_the_rank6_mod6_groups(ident):
-    from modpoly.registry import registry
+    from modpoly.registry import CASES
 
-    case = next(c for c in registry() if c.ident == ident)
+    case = next(c for c in CASES if c.ident == ident)
     split, direct = lifted_and_direct(case.diagram, 6)
     assert split.order() == direct.order() == 111_795_240_960
     assert split.kernel_chain.order() == 4608

@@ -309,6 +309,21 @@ def test_order_guard_bounds_a_closure_of_non_involutions():
     assert (report.verdict, report.order) == ("NotSGGI", 16)
 
 
+@pytest.mark.parametrize("text,modulus,words", [
+    ("1 - 2 - 1", 4, [(0, 1), (2,)]),
+    ("2 - 1 - 3 - 6", 6, [(0, 1), (2, 3)]),
+    ("2 - 1 - 3 - 6", 3, [(0, 1, 2), (3,)]),
+    ("1 - 2 - 2 - 4 - 4", 3, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+])
+def test_the_order_of_non_involutions_is_their_bfs_closure(text, modulus, words):
+    # the verifier lists the group; the oracle closes it one product at a time
+    diagram = parse_diagram(text)
+    report = verify_words(diagram, modulus, words)
+    mats = word_matrices(ModularRep(diagram, modulus), words)
+    assert report.verdict == "NotSGGI" and report.schlafli is None
+    assert report.order == enumerate_small(mats, modulus).shape[0]
+
+
 ROOT = Path(__file__).resolve().parents[1]
 # disconnected diagrams: each "," is a commuting cut
 CUT_CASES = [("1 - 4 - 1 , 1", 6), ("1 , 1 - 4 - 1", 6), ("2 - 1 , 1 - 2", 4),

@@ -7,7 +7,7 @@ import pytest
 
 import modpoly.toroids as toroids
 from modpoly.diagram import Branch, ParseError, coxeter_order, parse_diagram
-from modpoly.engine import enumerate_small
+from modpoly.engine import BoundExceeded, enumerate_small
 from modpoly.matrep import embed_window_vector, radical_vector, reduce_mod, reflection_matrices
 from modpoly.polytopality import verify_diagram
 from modpoly.toroids import (
@@ -227,6 +227,19 @@ def test_translation_splitting_faithfulness():
     assert rep["faithful_action"]["kernel_index"] == 8
     assert rep["faithful_action"]["action_kernel_index"] == 4
     assert rep["intersection"]["trivial"]
+
+
+def test_the_exponent_box_is_bounded_before_it_is_formed(monkeypatch):
+    # T^4 of this window has periods (8, 8): a box of 64 exponent vectors,
+    # which check_translation_splitting also lays out as its grid
+    diagram, window = parse_diagram("4 - 2 - 1 - 1"), (0, 1, 2)
+    monkeypatch.setattr(toroids, "_BOX_BOUND", 63)
+    with pytest.raises(BoundExceeded, match="^exponent box 8 x 8 exceeds bound 63$"):
+        check_translation_splitting(diagram, window, 4)
+    with pytest.raises(BoundExceeded):
+        classify(diagram, 4)
+    monkeypatch.setattr(toroids, "_BOX_BOUND", 64)
+    assert check_translation_splitting(diagram, window, 4)["splitting"]["order_T"] == 32
 
 
 # Spherical fixtures: (text, window, {modulus range: (row id, order, collapsed)}).
