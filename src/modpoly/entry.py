@@ -7,10 +7,10 @@ parse error, 3 a computation guard tripped.
 With a cache directory (--cache DIR), verify/classify/subgroup runs store
 their exact output bytes and exit code, one file per run; a later identical
 run replays them byte-for-byte.  A replay needs neither numpy nor the
-solver: this module parses the arguments and the diagrams, looks the run up
-in the cache, and imports `modpoly.cli`, which computes, only when it has
-to.  A cache that cannot be written costs a run one `cache:` line on
-stderr, not its result.
+solver: this module parses the arguments and the diagrams, checks every
+input, looks the run up in the cache, and imports `modpoly.cli`, which
+computes, only when it has to.  A cache that cannot be written costs a run
+one `cache:` line on stderr, not its result.
 """
 
 import argparse
@@ -154,6 +154,30 @@ def _parse_words(raw_words):
     return tuple(words)
 
 
+def _check_word_indices(words, diagrams):
+    for diagram in diagrams:
+        for w in words:
+            for idx in w:
+                if not 0 <= idx < diagram.rank:
+                    raise InputError("word index %d out of range for rank %d"
+                                     % (idx, diagram.rank))
+
+
+def _check_parse(args):
+    if args.dump_rep and args.modulus is None:
+        raise InputError("--dump-rep needs -m")
+    if args.modulus is not None and args.modulus < 2:
+        raise InputError("modulus must be at least 2, got %d" % args.modulus)
+
+
+def _check_cases(idents):
+    from .registry import CASES  # plain data; no solver
+    known = {c.ident for c in CASES}
+    for ident in idents:
+        if ident not in known:
+            raise InputError("unknown case id %r" % ident)
+
+
 def _write(data, code):
     sys.stdout.buffer.write(data)
     sys.stdout.buffer.flush()
@@ -163,6 +187,7 @@ def _write(data, code):
 class Run:
     """The checked inputs of one command and its cache entry.
 
+    Every input check of every command runs here, before the solver loads.
     Every command that reads diagrams gets them here, each file read once.
     A cached command also gets its moduli, guards and generator words and,
     with a cache directory, the key of its entry, which hashes every input
@@ -174,11 +199,17 @@ class Run:
         self.diagrams = _load_diagrams(args) if hasattr(args, "diagram") else None
         self.moduli = self.words = self.cache_dir = self.key = None
         self.guards = {}
+        if args.command == "parse":
+            _check_parse(args)
+        elif args.command == "reproduce" and args.case:
+            _check_cases(args.case)
         if args.command in _CACHED:
             self.moduli = _moduli(args)
             if args.command == "subgroup":
                 self.words = _parse_words(args.word)
             self.guards = _guards(args)
+            if args.command == "subgroup":
+                _check_word_indices(self.words, self.diagrams)
             self.cache_dir = args.cache
             if self.cache_dir:
                 words = None if self.words is None else [list(w) for w in self.words]

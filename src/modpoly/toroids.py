@@ -24,7 +24,10 @@ for the highest root theta of the point group; the rest by reflection
 conjugacy), and the kernel lattice K = {a : t_1^a1 ... t_m^am = e mod s}
 is enumerated exactly and compared, in Hermite normal form, against the
 scaled reference lattices q . span(orbit of t_1 ... t_k) of the legal
-shapes.  For toroid background see McMullen & Schulte, "Abstract Regular
+shapes.  Lattices are compared in one coordinate system, that of the
+translation vectors w with t - e = c (x) w on the window columns: the
+orbit spans are formed there, and K is carried there by a -> sum a_i w_i.
+For toroid background see McMullen & Schulte, "Abstract Regular
 Polytopes", chapter 6.
 
 Embedded windows need care: a translation t of the window subgroup acts on
@@ -51,7 +54,6 @@ from .matrep import (
     predict_collapse,
     radical_vector,
     reflection_matrices,
-    rref,
 )
 from .polytopality import Verifier, verify_diagram
 
@@ -273,30 +275,15 @@ class TypeVector:
 class TranslationSubgroup:
     """Standard integer generators of a Euclidean window's translation subgroup."""
 
-    diagram: Diagram
-    window: tuple
     flipped: bool
     system: str
     m: int
     frame_diagram: Diagram
     frame_window: tuple
-    c_window: tuple
     c_ambient: np.ndarray
     mats: list
-    inverses: list
     w_rows: tuple
-    point_order: int
-    sigma_lattices: dict
-
-    def translation(self, exponents):
-        """Exact integer matrix of t_1^a1 ... t_m^am."""
-        n = self.frame_diagram.rank
-        out = np.eye(n, dtype=np.int64)
-        for t, tinv, a in zip(self.mats, self.inverses, exponents):
-            step = t if a >= 0 else tinv
-            for _ in range(abs(int(a))):
-                out = out @ step
-        return out
+    sigma_lattices: dict     # {k: (HNF basis, pivots, index) of L_k in w coordinates}
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +322,14 @@ def _translation_row(mat, c_ambient, window):
     return None
 
 
-def _unipotent_inverse(mat):
-    """Exact inverse of e + N with N^3 = 0."""
-    n = mat.shape[0]
-    nil = mat - np.eye(n, dtype=np.int64)
-    inv = np.eye(n, dtype=np.int64) - nil + nil @ nil
-    if not np.array_equal(mat @ inv, np.eye(n, dtype=np.int64)):
-        raise AssertionError("generator is not unipotent of the expected depth")
-    return inv
-
-
-def _conj_orbit(mat, gens, c_ambient, window):
+def _conj_orbit(mat, gens, c_ambient, window, name="translation"):
     """Orbit of a translation under conjugation by the point reflections.
 
     Returns {w row: matrix}; the char-0 window action is faithful, so the
-    translation vector determines the matrix.
+    translation vector determines the matrix.  name names the orbit in the
+    BoundExceeded of _orbit.
     """
-    seen = _orbit(mat, lambda x: [g @ x @ g for g in gens], "translation")
+    seen = _orbit(mat, lambda x: [g @ x @ g for g in gens], name)
     out = {}
     for x in seen:
         w = _translation_row(x, c_ambient, window)
@@ -409,6 +387,11 @@ def translation_generators(diagram, window):
     [3,3,4,3] and [3,6] the mates are chosen from the conjugacy orbit of t_1
     by the orbit-span index of the key translation t_1 t_2, and for
     [3,3,4,3] the last two generators complete the orbit to a basis.
+
+    sigma_lattices holds, for each legal k, the reference lattice L_k: the
+    span of the w rows of the conjugacy orbit of t_1 ... t_k, in Hermite
+    normal form over the m + 1 window columns, with its index in the full
+    translation lattice, which the w rows of t_1..t_m span with index 1.
     """
     win = _check_window(diagram, window)
     match = _match(diagram, win, _euclidean_system)
@@ -425,8 +408,7 @@ def translation_generators(diagram, window):
         raise AssertionError("radical vector does not start at 1: %r" % (c_win,))
     c_amb = embed_window_vector(c_win, frame_w, frame_d.rank)
 
-    point_nodes = tuple(frame_w[1:])
-    point_gens = [refl[i] for i in point_nodes]
+    point_gens = [refl[i] for i in frame_w[1:]]
     t1, w1 = _first_translation(frame_d, frame_w, c_amb)
     orbit = _conj_orbit(t1, point_gens, c_amb, frame_w)
     w_all = sorted(orbit)
@@ -481,54 +463,25 @@ def translation_generators(diagram, window):
     for a, b in itertools.combinations(mats, 2):
         if not np.array_equal(a @ b, b @ a):
             raise AssertionError("translation generators do not commute")
-    inverses = [_unipotent_inverse(t) for t in mats]
+    # N = t - e has N^3 = 0, so a generator's period mod s divides 2s (module docstring)
+    eye = np.eye(frame_d.rank, dtype=np.int64)
+    if any(np.linalg.matrix_power(t - eye, 3).any() for t in mats):
+        raise AssertionError("generator is not unipotent of the expected depth")
 
-    # conjugation action of each point reflection, in exponent coordinates:
-    # the w rows are independent, so row reducing [W^T | w(x)^T] leaves the
-    # coordinates of w(x) in the last column of the first m rows
-    conj = {}
-    for l in point_nodes:
-        cols = []
-        for t in mats:
-            x = refl[l] @ t @ refl[l]
-            wx = _translation_row(x, c_amb, frame_w)
-            if wx is None:
-                raise AssertionError("point conjugate left the translation subgroup")
-            red, _ = rref([[w[c] for w in w_rows] + [wx[c]] for c in range(m + 1)])
-            coeffs = []
-            for row in red[:m]:
-                if row[m].denominator != 1:
-                    raise AssertionError("conjugation coordinates are not integral")
-                coeffs.append(int(row[m]))
-            if tuple(sum(coeffs[i] * w_rows[i][t2] for i in range(m)) for t2 in range(m + 1)) != wx:
-                raise AssertionError("conjugation coordinates do not reproduce the vector")
-            cols.append(coeffs)
-        conj[l] = np.array(cols, dtype=np.int64).T
     sigma_lattices = {}
     for k, want in _sigma_indices(kind, m).items():
-        sigma = (1,) * k + (0,) * (m - k)
-        orb = _orbit(np.array(sigma, dtype=np.int64),
-                     lambda v: [a @ v for a in conj.values()], "sigma")
-        h, p = _row_hnf(sorted(tuple(int(x) for x in v) for v in orb), m)
-        idx = _lattice_index(h, p, m)
+        sig_orbit = _conj_orbit(functools.reduce(np.matmul, mats[:k]), point_gens, c_amb,
+                                frame_w, "sigma")
+        idx = _index_in(sig_orbit, full_hnf, full_piv)
         if idx != want:
             raise AssertionError("sigma lattice for k=%d has index %d, expected %d" % (k, idx, want))
+        h, p = _row_hnf(sig_orbit, m + 1)
         sigma_lattices[k] = (tuple(h), p, idx)
 
-    tsub = TranslationSubgroup(
-        diagram=diagram, window=win, flipped=flipped, system=system, m=m,
-        frame_diagram=frame_d, frame_window=frame_w, c_window=tuple(c_win),
-        c_ambient=c_amb, mats=mats, inverses=inverses, w_rows=w_rows,
-        point_order=coxeter_order(_periods(frame_d, point_nodes)),
-        sigma_lattices=sigma_lattices,
+    return TranslationSubgroup(
+        flipped=flipped, system=system, m=m, frame_diagram=frame_d, frame_window=frame_w,
+        c_ambient=c_amb, mats=mats, w_rows=w_rows, sigma_lattices=sigma_lattices,
     )
-    # the exponent-coordinate conjugation matrices must reproduce the matrices
-    for l, amat in conj.items():
-        for i, t in enumerate(mats):
-            x = refl[l] @ t @ refl[l]
-            if not np.array_equal(tsub.translation(amat[:, i]), x):
-                raise AssertionError("conjugation matrix disagrees with the matrix action")
-    return tsub
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +553,14 @@ def _chain_power(pows, exponents, s):
 def type_vector(tsub, modulus):
     """Measured type vector of T^s, or None when no legal shape matches.
 
-    The kernel lattice is compared in Hermite normal form against q times
-    each legal reference lattice, in ascending k; the scale q is forced by
-    the index equation q^m . [Z^m : L_k] = [Z^m : K], so a wrong shape can
-    never match.  The key-translation periods are returned alongside and
-    cross-checked against the matrix orders.
+    The kernel lattice K is carried into w coordinates, a -> sum a_i w_i,
+    and compared in Hermite normal form against q times each legal
+    reference lattice L_k, in ascending k; the scale q is forced by the
+    index equation q^m . [Z^m : L_k] = [Z^m : K], so a wrong shape can never
+    match.  The w rows span the full lattice with index 1, so the indices
+    read the same in both coordinates.  The key-translation periods, read in
+    exponent coordinates, are returned alongside and cross-checked against
+    the matrix orders.
     """
     s = _check_modulus(modulus)
     for t in tsub.mats:
@@ -624,14 +580,14 @@ def type_vector(tsub, modulus):
         key_periods.append((k, per))
     key_periods = tuple(key_periods)
 
-    for k, (lam_basis, lam_piv, lam_index) in tsub.sigma_lattices.items():
+    w_basis, _ = _row_hnf(np.array(basis) @ np.array(tsub.w_rows), m + 1)
+    for k, (lam_basis, _, lam_index) in tsub.sigma_lattices.items():
         if lam_index == 0 or index % lam_index:
             continue
         q = _iroot(index // lam_index, m)
         if q is None:
             continue
-        scaled = [tuple(q * x for x in row) for row in lam_basis]
-        if list(scaled) == list(basis):
+        if [tuple(q * x for x in row) for row in lam_basis] == w_basis:
             return TypeVector(
                 vector=(q,) * k + (0,) * (m - k), k=k, q=q, m=m, modulus=s,
                 order=index, periods=periods, key_periods=key_periods,
@@ -845,7 +801,7 @@ def classify(diagram, modulus):
 
 
 # ---------------------------------------------------------------------------
-# splitting, faithfulness, and the quotient criterion
+# the quotient criterion
 
 def _translation_meet(tsub, s, lo, hi, kernel):
     """Intersection of T^s with the group of segment [lo, hi) of tsub's frame.
@@ -869,72 +825,6 @@ def _translation_meet(tsub, s, lo, hi, kernel):
         "translations_checked": checked,
         "trivial": witness is None,
         "witness_exponents": witness,
-    }
-
-
-def check_translation_splitting(diagram, window, modulus):
-    """Check the translation splitting of a Euclidean window mod s.
-
-    Returns a report with: (a) |E^s| = |T^s| . |H^s| and whether the point
-    group survives with its full order; (b) whether the window subgroup is a
-    string C-group mod s; (c) whether T^s acts faithfully on the window
-    submodule, plus the measured intersection of T^s with the subgroup
-    generated by everything to the right of node j (in the printed frame;
-    for a flip-matched window this is the mirror-image statement).
-    """
-    win = _check_window(diagram, window)
-    s = int(modulus)
-    tsub = translation_generators(diagram, win)
-    frame_d, frame_w = tsub.frame_diagram, tsub.frame_window
-    n = frame_d.rank
-    rep = ModularRep(frame_d, s)
-
-    # the window's own verifier: E^s is its whole group, H^s drops node 0
-    window_v = Verifier(rep.select(frame_w), s)
-    order_e = window_v.segment_order(0, len(frame_w))
-    order_h = window_v.segment_order(1, len(frame_w))
-    kernel = _kernel_data(tsub, s)
-    periods, _, basis, _, order_t = kernel
-    splitting = {
-        "order_E": order_e,
-        "order_H": order_h,
-        "order_T": order_t,
-        "product_ok": order_e == order_t * order_h,
-        "H_faithful": order_h == tsub.point_order,
-    }
-
-    window_rep = window_v.verify()
-    scg = {"verdict": window_rep.verdict, "ok": window_rep.ok}
-
-    # kernel of the action on the window submodule: a . W = 0 mod s
-    m = tsub.m
-    grid = np.indices(periods).reshape(m, -1).T
-    wmat = np.array([list(r) for r in tsub.w_rows], dtype=np.int64)
-    mask = ((grid @ wmat) % s == 0).all(axis=1)
-    rows = [tuple(int(x) for x in v) for v in grid[mask]]
-    for i in range(m):
-        rows.append(tuple(periods[i] if t == i else 0 for t in range(m)))
-    kv_basis, kv_piv = _row_hnf(rows, m)
-    faithful = list(kv_basis) == list(basis)
-    faithfulness = {
-        "faithful": faithful,
-        "kernel_index": order_t,
-        "action_kernel_index": _lattice_index(kv_basis, kv_piv, m),
-    }
-
-    intersection = {
-        "with_nodes": list(range(frame_w[0] + 1, n)),
-        "frame_coordinates": tsub.flipped,
-        **_translation_meet(tsub, s, frame_w[0] + 1, n, kernel),
-    }
-    return {
-        "window": [win[0], win[-1]],
-        "modulus": s,
-        "flipped": tsub.flipped,
-        "splitting": splitting,
-        "string_c_group": scg,
-        "faithful_action": faithfulness,
-        "intersection": intersection,
     }
 
 

@@ -672,6 +672,25 @@ def test_a_replay_loads_neither_numpy_nor_the_engine(argv, want, tmp_path):
     assert "modpoly.registry" not in imported
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["subgroup", "-f", "DIAGRAMS", "-m", "4", "--word", "5"],
+     "error: word index 5 out of range for rank 2"),
+    (["parse", "-d", "1 - 2 - 1", "-m", "1"], "error: modulus must be at least 2, got 1"),
+    (["parse", "-d", "1 - 2 - 1", "--dump-rep"], "error: --dump-rep needs -m"),
+    (["reproduce", "--case", "no-such-case"], "error: unknown case id 'no-such-case'"),
+], ids=["subgroup-word-range", "parse-modulus", "parse-dump-rep", "reproduce-case"])
+def test_an_input_error_exits_2_before_the_solver_loads(argv, err, tmp_path):
+    # the word fits the first diagram but not the second, so the first must
+    # not be computed before the word is refused
+    path = tmp_path / "diagrams.txt"
+    path.write_text("1 - 1 - 1 - 1 - 2 - 2\n1 - 2\n")
+    argv = [str(path) if a == "DIAGRAMS" else a for a in argv]
+    code, out, stderr, imported = run_module(argv, importtime=True)
+    assert (code, out) == (2, b"")
+    assert [line for line in stderr.splitlines() if not line.startswith("import time:")] == [err]
+    assert not loads_solver(imported), sorted(imported)
+
+
 def test_a_tampered_entry_is_recomputed_through_the_module_entry(tmp_path):
     argv = ["verify", "-d", "1 - 2 - 4", "-m", "4", "--cache", str(tmp_path)]
     code, cold, _, _ = run_module(argv)
@@ -701,7 +720,7 @@ def test_every_public_name_is_the_object_of_its_submodule():
     assert parse_diagram is diagram.parse_diagram
     assert verify_diagram is polytopality.verify_diagram
     assert classify is toroids.classify
-    assert len(set(modpoly.__all__)) == len(modpoly.__all__) == 40
+    assert len(set(modpoly.__all__)) == len(modpoly.__all__) == 39
     for name in modpoly.__all__:
         obj = getattr(modpoly, name)
         assert getattr(sys.modules[obj.__module__], name) is obj, name

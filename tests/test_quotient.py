@@ -9,7 +9,6 @@ from modpoly.toroids import (
     _euclidean_system,
     _match,
     _spherical_system,
-    check_translation_splitting,
     quotient_criterion,
 )
 
@@ -240,10 +239,9 @@ def test_every_certificate_agrees_with_direct_verification():
 
 
 @pytest.mark.parametrize("call,most", [
-    (lambda: check_translation_splitting(parse_diagram("4 - 2 - 1 - 1"), (0, 1, 2), 4), 7),
     (lambda: quotient_criterion(parse_diagram("2 - 1 - 1"), 3, 6), 6),
     (lambda: quotient_criterion(parse_diagram("1 , 1 = 1"), 3, 6), 7),
-], ids=["splitting", "case-a", "dual-case-b"])
+], ids=["case-a", "dual-case-b"])
 def test_window_orders_reuse_the_verifier_chains(monkeypatch, call, most):
     # window and facet orders come from the chains the verdict already built
     builds = []

@@ -12,7 +12,7 @@ from modpoly.matrep import embed_window_vector, radical_vector, reduce_mod, refl
 from modpoly.polytopality import verify_diagram
 from modpoly.toroids import (
     _kernel_data,
-    check_translation_splitting,
+    _translation_meet,
     classify,
     classify_euclidean,
     classify_spherical,
@@ -74,12 +74,11 @@ def flipped(text, window):
 def test_generator_construction():
     for text, window in EUCLIDEAN_FIXTURES:
         tsub = translation_generators(parse_diagram(text), window)
-        n = tsub.frame_diagram.rank
-        eye = np.eye(n, dtype=np.int64)
+        eye = np.eye(tsub.frame_diagram.rank, dtype=np.int64)
         assert len(tsub.mats) == len(window) - 1
-        assert tsub.c_window[0] == 1
-        for t, tinv in zip(tsub.mats, tsub.inverses):
-            assert np.array_equal(t @ tinv, eye)
+        assert tsub.c_ambient[tsub.frame_window[0]] == 1
+        for t in tsub.mats:
+            assert not np.linalg.matrix_power(t - eye, 3).any()
         for a in tsub.mats:
             for b in tsub.mats:
                 assert np.array_equal(a @ b, b @ a)
@@ -207,39 +206,34 @@ def test_brute_transvection_oracle():
     ("1 = 1", (0, 1), 4, (4, 2, 2)),
 ])
 def test_splitting_product(text, window, s, orders):
-    rep = check_translation_splitting(parse_diagram(text), window, s)
-    got = (rep["splitting"]["order_E"], rep["splitting"]["order_T"],
-           rep["splitting"]["order_H"])
+    # E^s = T^s . H^s, where H^s is the point group: the window without its
+    # special node, which is its last node when the window matches flipped
+    diagram = parse_diagram(text)
+    tsub = translation_generators(diagram, window)
+    whole = verify_diagram(diagram, s, window=window)
+    point = window[:-1] if tsub.flipped else window[1:]
+    kernel = _kernel_data(tsub, s)
+    got = (whole.order, kernel[4], verify_diagram(diagram, s, window=point).order)
     assert got == orders
-    assert rep["splitting"]["product_ok"]
-    assert rep["intersection"]["trivial"]
-
-
-def test_translation_splitting_faithfulness():
-    d = parse_diagram("4 - 2 - 1 - 1")
-    rep = check_translation_splitting(d, (0, 1, 2), 3)
-    assert rep["faithful_action"]["faithful"]
-    assert rep["string_c_group"]["ok"]
-    # at s=2 the embedded window's translations act on the flanking column:
-    # half of T^2 is invisible on the window submodule
-    rep = check_translation_splitting(d, (0, 1, 2), 2)
-    assert not rep["faithful_action"]["faithful"]
-    assert rep["faithful_action"]["kernel_index"] == 8
-    assert rep["faithful_action"]["action_kernel_index"] == 4
-    assert rep["intersection"]["trivial"]
+    assert got[0] == got[1] * got[2]
+    # T^s meets the group of the nodes after the special node trivially
+    meet = _translation_meet(tsub, s, tsub.frame_window[0] + 1, tsub.frame_diagram.rank, kernel)
+    assert meet["trivial"]
+    if (text, s) == ("4 - 2 - 1 - 1", 3):
+        assert whole.ok
 
 
 def test_the_exponent_box_is_bounded_before_it_is_formed(monkeypatch):
-    # T^4 of this window has periods (8, 8): a box of 64 exponent vectors,
-    # which check_translation_splitting also lays out as its grid
+    # T^4 of this window has periods (8, 8): a box of 64 exponent vectors
     diagram, window = parse_diagram("4 - 2 - 1 - 1"), (0, 1, 2)
+    tsub = translation_generators(diagram, window)
     monkeypatch.setattr(toroids, "_BOX_BOUND", 63)
     with pytest.raises(BoundExceeded, match="^exponent box 8 x 8 exceeds bound 63$"):
-        check_translation_splitting(diagram, window, 4)
+        _kernel_data(tsub, 4)
     with pytest.raises(BoundExceeded):
         classify(diagram, 4)
     monkeypatch.setattr(toroids, "_BOX_BOUND", 64)
-    assert check_translation_splitting(diagram, window, 4)["splitting"]["order_T"] == 32
+    assert _kernel_data(tsub, 4)[4] == 32
 
 
 # Spherical fixtures: (text, window, {modulus range: (row id, order, collapsed)}).
@@ -342,6 +336,29 @@ def test_prediction_digest():
     assert len(spherical_rows) == 15
     assert digest.hexdigest() == (
         "9044ffbe04308a60c9b442cba728208260beeb9c08ef7d0717c075e9c179937d")
+
+
+def test_type_vector_digest():
+    # pins the measured type vector and |T^s| of every Euclidean window over
+    # the radius (the fixture windows among them), so any change to how the
+    # kernel lattice is measured or compared changes the digest
+    digest = hashlib.sha256()
+    windows = 0
+    for diagram in radius_diagrams():
+        for lo, hi in itertools.combinations_with_replacement(range(diagram.rank), 2):
+            window = tuple(range(lo, hi + 1))
+            if toroids._match(diagram, window, toroids._euclidean_system) is None:
+                continue
+            windows += 1
+            tsub = translation_generators(diagram, window)
+            for s in range(2, 13):
+                tv = type_vector(tsub, s)
+                digest.update(("%s %s %d %s %s\n" % (
+                    diagram, window, s, None if tv is None else tv.vector,
+                    None if tv is None else tv.order)).encode())
+    assert windows == 67
+    assert digest.hexdigest() == (
+        "cc9b9797d00022a8fc5c07799bebfbde42fb6e2ec0bde18121940ef51753d951")
 
 
 def test_euclidean_excluded_moduli_report_other():
@@ -552,5 +569,8 @@ def test_cubic_windows_with_point_group_b5_classify(text, row):
         assert sc.constraints_row_id.startswith(row)
         assert sc.measured_q == sc.predicted_q, s
     assert classify(diagram, 3)[0].measured_q == (3, 0, 0, 0, 0)
-    report = check_translation_splitting(diagram, tuple(range(6)), 3)
-    assert report["splitting"]["product_ok"] and report["splitting"]["H_faithful"]
+    # E^3 = T^3 . H^3, and the point group H^3 keeps its char-0 order
+    order_h = verify_diagram(diagram, 3, window=range(1, 6)).order
+    assert order_h == coxeter_order(toroids._periods(diagram, range(1, 6))) == 3840
+    tsub = translation_generators(diagram, tuple(range(6)))
+    assert verify_diagram(diagram, 3).order == _kernel_data(tsub, 3)[4] * order_h
