@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 _SUBMODULE = {name: module for module, names in (
     ("diagram", "Branch Diagram ParseError parse_diagram parse_file"),
-    ("matrep", "ModularRep gram_matrix is_transvection radical_vector reduce_mod "
-               "reflection_matrices"),
+    ("matrep", "ModularRep gram_matrix radical_vector reduce_mod reflection_matrices"),
     ("engine", "BoundExceeded Listed OrbitGuardExceeded OrderGuardExceeded PointSpace "
                "PointSpaceOverflow StabChain element_period enumerate_small "
                "intersection_order"),

@@ -4,8 +4,8 @@ A cache entry is one file, named by its key.  Its first line holds the
 process exit code and the sha256 of the output bytes; the exact output
 bytes follow.  An entry whose bytes no longer match the digest is a miss.
 The key hashes every input that affects the output: command, canonical
-diagram text, modulus, guards, words, output format, and the package
-version (stale entries die on upgrade).
+diagram text, first and last modulus, guards, words, output format, and the
+package version (stale entries die on upgrade).
 """
 
 import hashlib

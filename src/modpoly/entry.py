@@ -113,6 +113,8 @@ def _load_diagrams(args):
 
 
 def _moduli(args):
+    """The moduli to run, as a range; it is never listed, so a huge range
+    costs nothing until the solver reaches its moduli."""
     if getattr(args, "mod_range", None):
         lo, sep, hi = args.mod_range.partition("..")
         if not sep or not lo.isdecimal() or not hi.isdecimal():
@@ -120,13 +122,11 @@ def _moduli(args):
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise InputError("empty modulus range %d..%d" % (lo, hi))
-        moduli = list(range(lo, hi + 1))
     else:
-        moduli = [args.modulus]
-    for m in moduli:
-        if m < 2:
-            raise InputError("modulus must be at least 2, got %d" % m)
-    return moduli
+        lo = hi = args.modulus
+    if lo < 2:  # the smallest modulus is the first bad one
+        raise InputError("modulus must be at least 2, got %d" % lo)
+    return range(lo, hi + 1)
 
 
 def _guards(args):
@@ -214,7 +214,8 @@ class Run:
             if self.cache_dir:
                 words = None if self.words is None else [list(w) for w in self.words]
                 self.key = cache.cache_key([
-                    args.command, [d.render() for d in self.diagrams], self.moduli,
+                    args.command, [d.render() for d in self.diagrams],
+                    [self.moduli[0], self.moduli[-1]],
                     sorted(self.guards.items()), words, args.format, __version__])
 
     def replay(self):

@@ -7,10 +7,13 @@ The representation acts on the based module Z^n by
 where m is the Cartan matrix of the diagram (m_ii = -2, so r_i(b_i) = -b_i).
 All matrices are integer numpy arrays acting on column vectors; reduction
 mod d takes entries into [0, d).
+
+The package's one exact elimination over Z or Q is the integer Hermite
+normal form `_row_hnf`: `radical_vector` reads the radical of a window's
+Gram form from it, and `modpoly.toroids` compares its lattices in it.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
 
 import numpy as np
 
@@ -64,21 +67,41 @@ def gram_matrix(diagram):
     return g
 
 
-def rref(rows):
-    """Exact reduced row echelon form: (nonzero rows as Fraction lists, pivot columns)."""
-    pool = [[Fraction(x) for x in r] for r in rows]
-    out, pivots = [], []
-    for col in range(len(pool[0]) if pool else 0):
-        hit = next((r for r in pool if r[col]), None)
-        if hit is not None:
-            pool.remove(hit)
-            hit = [x / hit[col] for x in hit]
-            for r in pool + out:
-                f = r[col]
-                r[:] = [a - f * b for a, b in zip(r, hit)]
-            out.append(hit)
-            pivots.append(col)
-    return out, tuple(pivots)
+def _row_hnf(rows, width):
+    """Hermite normal form of the integer row span.
+
+    Returns (basis, pivots): basis rows have positive pivot entries, zeros at
+    every earlier pivot column, and entries above each pivot reduced into
+    [0, pivot).  Rows appear in ascending pivot order.
+    """
+    pool = [list(map(int, r)) for r in rows]
+    pool = [r for r in pool if any(r)]
+    basis, pivots = [], []
+    for col in range(width):
+        live = [r for r in pool if r[col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            p = live[0]
+            for r in live[1:]:
+                q = r[col] // p[col]
+                for t in range(width):
+                    r[t] -= q * p[t]
+            live = [r for r in live if r[col]]
+        p = live[0]
+        if p[col] < 0:
+            p[:] = [-x for x in p]
+        basis.append(p)
+        pivots.append(col)
+        pool = [r for r in pool if r is not p and any(r)]
+    for bi in range(len(basis)):
+        for ai in range(bi):
+            q = basis[ai][pivots[bi]] // basis[bi][pivots[bi]]
+            if q:
+                for t in range(width):
+                    basis[ai][t] -= q * basis[bi][t]
+    return [tuple(r) for r in basis], tuple(pivots)
 
 
 def radical_vector(diagram, window=None):
@@ -87,24 +110,24 @@ def radical_vector(diagram, window=None):
     Raises ValueError unless the radical is one-dimensional.  The result is
     sign-fixed so its first nonzero entry is positive and is returned in
     window coordinates.
+
+    The rows (2B_i | e_i) of the k-node window, B its Gram form (2B is an
+    integer matrix), span {(2xB | x)}; in their Hermite normal form the rows
+    whose pivot lies past column k are (0 | c) with c a basis of the integer
+    kernel of B.  That kernel is saturated, so a single such row is
+    primitive, and its pivot, its first nonzero entry, is positive.
     """
     if window is None:
         window = range(diagram.rank)
     sub = diagram.subdiagram(window)
-    red, pivots = rref(gram_matrix(sub))
-    free = [c for c in range(sub.rank) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError("radical is %d-dimensional, expected 1" % len(free))
-    v = [Fraction(0)] * sub.rank
-    v[free[0]] = Fraction(1)
-    for row, p in zip(red, pivots):
-        v[p] = -row[free[0]]
-    scale = lcm(*(x.denominator for x in v))
-    ints = [int(x * scale) for x in v]
-    content = gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        content = -content
-    return tuple(x // content for x in ints)
+    k = sub.rank
+    rows = [[int(2 * x) for x in row] + [int(i == r) for i in range(k)]
+            for r, row in enumerate(gram_matrix(sub))]
+    basis, pivots = _row_hnf(rows, 2 * k)
+    kernel = [row[k:] for row, p in zip(basis, pivots) if p >= k]
+    if len(kernel) != 1:
+        raise ValueError("radical is %d-dimensional, expected 1" % len(kernel))
+    return kernel[0]
 
 
 def embed_window_vector(vec, window, rank):
@@ -113,31 +136,6 @@ def embed_window_vector(vec, window, rank):
     for val, idx in zip(vec, window):
         out[idx] = val
     return out
-
-
-def is_transvection(mat, c_ambient, window, modulus):
-    """True iff (mat - I) maps every window basis vector into Z_d . c.
-
-    c_ambient must have some entry coprime to the modulus (all radical
-    vectors used here do); that entry pins down the scalar per column.
-    """
-    n = mat.shape[0]
-    diff = (np.asarray(mat, dtype=np.int64) - np.eye(n, dtype=np.int64)) % modulus
-    c = np.asarray(c_ambient, dtype=np.int64) % modulus
-    pivot = None
-    for p in range(n):
-        if gcd(int(c[p]) % modulus, modulus) == 1:
-            pivot = p
-            break
-    if pivot is None:
-        raise ValueError("radical vector has no entry invertible mod %d" % modulus)
-    inv = pow(int(c[pivot]), -1, modulus)
-    for j in window:
-        col = diff[:, j]
-        lam = (int(col[pivot]) * inv) % modulus
-        if np.any((col - lam * c) % modulus != 0):
-            return False
-    return True
 
 
 def predict_collapse(diagram, modulus):

@@ -38,11 +38,8 @@ def verify_text(payload):
         "verdict: %s" % payload["verdict"],
         "order: %s" % payload["order"],
         "schlafli: %s" % _schlafli_text(payload["schlafli"]),
+        "checks:",
     ]
-    if payload.get("words") is not None:
-        out.append("words: %s" % " | ".join(
-            " ".join(str(i) for i in w) for w in payload["words"]))
-    out.append("checks:")
     _checks_lines(payload["checks"], out)
     return "\n".join(out) + "\n"
 

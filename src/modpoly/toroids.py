@@ -45,11 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import Diagram, INFINITY, coxeter_order
-from .engine import BoundExceeded, element_period
+from .engine import BoundExceeded, element_period, prime_factors
 from .matrep import (
     ModularRep,
+    _row_hnf,
     embed_window_vector,
-    is_transvection,
     predict_branch_periods,
     predict_collapse,
     radical_vector,
@@ -63,43 +63,6 @@ _BOX_BOUND = 1 << 22    # safety cap on the exponent box of a kernel lattice
 
 # ---------------------------------------------------------------------------
 # integer lattice utilities (row lattices, Hermite normal form)
-
-def _row_hnf(rows, width):
-    """Hermite normal form of the integer row span.
-
-    Returns (basis, pivots): basis rows have positive pivot entries, zeros at
-    every earlier pivot column, and entries above each pivot reduced into
-    [0, pivot).  Rows appear in ascending pivot order.
-    """
-    pool = [list(map(int, r)) for r in rows]
-    pool = [r for r in pool if any(r)]
-    basis, pivots = [], []
-    for col in range(width):
-        live = [r for r in pool if r[col]]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            p = live[0]
-            for r in live[1:]:
-                q = r[col] // p[col]
-                for t in range(width):
-                    r[t] -= q * p[t]
-            live = [r for r in live if r[col]]
-        p = live[0]
-        if p[col] < 0:
-            p[:] = [-x for x in p]
-        basis.append(p)
-        pivots.append(col)
-        pool = [r for r in pool if r is not p and any(r)]
-    for bi in range(len(basis)):
-        for ai in range(bi):
-            q = basis[ai][pivots[bi]] // basis[bi][pivots[bi]]
-            if q:
-                for t in range(width):
-                    basis[ai][t] -= q * basis[bi][t]
-    return [tuple(r) for r in basis], tuple(pivots)
-
 
 def _lattice_index(basis, pivots, width):
     """Index of the row lattice in Z^width; 0 means infinite (not full rank)."""
@@ -424,20 +387,19 @@ def translation_generators(diagram, window):
             raise AssertionError("translation orbit does not span rank %d" % m)
         target = 3 if kind == "hex" else 4
         neg_w1 = tuple(-x for x in w1)
-        pick = None
+        w2 = None
         for wv in w_all:
             if wv in (w1, neg_w1):
                 continue
             sig = t1 @ orbit[wv]
             sig_orbit = _conj_orbit(sig, point_gens, c_amb, frame_w)
             if _index_in(sorted(sig_orbit), full_hnf, full_piv) == target:
-                pick = orbit[wv]
+                w2 = wv
                 break
-        if pick is None:
+        if w2 is None:
             raise AssertionError("no orbit mate with key-translation index %d" % target)
-        mats.append(pick)
+        mats.append(orbit[w2])
         if kind == "f443":
-            w2 = _translation_row(pick, c_amb, frame_w)
             done = None
             for wa, wb in itertools.combinations(w_all, 2):
                 if _index_in([w1, w2, wa, wb], full_hnf, full_piv) == 1:
@@ -447,16 +409,10 @@ def translation_generators(diagram, window):
                 raise AssertionError("no orbit pair completes a translation basis")
             mats.extend(done)
 
-    w_rows = []
-    for t in mats:
-        w = _translation_row(t, c_amb, frame_w)
-        if w is None:
-            raise AssertionError("constructed generator failed the translation test")
-        w_rows.append(w)
-    w_rows = tuple(w_rows)
-    w_hnf, w_piv = _row_hnf(w_rows, m + 1)
-    if len(w_hnf) != m:
-        raise AssertionError("translation vectors are not independent")
+    # each generator lies in the orbit (cubic ones as point-reflection
+    # conjugates); an index of 1 also shows the w rows are independent
+    w_of = {x.tobytes(): w for w, x in orbit.items()}
+    w_rows = tuple(w_of[t.tobytes()] for t in mats)
     if _index_in(w_rows, full_hnf, full_piv) != 1:
         raise AssertionError("generators do not span the full translation lattice")
 
@@ -487,36 +443,51 @@ def translation_generators(diagram, window):
 # ---------------------------------------------------------------------------
 # kernel lattice and type vectors
 
+def _translation_period(t, s):
+    """Period of a translation generator t mod s, in closed form.
+
+    N = t - e has N^3 = 0, so t^k = e + kN + C(k,2) N^2 and t^(2s) = e mod s;
+    the period is 2s with each prime divided out while the power stays e.
+    """
+    n1 = (t - np.eye(len(t), dtype=np.int64)).astype(object)
+    n2 = n1 @ n1
+    p = 2 * s
+    for q in set(prime_factors(2 * s)):
+        while p % q == 0:
+            k = p // q
+            if ((k * n1 + k * (k - 1) // 2 * n2) % s).any():
+                break
+            p = k
+    return p
+
+
 def _kernel_data(tsub, s):
     """Kernel lattice of (a -> t_1^a1 ... t_m^am mod s), with generator powers.
 
     Returns (periods, pows, basis, pivots, index): pows[i][a] = t_i^a mod s.
     The kernel contains each periods[i] * e_i, so the coset box over the
-    periods covers every class; its identity hits span the kernel.  Raises
-    BoundExceeded before the box is formed when it would hold more than
-    _BOX_BOUND exponent vectors.  Nothing is cached: a caller that needs the
-    data twice keeps the tuple.
+    periods covers every class; its identity hits span the kernel.  The
+    periods are read in closed form (`_translation_period`), and BoundExceeded
+    is raised before any power table is built when the box would hold more
+    than _BOX_BOUND exponent vectors.  Nothing is cached: a caller that needs
+    the data twice keeps the tuple.
     """
     m = tsub.m
     n = tsub.frame_diagram.rank
     eye = np.eye(n, dtype=np.int64)
-    periods = []
-    pows = []
-    for t in tsub.mats:
-        tm = t % s
-        p = element_period(tm, s, cap=2 * s + 1)
-        if (2 * s) % p:
-            raise AssertionError("generator period %d does not divide 2s" % p)
-        arr = np.empty((p, n, n), dtype=np.int64)
-        arr[0] = eye
-        for a in range(1, p):
-            arr[a] = arr[a - 1] @ tm % s
-        periods.append(p)
-        pows.append(arr)
+    periods = [_translation_period(t, s) for t in tsub.mats]
     box = math.prod(periods)
     if box > _BOX_BOUND:
         raise BoundExceeded("exponent box %s exceeds bound %d"
                             % (" x ".join(map(str, periods)), _BOX_BOUND))
+    pows = []
+    for t, p in zip(tsub.mats, periods):
+        tm = t % s
+        arr = np.empty((p, n, n), dtype=np.int64)
+        arr[0] = eye
+        for a in range(1, p):
+            arr[a] = arr[a - 1] @ tm % s
+        pows.append(arr)
     acc = pows[0]
     for i in range(1, m - 1):
         acc = np.einsum("aij,bjk->abik", acc, pows[i]).reshape(-1, n, n) % s
@@ -563,9 +534,6 @@ def type_vector(tsub, modulus):
     the matrix orders.
     """
     s = _check_modulus(modulus)
-    for t in tsub.mats:
-        if not is_transvection(t % s, tsub.c_ambient, tsub.frame_window, s):
-            raise AssertionError("generator fails the transvection test mod %d" % s)
     periods, pows, basis, pivots, index = _kernel_data(tsub, s)
     m = tsub.m
     key_periods = []

@@ -258,6 +258,19 @@ def test_mod_range(capsys):
     assert code == 1
 
 
+def test_a_huge_mod_range_is_never_listed():
+    args = entry.build_parser().parse_args(
+        ["verify", "-d", "1 - 2 - 1", "--mod-range", "2..%d" % 10 ** 12])
+    assert entry._moduli(args) == range(2, 10 ** 12 + 1)
+
+
+def test_a_huge_mod_range_stops_at_its_first_guard(tmp_path):
+    code, out, err, _ = run_module(["verify", "-d", "1 - 2 - 1", "--mod-range",
+                                    "2..%d" % 10 ** 12, "--guard-order", "1",
+                                    "--cache", str(tmp_path)])
+    assert (code, out, err) == (3, b"", "guard: order 2 exceeds guard 1\n")
+
+
 def test_classify_json(capsys):
     code, out, _ = run_cli(
         ["classify", "-d", "3 - 3 - 1 - 1", "-m", "4", "--format", "json"],
@@ -284,8 +297,9 @@ def test_oversized_classify_window_exits_3(capsys):
     assert err == "guard: sigma orbit exceeded bound 4000\n"
 
 
-def test_an_oversized_exponent_box_exits_3_before_it_is_formed():
-    # its 24^6 box of 7-by-7 matrices would take some GB
+def run_timed(argv):
+    """(exit code, stdout, stderr lines, seconds, peak RSS in KiB) of a child
+    `modpoly argv`, timed from the call of main."""
     script = ("import resource, sys, time\n"
               "from modpoly.entry import main\n"
               "start = time.perf_counter()\n"
@@ -293,13 +307,28 @@ def test_an_oversized_exponent_box_exits_3_before_it_is_formed():
               "print(time.perf_counter() - start,\n"
               "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
               "sys.exit(code)\n")
-    code, out, err, _ = run_python(
-        ["-c", script, "classify", "-d", "1 - 2 - 2 - 2 - 2 - 2 - 1", "-m", "48"])
-    guard, stats = err.splitlines()
-    assert (code, out) == (3, b"")
-    assert guard == "guard: exponent box 24 x 24 x 24 x 24 x 24 x 24 exceeds bound 4194304"
+    code, out, err, _ = run_python(["-c", script, *argv])
+    *lines, stats = err.splitlines()
     seconds, peak_kb = stats.split()
-    assert float(seconds) < 1 and int(peak_kb) < 100 * 1024
+    return code, out, lines, float(seconds), int(peak_kb)
+
+
+def test_an_oversized_exponent_box_exits_3_before_it_is_formed():
+    # its 24^6 box of 7-by-7 matrices would take some GB
+    code, out, err, seconds, peak_kb = run_timed(
+        ["classify", "-d", "1 - 2 - 2 - 2 - 2 - 2 - 1", "-m", "48"])
+    assert (code, out) == (3, b"")
+    assert err == ["guard: exponent box 24 x 24 x 24 x 24 x 24 x 24 exceeds bound 4194304"]
+    assert seconds < 1 and peak_kb < 100 * 1024
+
+
+def test_an_oversized_exponent_box_exits_3_before_any_period_is_found():
+    # a period found by repeated products would take 2s matrix products and
+    # a power table of s matrices before the box is checked
+    code, out, err, seconds, peak_kb = run_timed(["classify", "-d", "1 = 1", "-m", "5000001"])
+    assert (code, out) == (3, b"")
+    assert err == ["guard: exponent box 5000001 exceeds bound 4194304"]
+    assert seconds < 1 and peak_kb < 100 * 1024
 
 
 def test_classify_text(capsys):
@@ -720,7 +749,7 @@ def test_every_public_name_is_the_object_of_its_submodule():
     assert parse_diagram is diagram.parse_diagram
     assert verify_diagram is polytopality.verify_diagram
     assert classify is toroids.classify
-    assert len(set(modpoly.__all__)) == len(modpoly.__all__) == 39
+    assert len(set(modpoly.__all__)) == len(modpoly.__all__) == 38
     for name in modpoly.__all__:
         obj = getattr(modpoly, name)
         assert getattr(sys.modules[obj.__module__], name) is obj, name

@@ -8,11 +8,9 @@ from modpoly.matrep import (
     ModularRep,
     embed_window_vector,
     gram_matrix,
-    is_transvection,
     radical_vector,
     reduce_mod,
     reflection_matrices,
-    rref,
 )
 
 SAMPLES = ["1", "1 - 1", "1 - 2", "1 - 3", "1 - 4", "1 = 1", "1 , 1",
@@ -101,16 +99,6 @@ def test_gram_is_preserved_by_generators():
             assert rt_g_r == g
 
 
-def test_rref_is_exact():
-    rows, pivots = rref([[2, 4, 1], [1, 2, 0], [3, 6, 1]])
-    assert pivots == (0, 2)
-    assert rows == [[1, 2, 0], [0, 0, 1]]
-    assert all(isinstance(x, Fraction) for row in rows for x in row)
-    rows, pivots = rref([[3, 1], [1, 3]])
-    assert (rows, pivots) == ([[1, 0], [0, 1]], (0, 1))
-    assert rref([[0, 0]]) == ([], ())
-
-
 def test_radical_vectors():
     cases = {
         "2 - 1 - 2": (1, 2, 1),
@@ -142,15 +130,6 @@ def test_radical_vector_window():
 def test_radical_requires_corank_one():
     with pytest.raises(ValueError):
         radical_vector(parse_diagram("1 - 1"))
-
-
-def test_is_transvection():
-    d = parse_diagram("1 = 1")
-    modulus = 5
-    r0, r1 = reduce_mod(reflection_matrices(d), modulus)
-    c = embed_window_vector(radical_vector(d), range(2), 2)
-    assert is_transvection(r0 @ r1 % modulus, c, range(2), modulus)
-    assert not is_transvection(r0, c, range(2), modulus)
 
 
 def test_embed_window_vector():

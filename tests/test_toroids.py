@@ -236,6 +236,19 @@ def test_the_exponent_box_is_bounded_before_it_is_formed(monkeypatch):
     assert _kernel_data(tsub, 4)[4] == 32
 
 
+def test_the_exponent_box_is_bounded_before_any_power_is_taken(monkeypatch):
+    # the periods come in closed form, so no period of 5,000,001 steps is
+    # found by repeated products before the box is checked
+    tsub = translation_generators(parse_diagram("1 = 1"), (0, 1))
+
+    def no_period(*args, **kwargs):
+        raise AssertionError("element_period called")
+
+    monkeypatch.setattr(toroids, "element_period", no_period)
+    with pytest.raises(BoundExceeded, match="^exponent box 5000001 exceeds bound 4194304$"):
+        _kernel_data(tsub, 5000001)
+
+
 # Spherical fixtures: (text, window, {modulus range: (row id, order, collapsed)}).
 SPHERICAL_FIXTURES = [
     ("1 - 1 - 1", (0, 1, 2), ("A:any", 24, False), ("A:any", 24, False)),
@@ -359,6 +372,25 @@ def test_type_vector_digest():
     assert windows == 67
     assert digest.hexdigest() == (
         "cc9b9797d00022a8fc5c07799bebfbde42fb6e2ec0bde18121940ef51753d951")
+
+
+def test_radical_vector_digest():
+    # pins the radical vector, or the ValueError, of every window over the
+    # radius, so any change to how the radical is solved changes the digest
+    digest = hashlib.sha256()
+    windows = radicals = 0
+    for diagram in radius_diagrams():
+        for lo, hi in itertools.combinations_with_replacement(range(diagram.rank), 2):
+            windows += 1
+            try:
+                got = radical_vector(diagram, range(lo, hi + 1))
+                radicals += 1
+            except ValueError as exc:
+                got = "ValueError: %s" % exc
+            digest.update(("%s %d %d %s\n" % (diagram, lo, hi, got)).encode())
+    assert (windows, radicals) == (636, 73)
+    assert digest.hexdigest() == (
+        "4ebefc3f5b8fe7e63b3864e4c0a916e53f1780f254e45d3c25308d51b16c6ab5")
 
 
 def test_euclidean_excluded_moduli_report_other():
