@@ -10,12 +10,26 @@ all inverses are propagated incrementally from the involutory input
 generators, so no modular matrix inversion is ever performed.
 
 The construction is the classical deterministic Schreier-Sims procedure
-(see Seress, "Permutation Group Algorithms"): every Schreier generator of
-every level is processed exactly once, tracked by per-(level, generator)
+(see Seress, "Permutation Group Algorithms"): each level forms the Schreier
+generators of its generators once, tracked by per-(level, generator)
 cursors over the append-only orbits; a nontrivial sift residue becomes a
 strong generator at the level where it sticks, or opens a new level.  The
 resulting chain is verified by construction; `check()` re-derives the
-Schreier condition from scratch for use in tests.
+Schreier condition from every strong generator at every level, from
+scratch, for use in tests.
+
+Level 0.  A level li > 0 takes as its generators the strong generators
+installed at li or deeper.  Level 0 takes the seeds: the elements the chain
+was asked to generate, its input involutions, or for a kernel chain (see
+"Split order") the kernel elements passed to it, each with its inverse.  The
+seeds generate the group, so by Schreier's lemma (Seress ch. 4) their
+Schreier generators generate the stabilizer of the first base point, and
+those of the other strong generators add nothing.  For an involution g the
+Schreier generators at x and at g·x are inverses, s(g·x, g) = s(x, g)^-1,
+so a seed equal to its own inverse forms only the one of each pair whose
+image slot is at least its own slot.  Deeper levels keep every generator:
+there the strong generators at a level or below generate its stabilizer
+only once the chain is complete.
 
 Orbit index.  Each level keeps a dict from encoded point to orbit slot, so
 the index takes memory in proportion to the orbit, not to the point space
@@ -240,6 +254,7 @@ class StabChain:
         self.dtype = np.int32 if self._narrow else np.int64
         self.identity = np.eye(n, dtype=self.dtype)
         self.gens = []  # (mat, inv, level)
+        self.seeds = []  # (mat, inv) the chain was asked to generate: level 0 walks these
         self.levels = []
         self.input_gens = [g.astype(self.dtype) for g in gens]
         # the involutions a kernel is kept closed under conjugation by
@@ -334,6 +349,8 @@ class StabChain:
     # -- construction ----------------------------------------------------
 
     def _build(self, stash):
+        for mats, invs in stash:
+            self.seeds += zip(mats, invs)
         while True:
             residues = self._sift_stash(stash)
             stash = []  # blocks (mats, invs)
@@ -405,29 +422,35 @@ class StabChain:
         self.gens.append((mat, inv, level))
 
     def _process_schreier(self, stash):
+        """Expand every level with its generators up to the end of its orbit:
+        level 0 with the seeds, level li > 0 with the strong generators
+        installed at li or deeper (see "Level 0" in the module docstring)."""
         for li, lev in enumerate(self.levels):
+            gens = self.seeds if li == 0 else [(m, i) for m, i, lvl in self.gens if lvl >= li]
             moved = True
             while moved:
                 moved = False
-                for gi, (gmat, ginv, glvl) in enumerate(self.gens):
-                    if glvl < li:
-                        continue
+                for gi, (gmat, ginv) in enumerate(gens):
                     start = lev.cursors.get(gi, 0)
                     if start >= lev.orbit_size:
                         continue
                     moved = True
+                    # an involution's Schreier generators come in inverse pairs
+                    pairs = li == 0 and np.array_equal(gmat, ginv)
                     while start < lev.orbit_size:
                         end = min(start + _CHUNK, lev.orbit_size)
-                        self._expand_block(lev, gmat, ginv, start, end, stash)
+                        self._expand_block(lev, gmat, ginv, start, end, stash, pairs)
                         start = end
                     lev.cursors[gi] = lev.orbit_size
 
-    def _expand_block(self, lev, gmat, ginv, start, end, stash):
-        """Apply one strong generator to orbit slots [start, end).
+    def _expand_block(self, lev, gmat, ginv, start, end, stash, pairs):
+        """Apply one generator to orbit slots [start, end).
 
         Images not yet in the orbit join it in order of first appearance;
-        every image gives a Schreier generator, stashed if nontrivial (those
-        of the new points are the identity).
+        each image gives a Schreier generator, stashed if nontrivial (those
+        of the new points are the identity).  With pairs (the generator is
+        an involution) only the one of each inverse pair whose image slot
+        is at least its own slot is formed.
         """
         cand = self._mul(gmat, lev.trans.view()[start:end])
         pts = self._mod_space(cand[:, :, lev.beta_col]) @ self.space.weights
@@ -445,10 +468,14 @@ class StabChain:
             new = np.array(new)
             lev.trans.append(cand[new])
             lev.trans_inv.append(self._mul(lev.trans_inv.view()[start + new], ginv))
+        src = np.arange(start, end)  # the slot each image comes from
+        if pairs:
+            formed = slots >= src
+            src, cand, slots = src[formed], cand[formed], slots[formed]
         sg = self._mul(lev.trans_inv.view()[slots], cand)
         rows = np.nonzero((sg != self.identity).any(axis=(1, 2)))[0]
         if rows.size:
-            cand_inv = self._mul(lev.trans_inv.view()[start + rows], ginv)
+            cand_inv = self._mul(lev.trans_inv.view()[src[rows]], ginv)
             stash.append((sg[rows], self._mul(cand_inv, lev.trans.view()[slots[rows]])))
 
     # -- queries ---------------------------------------------------------

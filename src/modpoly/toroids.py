@@ -461,6 +461,19 @@ def _translation_period(t, s):
     return p
 
 
+def _period_floor(t, s):
+    """A lower bound on the period k of a translation generator t mod s,
+    found without factoring s.
+
+    N = t - e has N^3 = 0, so t^k = e gives kN + C(k,2) N^2 = 0 mod s.  Times
+    N that is k N^2 = 0, and times 2k it is 2k^2 N + k(k-1) k N^2 = 2k^2 N = 0.
+    So s / gcd(s, 2g) divides k^2, g the gcd of N's entries, and k is at
+    least its square root.
+    """
+    g = math.gcd(*(t - np.eye(len(t), dtype=np.int64)).ravel().tolist())
+    return math.isqrt(s // math.gcd(s, 2 * g) - 1) + 1
+
+
 def _kernel_data(tsub, s):
     """Kernel lattice of (a -> t_1^a1 ... t_m^am mod s), with generator powers.
 
@@ -469,12 +482,17 @@ def _kernel_data(tsub, s):
     periods covers every class; its identity hits span the kernel.  The
     periods are read in closed form (`_translation_period`), and BoundExceeded
     is raised before any power table is built when the box would hold more
-    than _BOX_BOUND exponent vectors.  Nothing is cached: a caller that needs
-    the data twice keeps the tuple.
+    than _BOX_BOUND exponent vectors, and before 2s is factored when the
+    periods' lower bounds (`_period_floor`) already say so.  Nothing is
+    cached: a caller that needs the data twice keeps the tuple.
     """
     m = tsub.m
     n = tsub.frame_diagram.rank
     eye = np.eye(n, dtype=np.int64)
+    floors = [_period_floor(t, s) for t in tsub.mats]
+    if math.prod(floors) > _BOX_BOUND:
+        raise BoundExceeded("exponent box of at least %s exceeds bound %d"
+                            % (" x ".join(map(str, floors)), _BOX_BOUND))
     periods = [_translation_period(t, s) for t in tsub.mats]
     box = math.prod(periods)
     if box > _BOX_BOUND:

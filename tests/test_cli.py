@@ -236,6 +236,27 @@ def test_sweep_seeds_keep_their_digests(seed, tmp_path, capsysbinary):
         assert hashlib.sha256(out).hexdigest() == SWEEP_DIGESTS[seed][command], command
 
 
+# sha256 of `verify --format json` on whole groups whose first basic orbit
+# is larger than any the benchmark workloads build (16,758 points for the
+# rank-6 diagram mod 7, 3,100 for the second one mod 5)
+LARGE_ORBIT_DIGESTS = [
+    ("1 - 1 - 2 - 2 - 2 - 2", 7,
+     "f5a16dfec8be7f92fa59b8efe95c263fdc27e47621b4a8707569fa168ebfb4b3"),
+    ("2 - 2 - 2 - 1 - 1 - 1", 5,
+     "b56e62b00b625454a78be77b7bf71f8963453350fe76d8a0daac841f9c9d03ba"),
+    pytest.param("1 - 1 - 2 - 2 - 2 - 2", 16,
+                 "3b665ecb9cfda6cf3f0bf0ae8aed389618ee03be0a27aa6e379f020f9a8516d9",
+                 marks=pytest.mark.long),
+]
+
+
+@pytest.mark.parametrize("text,modulus,expected", LARGE_ORBIT_DIGESTS)
+def test_large_first_orbits_keep_their_verify_digests(text, modulus, expected, capsys):
+    code, out, _ = run_cli(["verify", "-d", text, "-m", str(modulus), "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def test_flipped_big_chain_passes_under_the_default_orbit_guard(capsys):
     # the walks run in the smaller of the two groups of each check; a walk
     # in the suffix group would outgrow the guard of 10^6 cosets here
@@ -329,6 +350,15 @@ def test_an_oversized_exponent_box_exits_3_before_any_period_is_found():
     assert (code, out) == (3, b"")
     assert err == ["guard: exponent box 5000001 exceeds bound 4194304"]
     assert seconds < 1 and peak_kb < 100 * 1024
+
+
+def test_an_exponent_box_past_the_period_floors_exits_3_before_2s_is_factored():
+    # a prime modulus near 10^16: trial division of 2s would take seconds
+    code, out, err, seconds, _ = run_timed(
+        ["classify", "-d", "1 = 1", "-m", "10000000000000061"])
+    assert (code, out) == (3, b"")
+    assert err == ["guard: exponent box of at least 100000001 exceeds bound 4194304"]
+    assert seconds < 1
 
 
 def test_classify_text(capsys):

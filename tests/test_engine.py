@@ -168,7 +168,7 @@ CHAIN_DIGEST_CASES = [
     ("1 - 1 - 1", 5, False), ("1 = 1", 1031, False), ("1 - 2", 6007, False),
     ("1 - 1 - 2 - 2", 3, False), ("2 - 1 - 2", 6, True), ("1 - 2 - 1 - 1", 4, True),
 ]
-CHAIN_DIGEST = "5bcd28cf8786c0e30d3ec433e8a4d64eae0b17d1f5d29c47dabb28b9cd6151ba"
+CHAIN_DIGEST = "f8327326e1881941e44c062428848320c58bc693cc4494a1312078122e485cd5"
 
 
 @pytest.mark.parametrize("chunk", [None, 3])
@@ -188,6 +188,56 @@ def test_chain_structure_is_pinned(chunk, monkeypatch):
         digest.update(np.array([lvl for _, _, lvl in chain.gens], dtype=np.int64).tobytes())
         digest.update(str(chain.order()).encode())
     assert digest.hexdigest() == CHAIN_DIGEST
+
+
+def level_0_expansions(monkeypatch):
+    """Record (chain, generator, images, stashed) for each orbit expansion at
+    level 0, and what each chain's _build was asked to generate."""
+    asked, expansions = {}, []
+    build, expand = StabChain._build, StabChain._expand_block
+
+    def record_build(self, stash):
+        asked.setdefault(id(self), []).extend(m.copy() for mats, _ in stash for m in mats)
+        return build(self, stash)
+
+    def record_expand(self, lev, gmat, ginv, start, end, stash, *args):
+        before = sum(mats.shape[0] for mats, _ in stash)
+        expand(self, lev, gmat, ginv, start, end, stash, *args)
+        if lev is self.levels[0]:
+            stashed = sum(mats.shape[0] for mats, _ in stash) - before
+            expansions.append((self, gmat.copy(), end - start, stashed))
+
+    monkeypatch.setattr(StabChain, "_build", record_build)
+    monkeypatch.setattr(StabChain, "_expand_block", record_expand)
+    return asked, expansions
+
+
+def test_level_0_forms_schreier_generators_from_the_inputs_once_per_pair(monkeypatch):
+    # rank-6 `a` mod 7 has a 16,758-point first orbit.  Expanded with each of
+    # its 10 strong generators, level 0 took 167,580 images and stashed
+    # 83,074 nontrivial Schreier generators; with the 6 input involutions it
+    # takes 100,548 images, and one of each inverse pair leaves 16,194
+    _, expansions = level_0_expansions(monkeypatch)
+    chain = chain_for("1 - 1 - 2 - 2 - 2 - 2", 7)
+    assert chain.levels[0].orbit_size == 16758
+    assert sum(images for _, _, images, _ in expansions) == 6 * 16758
+    assert sum(stashed for _, _, _, stashed in expansions) == 16194
+
+
+def test_level_0_expands_only_what_the_chain_was_asked_to_generate(monkeypatch):
+    asked, expansions = level_0_expansions(monkeypatch)
+    chains = [chain_for("1 - 1 - 2 - 2", 5), chain_for("2 - 1 - 2", 4, order_only=True),
+              chain_for("2 - 1 - 2 - 1", 30, order_only=True)]
+    assert all(chain.check() for chain in chains)
+    kernel_chains = set()
+    for chain, gmat, _, _ in expansions:
+        if chain.input_gens:
+            allowed = chain.input_gens
+        else:  # a kernel chain: the kernel elements _split_absorb passed it
+            allowed = asked[id(chain)]
+            kernel_chains.add(id(chain))
+        assert any(np.array_equal(gmat, g) for g in allowed)
+    assert len(kernel_chains) == 2  # mod 6, and its own kernel chain mod 2
 
 
 def test_known_dihedral_orders():

@@ -249,6 +249,29 @@ def test_the_exponent_box_is_bounded_before_any_power_is_taken(monkeypatch):
         _kernel_data(tsub, 5000001)
 
 
+def test_the_period_floor_bounds_every_period():
+    # the box guard reads the floors before 2s is factored, so a floor above
+    # a period would refuse a box that fits
+    for text, window in EUCLIDEAN_FIXTURES:
+        for t in translation_generators(parse_diagram(text), window).mats:
+            for s in range(2, 61):
+                floor = toroids._period_floor(t, s)
+                assert 1 <= floor <= toroids._translation_period(t, s), (text, window, s)
+
+
+def test_the_exponent_box_is_bounded_before_2s_is_factored(monkeypatch):
+    # trial division of 2s takes seconds at a prime s near 10^16
+    tsub = translation_generators(parse_diagram("1 = 1"), (0, 1))
+
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("prime_factors called")
+
+    monkeypatch.setattr(toroids, "prime_factors", no_factoring)
+    with pytest.raises(BoundExceeded,
+                       match="^exponent box of at least 100000001 exceeds bound 4194304$"):
+        _kernel_data(tsub, 10 ** 16 + 61)
+
+
 # Spherical fixtures: (text, window, {modulus range: (row id, order, collapsed)}).
 SPHERICAL_FIXTURES = [
     ("1 - 1 - 1", (0, 1, 2), ("A:any", 24, False), ("A:any", 24, False)),
