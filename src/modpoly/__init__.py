@@ -21,7 +21,7 @@ _SUBMODULE = {name: module for module, names in (
                "PointSpaceOverflow StabChain element_period enumerate_small "
                "intersection_order"),
     ("polytopality", "VerificationReport Verifier verify_diagram verify_words word_matrices"),
-    ("toroids", "QuotientResult SectionClass TranslationSubgroup TypeVector classify "
+    ("toroids", "QuotientResult SectionClass TranslationSubgroup classify "
                 "classify_euclidean classify_spherical predicted_type_vector "
                 "quotient_criterion translation_generators type_vector"),
     ("registry", "GoldenCase get_case"),

@@ -128,6 +128,8 @@ class Diagram:
     def subdiagram(self, window):
         """The induced diagram on a contiguous window (labels kept verbatim)."""
         window = list(window)
+        if not window or window[0] < 0 or window[-1] >= self.rank:
+            raise ValueError("window must be a nonempty run of the diagram's nodes")
         if window != list(range(window[0], window[-1] + 1)):
             raise ValueError("window must be contiguous")
         lo, hi = window[0], window[-1]

@@ -326,13 +326,15 @@ def verify_diagram(diagram, modulus, window=None, **guards):
     """Verification report for a diagram's modular reflection group.
 
     window, when given, is a contiguous index range; the report then covers
-    the subgroup those reflections generate.  An empty window is Degenerate.
+    the subgroup those reflections generate.  An empty window is Degenerate;
+    any other window must be a run of the diagram's nodes (ValueError).
     """
     rep = ModularRep(diagram, modulus)
     window = range(diagram.rank) if window is None else list(window)
+    rendered = diagram.subdiagram(window).render() if len(window) else ""
     v = Verifier(rep.select(window), modulus, **guards)
     report = v.verify()
-    report.diagram = diagram.subdiagram(window).render() if len(window) else ""
+    report.diagram = rendered
     return report
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import Diagram, INFINITY, coxeter_order
-from .engine import BoundExceeded, element_period, prime_factors
+from .engine import BoundExceeded, prime_factors
 from .matrep import (
     ModularRep,
     _row_hnf,
@@ -220,20 +220,6 @@ class SectionClass:
         return out
 
 
-@dataclass(frozen=True)
-class TypeVector:
-    """Measured toroid identification vector q = (q^k, 0^(m-k))."""
-
-    vector: tuple
-    k: int
-    q: int
-    m: int
-    modulus: int
-    order: int               # |T^s| = index of the kernel lattice
-    periods: tuple           # period of each generator t_i mod s
-    key_periods: tuple       # ((k, period of t_1 ... t_k mod s), ...) over legal k
-
-
 @dataclass
 class TranslationSubgroup:
     """Standard integer generators of a Euclidean window's translation subgroup."""
@@ -243,10 +229,9 @@ class TranslationSubgroup:
     m: int
     frame_diagram: Diagram
     frame_window: tuple
-    c_ambient: np.ndarray
     mats: list
     w_rows: tuple
-    sigma_lattices: dict     # {k: (HNF basis, pivots, index) of L_k in w coordinates}
+    sigma_lattices: dict     # {k: (HNF basis, index) of L_k in w coordinates}
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +416,12 @@ def translation_generators(diagram, window):
         idx = _index_in(sig_orbit, full_hnf, full_piv)
         if idx != want:
             raise AssertionError("sigma lattice for k=%d has index %d, expected %d" % (k, idx, want))
-        h, p = _row_hnf(sig_orbit, m + 1)
-        sigma_lattices[k] = (tuple(h), p, idx)
+        h, _ = _row_hnf(sig_orbit, m + 1)
+        sigma_lattices[k] = (tuple(h), idx)
 
     return TranslationSubgroup(
         flipped=flipped, system=system, m=m, frame_diagram=frame_d, frame_window=frame_w,
-        c_ambient=c_amb, mats=mats, w_rows=w_rows, sigma_lattices=sigma_lattices,
+        mats=mats, w_rows=w_rows, sigma_lattices=sigma_lattices,
     )
 
 
@@ -477,14 +462,14 @@ def _period_floor(t, s):
 def _kernel_data(tsub, s):
     """Kernel lattice of (a -> t_1^a1 ... t_m^am mod s), with generator powers.
 
-    Returns (periods, pows, basis, pivots, index): pows[i][a] = t_i^a mod s.
-    The kernel contains each periods[i] * e_i, so the coset box over the
-    periods covers every class; its identity hits span the kernel.  The
-    periods are read in closed form (`_translation_period`), and BoundExceeded
-    is raised before any power table is built when the box would hold more
-    than _BOX_BOUND exponent vectors, and before 2s is factored when the
-    periods' lower bounds (`_period_floor`) already say so.  Nothing is
-    cached: a caller that needs the data twice keeps the tuple.
+    Returns (pows, basis, pivots, index): pows[i][a] = t_i^a mod s below the
+    period p_i of t_i.  The kernel contains each p_i * e_i, so the coset box
+    over the periods covers every class; its identity hits span the kernel.
+    The periods are read in closed form (`_translation_period`), and
+    BoundExceeded is raised before any power table is built when the box
+    would hold more than _BOX_BOUND exponent vectors, and before 2s is
+    factored when the periods' lower bounds (`_period_floor`) already say
+    so.  Nothing is cached: a caller that needs the data twice keeps the tuple.
     """
     m = tsub.m
     n = tsub.frame_diagram.rank
@@ -506,21 +491,17 @@ def _kernel_data(tsub, s):
         for a in range(1, p):
             arr[a] = arr[a - 1] @ tm % s
         pows.append(arr)
-    acc = pows[0]
-    for i in range(1, m - 1):
+    acc = eye[None]
+    for i in range(m - 1):
         acc = np.einsum("aij,bjk->abik", acc, pows[i]).reshape(-1, n, n) % s
     found = []
-    if m == 1:
-        hits = np.nonzero((acc == eye).all(axis=(1, 2)))[0]
-        found = [(int(h),) for h in hits]
-    else:
-        prefix = tuple(periods[:-1])
-        for b in range(periods[-1]):
-            cur = acc @ pows[-1][b] % s
-            hits = np.nonzero((cur == eye).all(axis=(1, 2)))[0]
-            for hidx in hits:
-                a = np.unravel_index(int(hidx), prefix)
-                found.append(tuple(int(x) for x in a) + (b,))
+    prefix = tuple(periods[:-1])
+    for b in range(periods[-1]):
+        cur = acc @ pows[-1][b] % s
+        hits = np.nonzero((cur == eye).all(axis=(1, 2)))[0]
+        for hidx in hits:
+            a = np.unravel_index(int(hidx), prefix)
+            found.append(tuple(int(x) for x in a) + (b,))
     rows = list(found)
     for i in range(m):
         rows.append(tuple(periods[i] if t == i else 0 for t in range(m)))
@@ -528,7 +509,7 @@ def _kernel_data(tsub, s):
     index = _lattice_index(basis, pivots, m)
     if index * len(found) != box:
         raise AssertionError("kernel box count does not match the lattice index")
-    return tuple(periods), pows, tuple(basis), pivots, index
+    return pows, tuple(basis), pivots, index
 
 
 def _chain_power(pows, exponents, s):
@@ -540,44 +521,27 @@ def _chain_power(pows, exponents, s):
 
 
 def type_vector(tsub, modulus):
-    """Measured type vector of T^s, or None when no legal shape matches.
+    """Type vector (q^k, 0^(m-k)) of T^s, or None when no legal shape matches.
 
     The kernel lattice K is carried into w coordinates, a -> sum a_i w_i,
     and compared in Hermite normal form against q times each legal
     reference lattice L_k, in ascending k; the scale q is forced by the
     index equation q^m . [Z^m : L_k] = [Z^m : K], so a wrong shape can never
     match.  The w rows span the full lattice with index 1, so the indices
-    read the same in both coordinates.  The key-translation periods, read in
-    exponent coordinates, are returned alongside and cross-checked against
-    the matrix orders.
+    read the same in both coordinates.
     """
     s = _check_modulus(modulus)
-    periods, pows, basis, pivots, index = _kernel_data(tsub, s)
+    _, basis, _, index = _kernel_data(tsub, s)
     m = tsub.m
-    key_periods = []
-    for k in tsub.sigma_lattices:
-        sigma = (1,) * k + (0,) * (m - k)
-        per = next((jj for jj in range(1, 2 * s + 1)
-                    if _lattice_coords([jj * x for x in sigma], basis, pivots) is not None), None)
-        if per is None:
-            raise AssertionError("key translation period not found within 2s")
-        if element_period(_chain_power(pows, sigma, s), s, cap=2 * s + 1) != per:
-            raise AssertionError("kernel-derived key period disagrees with the matrix order")
-        key_periods.append((k, per))
-    key_periods = tuple(key_periods)
-
     w_basis, _ = _row_hnf(np.array(basis) @ np.array(tsub.w_rows), m + 1)
-    for k, (lam_basis, _, lam_index) in tsub.sigma_lattices.items():
-        if lam_index == 0 or index % lam_index:
+    for k, (lam_basis, lam_index) in tsub.sigma_lattices.items():
+        if index % lam_index:
             continue
         q = _iroot(index // lam_index, m)
         if q is None:
             continue
         if [tuple(q * x for x in row) for row in lam_basis] == w_basis:
-            return TypeVector(
-                vector=(q,) * k + (0,) * (m - k), k=k, q=q, m=m, modulus=s,
-                order=index, periods=periods, key_periods=key_periods,
-            )
+            return (q,) * k + (0,) * (m - k)
     return None
 
 
@@ -718,13 +682,12 @@ def _section(diagram, win, got, s, collapse, rep):
     if isinstance(got, TranslationSubgroup):
         flipped = got.flipped
         row_id, predicted_q = _predict_row(got.system, got.frame_diagram, got.frame_window, s)
-        tv = type_vector(got, s)
         fields = dict(kind="Other" if row_id is None else "Euclidean",
                       # named by the as-read branch periods, e.g. "[4,3,4]"
                       family="[%s]" % ",".join("oo" if p == INFINITY else str(p)
                                                for p in _periods(diagram, win)),
                       predicted_q=predicted_q,
-                      measured_q=None if tv is None else tv.vector,
+                      measured_q=type_vector(got, s),
                       annotation=_OTHER_NOTE if row_id is None else "")
     else:
         (kind, k), flipped, frame_d, frame_w = got
@@ -797,7 +760,7 @@ def _translation_meet(tsub, s, lo, hi, kernel):
     the first translation in the segment group.
     """
     group = Verifier(ModularRep(tsub.frame_diagram, s).mats, s).chain(lo, hi)
-    _, pows, basis, pivots, _ = kernel
+    pows, basis, pivots, _ = kernel
     checked, witness = 0, None
     for rep_a in itertools.product(*(range(r[p]) for r, p in zip(basis, pivots))):
         if not any(rep_a):
@@ -907,7 +870,7 @@ def quotient_criterion(diagram, base, modulus):
             kernel = _kernel_data(tsub, d)
             meet = _translation_meet(tsub, d, 1, n, kernel)
             if check(tag + "translation intersection trivial mod %d" % d, meet["trivial"],
-                     t_order=kernel[4], **meet):
+                     t_order=kernel[3], **meet):
                 return QuotientResult("StringCGroup-by-criterion", "b", dual, s, d,
                                       tuple(checks))
     direct = verify_diagram(diagram, d)

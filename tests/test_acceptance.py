@@ -189,8 +189,8 @@ def test_criterion_10_toroid_suite():
             assert (row_id, q) == predicted_type_vector(fd, fw, s)
             if row_id is None:
                 continue
-            assert type_vector(tsub, s).vector == q, (text, window, s)
-            assert type_vector(ftsub, s).vector == q, (text, window, s)
+            assert type_vector(tsub, s) == q, (text, window, s)
+            assert type_vector(ftsub, s) == q, (text, window, s)
             seen.add(row_id)
     assert seen == test_toroids.ALL_ROW_IDS
 

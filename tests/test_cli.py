@@ -19,6 +19,7 @@ import modpoly.polytopality as polytopality
 import modpoly.toroids as toroids
 from modpoly.cli import main
 from modpoly.registry import CASES, GoldenCase, get_case
+from test_toroids import EUCLIDEAN_FIXTURES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -302,6 +303,28 @@ def test_classify_json(capsys):
     assert [s["window"] for s in sections] == [[0, 2], [1, 3]]
     assert [s["measured_q"] for s in sections] == [[4, 0], [4, 0]]
     assert [s["kind"] for s in sections] == ["Euclidean", "Euclidean"]
+
+
+# sha256 of `classify --mod-range 2..12` on the Euclidean fixture diagrams
+FIXTURE_CLASSIFY_DIGESTS = {
+    "json": "7fe93049bba74cdb53c715c6c6d00bbf4ba38a808ef1e8ba20eaac52a51e072a",
+    "text": "153d4dd44a7e988c650f724eca9032df9637a7f7aadeb15eedade8d1e84b668f",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FIXTURE_CLASSIFY_DIGESTS))
+def test_classify_keeps_its_digests_on_the_euclidean_fixtures(fmt, tmp_path, capsysbinary):
+    # one witness per prediction row, so this reaches the sections no
+    # benchmark command reaches: the [3,3,4,3] basis completion and the
+    # P6 rows at s divisible by 3
+    texts = list(dict.fromkeys(text for text, _ in EUCLIDEAN_FIXTURES))
+    assert len(texts) == 24
+    path = tmp_path / "fixtures.txt"
+    path.write_text("".join(text + "\n" for text in texts), encoding="utf-8")
+    code = main(["classify", "-f", str(path), "--mod-range", "2..12", "--format", fmt])
+    out = capsysbinary.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == FIXTURE_CLASSIFY_DIGESTS[fmt]
 
 
 def test_classify_cubic_window_with_point_group_b5(capsys):
@@ -779,7 +802,7 @@ def test_every_public_name_is_the_object_of_its_submodule():
     assert parse_diagram is diagram.parse_diagram
     assert verify_diagram is polytopality.verify_diagram
     assert classify is toroids.classify
-    assert len(set(modpoly.__all__)) == len(modpoly.__all__) == 38
+    assert len(set(modpoly.__all__)) == len(modpoly.__all__) == 37
     for name in modpoly.__all__:
         obj = getattr(modpoly, name)
         assert getattr(sys.modules[obj.__module__], name) is obj, name

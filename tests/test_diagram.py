@@ -210,6 +210,11 @@ def test_subdiagram():
     assert d.subdiagram(range(1, 3)).labels == (1, 3)
     with pytest.raises(ValueError):
         d.subdiagram([0, 2])
+    # windows that are empty or leave the diagram
+    d = parse_diagram("1 - 2 - 1")
+    for window in ([], [2, 3], [1, 2, 3], [-1, 0], range(3, 0, -1)):
+        with pytest.raises(ValueError):
+            d.subdiagram(window)
 
 
 def test_side_integers_end_convention():

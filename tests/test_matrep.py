@@ -132,6 +132,15 @@ def test_radical_requires_corank_one():
         radical_vector(parse_diagram("1 - 1"))
 
 
+def test_radical_vector_refuses_a_window_that_leaves_the_diagram():
+    # nodes 2..4 of a rank-4 diagram: the window is refused, not read as
+    # the "1 - 1" of nodes 2 and 3, whose radical is 0-dimensional
+    with pytest.raises(ValueError, match="run of the diagram's nodes"):
+        radical_vector(parse_diagram("1 - 2 - 1 - 1"), [2, 3, 4])
+    with pytest.raises(ValueError, match="run of the diagram's nodes"):
+        radical_vector(parse_diagram("1 - 2 - 1"), [])
+
+
 def test_embed_window_vector():
     v = embed_window_vector((1, 2, 1), [1, 2, 3], 5)
     assert v.tolist() == [0, 1, 2, 1, 0]

@@ -106,6 +106,11 @@ def test_window_verification():
     assert report.diagram == "1 - 3"
     assert report.schlafli == (6,)
     assert report.order == 12
+    # refused before the generators are selected: an index past the last
+    # node, or a negative one, never reaches rep.select
+    for window in ([3, 4], [2, 3, 4], [-1, 0], [0, 2]):
+        with pytest.raises(ValueError, match="window must be"):
+            verify_diagram(diagram, 5, window=window)
 
 
 def test_word_subgroups():

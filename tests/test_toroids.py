@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+import modpoly.engine as engine
 import modpoly.toroids as toroids
 from modpoly.diagram import Branch, ParseError, coxeter_order, parse_diagram
-from modpoly.engine import BoundExceeded, enumerate_small
+from modpoly.engine import BoundExceeded, element_period, enumerate_small
 from modpoly.matrep import embed_window_vector, radical_vector, reduce_mod, reflection_matrices
 from modpoly.polytopality import verify_diagram
 from modpoly.toroids import (
     _kernel_data,
+    _lattice_coords,
     _translation_meet,
+    _translation_period,
     classify,
     classify_euclidean,
     classify_spherical,
@@ -71,12 +74,18 @@ def flipped(text, window):
     return d.flip(), tuple(d.rank - 1 - i for i in reversed(window))
 
 
+def radical_ambient(tsub):
+    """The radical vector c of the window, placed in the frame's coordinates."""
+    return embed_window_vector(radical_vector(tsub.frame_diagram, tsub.frame_window),
+                               tsub.frame_window, tsub.frame_diagram.rank)
+
+
 def test_generator_construction():
     for text, window in EUCLIDEAN_FIXTURES:
         tsub = translation_generators(parse_diagram(text), window)
         eye = np.eye(tsub.frame_diagram.rank, dtype=np.int64)
         assert len(tsub.mats) == len(window) - 1
-        assert tsub.c_ambient[tsub.frame_window[0]] == 1
+        assert radical_ambient(tsub)[tsub.frame_window[0]] == 1
         for t in tsub.mats:
             assert not np.linalg.matrix_power(t - eye, 3).any()
         for a in tsub.mats:
@@ -95,7 +104,7 @@ def test_measured_equals_predicted(text, window):
             continue
         tv = type_vector(tsub, s)
         assert tv is not None, (text, window, s, row_id)
-        assert tv.vector == q, (text, window, s, row_id, tv.vector)
+        assert tv == q, (text, window, s, row_id, tv)
         seen.add(row_id)
     assert seen
 
@@ -123,7 +132,7 @@ def test_flipped_window_agrees(text, window):
         if row_id is None:
             continue
         tv = type_vector(tsub, s)
-        assert tv.vector == q, (text, window, s)
+        assert tv == q, (text, window, s)
 
 
 KNOWN_VECTORS = [
@@ -152,10 +161,9 @@ KNOWN_VECTORS = [
 @pytest.mark.parametrize("text,window,s,vector,order", KNOWN_VECTORS)
 def test_known_type_vectors(text, window, s, vector, order):
     tsub = translation_generators(parse_diagram(text), window)
-    tv = type_vector(tsub, s)
-    assert tv.vector == vector
-    assert tv.order == order
-    assert all((2 * s) % p == 0 for p in tv.periods)
+    assert type_vector(tsub, s) == vector
+    assert _kernel_data(tsub, s)[3] == order
+    assert all((2 * s) % _translation_period(t, s) == 0 for t in tsub.mats)
 
 
 def brute_transvection_count(els, tsub, s):
@@ -166,7 +174,7 @@ def brute_transvection_count(els, tsub, s):
     diff = (els - np.eye(n, dtype=np.int64)) % s
     cols = diff[:, :, list(fwin)]
     w = cols[:, fwin[0], :]
-    want = np.einsum("i,ej->eij", tsub.c_ambient, w) % s
+    want = np.einsum("i,ej->eij", radical_ambient(tsub), w) % s
     return int((cols == want).all(axis=(1, 2)).sum())
 
 
@@ -189,7 +197,7 @@ def test_brute_transvection_oracle():
                                     s, bound=50_000)
             count = brute_transvection_count(e_els, tsub, s)
             h_count = brute_transvection_count(h_els, tsub, s)
-            order_t = _kernel_data(tsub, s)[4]
+            order_t = _kernel_data(tsub, s)[3]
             assert count == order_t * h_count, (text, window, s, count, order_t)
             assert e_els.shape[0] == order_t * h_els.shape[0]
             if s >= 3:
@@ -213,7 +221,7 @@ def test_splitting_product(text, window, s, orders):
     whole = verify_diagram(diagram, s, window=window)
     point = window[:-1] if tsub.flipped else window[1:]
     kernel = _kernel_data(tsub, s)
-    got = (whole.order, kernel[4], verify_diagram(diagram, s, window=point).order)
+    got = (whole.order, kernel[3], verify_diagram(diagram, s, window=point).order)
     assert got == orders
     assert got[0] == got[1] * got[2]
     # T^s meets the group of the nodes after the special node trivially
@@ -233,7 +241,7 @@ def test_the_exponent_box_is_bounded_before_it_is_formed(monkeypatch):
     with pytest.raises(BoundExceeded):
         classify(diagram, 4)
     monkeypatch.setattr(toroids, "_BOX_BOUND", 64)
-    assert _kernel_data(tsub, 4)[4] == 32
+    assert _kernel_data(tsub, 4)[3] == 32
 
 
 def test_the_exponent_box_is_bounded_before_any_power_is_taken(monkeypatch):
@@ -244,7 +252,9 @@ def test_the_exponent_box_is_bounded_before_any_power_is_taken(monkeypatch):
     def no_period(*args, **kwargs):
         raise AssertionError("element_period called")
 
-    monkeypatch.setattr(toroids, "element_period", no_period)
+    # toroids holds no name of its own for it, so the patch covers every call
+    assert not hasattr(toroids, "element_period")
+    monkeypatch.setattr(engine, "element_period", no_period)
     with pytest.raises(BoundExceeded, match="^exponent box 5000001 exceeds bound 4194304$"):
         _kernel_data(tsub, 5000001)
 
@@ -374,27 +384,58 @@ def test_prediction_digest():
         "9044ffbe04308a60c9b442cba728208260beeb9c08ef7d0717c075e9c179937d")
 
 
+def radius_euclidean_windows():
+    """(diagram, window) for every Euclidean window over the radius."""
+    out = []
+    for diagram in radius_diagrams():
+        for lo, hi in itertools.combinations_with_replacement(range(diagram.rank), 2):
+            window = tuple(range(lo, hi + 1))
+            if toroids._match(diagram, window, toroids._euclidean_system) is not None:
+                out.append((diagram, window))
+    return out
+
+
 def test_type_vector_digest():
     # pins the measured type vector and |T^s| of every Euclidean window over
     # the radius (the fixture windows among them), so any change to how the
     # kernel lattice is measured or compared changes the digest
     digest = hashlib.sha256()
-    windows = 0
-    for diagram in radius_diagrams():
-        for lo, hi in itertools.combinations_with_replacement(range(diagram.rank), 2):
-            window = tuple(range(lo, hi + 1))
-            if toroids._match(diagram, window, toroids._euclidean_system) is None:
-                continue
-            windows += 1
-            tsub = translation_generators(diagram, window)
-            for s in range(2, 13):
-                tv = type_vector(tsub, s)
-                digest.update(("%s %s %d %s %s\n" % (
-                    diagram, window, s, None if tv is None else tv.vector,
-                    None if tv is None else tv.order)).encode())
-    assert windows == 67
+    windows = radius_euclidean_windows()
+    for diagram, window in windows:
+        tsub = translation_generators(diagram, window)
+        for s in range(2, 13):
+            tv = type_vector(tsub, s)
+            digest.update(("%s %s %d %s %s\n" % (
+                diagram, window, s, tv,
+                None if tv is None else _kernel_data(tsub, s)[3])).encode())
+    assert len(windows) == 67
     assert digest.hexdigest() == (
         "cc9b9797d00022a8fc5c07799bebfbde42fb6e2ec0bde18121940ef51753d951")
+
+
+def test_kernel_lattice_key_periods_match_the_matrix_orders():
+    # the kernel lattice, read in exponent coordinates, against an
+    # independent order: the least j with j . sigma_k in the kernel is the
+    # period of the key translation t_1 ... t_k mod s, by repeated products
+    windows = radius_euclidean_windows()
+    checked = 0
+    for diagram, window in windows:
+        tsub = translation_generators(diagram, window)
+        for s in range(2, 13):
+            _, basis, pivots, _ = _kernel_data(tsub, s)
+            key = np.eye(tsub.frame_diagram.rank, dtype=np.int64)
+            for k in range(1, tsub.m + 1):
+                key = key @ tsub.mats[k - 1] % s
+                if k not in tsub.sigma_lattices:
+                    continue
+                sigma = (1,) * k + (0,) * (tsub.m - k)
+                least = next((j for j in range(1, 2 * s + 1)
+                              if _lattice_coords([j * x for x in sigma], basis, pivots)
+                              is not None), None)
+                assert least == element_period(key, s), (diagram, window, s, k)
+                checked += 1
+    assert len(windows) == 67
+    assert checked == 1056    # 96 legal (window, k) pairs at 11 moduli
 
 
 def test_radical_vector_digest():
@@ -628,4 +669,4 @@ def test_cubic_windows_with_point_group_b5_classify(text, row):
     order_h = verify_diagram(diagram, 3, window=range(1, 6)).order
     assert order_h == coxeter_order(toroids._periods(diagram, range(1, 6))) == 3840
     tsub = translation_generators(diagram, tuple(range(6)))
-    assert verify_diagram(diagram, 3).order == _kernel_data(tsub, 3)[4] * order_h
+    assert verify_diagram(diagram, 3).order == _kernel_data(tsub, 3)[3] * order_h
