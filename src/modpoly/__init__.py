@@ -24,7 +24,7 @@ _SUBMODULE = {name: module for module, names in (
     ("toroids", "QuotientResult SectionClass TranslationSubgroup classify "
                 "classify_euclidean classify_spherical predicted_type_vector "
                 "quotient_criterion translation_generators type_vector"),
-    ("registry", "GoldenCase get_case"),
+    ("registry", "GoldenCase"),
 ) for name in names.split()}
 
 __all__ = list(_SUBMODULE)

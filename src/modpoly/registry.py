@@ -135,10 +135,3 @@ CASES = (
               note="derived rank-6 system (d) fails the intersection "
                    "condition mod 6 too (order is a measured regression pin)"),
 )
-
-
-def get_case(ident):
-    for case in CASES:
-        if case.ident == ident:
-            return case
-    raise KeyError(ident)

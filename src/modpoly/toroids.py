@@ -27,6 +27,8 @@ scaled reference lattices q . span(orbit of t_1 ... t_k) of the legal
 shapes.  Lattices are compared in one coordinate system, that of the
 translation vectors w with t - e = c (x) w on the window columns: the
 orbit spans are formed there, and K is carried there by a -> sum a_i w_i.
+The integer HNF `matrep._row_hnf` is the only lattice operation: it is
+unique, so containment, indices and the scale q are all read from it.
 For toroid background see McMullen & Schulte, "Abstract Regular
 Polytopes", chapter 6.
 
@@ -64,49 +66,20 @@ _BOX_BOUND = 1 << 22    # safety cap on the exponent box of a kernel lattice
 # ---------------------------------------------------------------------------
 # integer lattice utilities (row lattices, Hermite normal form)
 
-def _lattice_index(basis, pivots, width):
-    """Index of the row lattice in Z^width; 0 means infinite (not full rank)."""
-    if len(basis) < width:
+def _index_in(rows, ref, ref_pivots):
+    """Index of span(rows) in the HNF lattice ref, 0 if rank-deficient.
+
+    ValueError when a row lies outside ref, that is HNF(rows + ref) != ref.
+    Equal-rank lattices in one space share their HNF pivot columns, so the
+    index is a ratio of pivot products."""
+    width = len(ref[0])
+    if _row_hnf([*rows, *ref], width)[0] != ref:
+        raise ValueError("vector lies outside the reference lattice")
+    basis, pivots = _row_hnf(rows, width)
+    if len(basis) < len(ref):
         return 0
-    return math.prod(r[c] for r, c in zip(basis, pivots))
-
-
-def _lattice_coords(vec, basis, pivots):
-    """Integer coordinates of vec over an HNF basis, or None if outside."""
-    v = list(map(int, vec))
-    out = []
-    for r, c in zip(basis, pivots):
-        if v[c] % r[c]:
-            return None
-        q = v[c] // r[c]
-        out.append(q)
-        if q:
-            for t in range(len(v)):
-                v[t] -= q * r[t]
-    return out if not any(v) else None
-
-
-def _index_in(rows, ref_basis, ref_pivots):
-    """Index of span(rows) inside the reference lattice (0 if rank-deficient)."""
-    coords = []
-    for r in rows:
-        cc = _lattice_coords(r, ref_basis, ref_pivots)
-        if cc is None:
-            raise ValueError("vector lies outside the reference lattice")
-        coords.append(cc)
-    h, p = _row_hnf(coords, len(ref_basis))
-    return _lattice_index(h, p, len(ref_basis))
-
-
-def _iroot(x, m):
-    """Exact integer m-th root, or None."""
-    if x <= 0:
-        return None
-    q = round(x ** (1.0 / m))
-    for cand in (q - 1, q, q + 1):
-        if cand >= 1 and cand ** m == x:
-            return cand
-    return None
+    return (math.prod(r[c] for r, c in zip(basis, pivots))
+            // math.prod(r[c] for r, c in zip(ref, ref_pivots)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +95,7 @@ _FAMILY_KIND = {
 
 def _check_window(diagram, window):
     win = tuple(int(i) for i in window)
-    if (not win or win[0] < 0 or win[-1] >= diagram.rank
-            or any(b - a != 1 for a, b in zip(win, win[1:]))):
-        raise ValueError("window must be a contiguous ascending run of node indices")
+    diagram.subdiagram(win)
     return win
 
 
@@ -231,7 +202,7 @@ class TranslationSubgroup:
     frame_window: tuple
     mats: list
     w_rows: tuple
-    sigma_lattices: dict     # {k: (HNF basis, index) of L_k in w coordinates}
+    sigma_lattices: dict     # {k: HNF basis of L_k in w coordinates}
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +308,9 @@ def translation_generators(diagram, window):
     [3,3,4,3] the last two generators complete the orbit to a basis.
 
     sigma_lattices holds, for each legal k, the reference lattice L_k: the
-    span of the w rows of the conjugacy orbit of t_1 ... t_k, in Hermite
-    normal form over the m + 1 window columns, with its index in the full
-    translation lattice, which the w rows of t_1..t_m span with index 1.
+    HNF, over the m + 1 window columns, of the w rows of the conjugacy orbit
+    of t_1 ... t_k, whose index in the full translation lattice (spanned by
+    the w rows of t_1..t_m) is checked against _sigma_indices.
     """
     win = _check_window(diagram, window)
     match = _match(diagram, win, _euclidean_system)
@@ -378,7 +349,7 @@ def translation_generators(diagram, window):
                 continue
             sig = t1 @ orbit[wv]
             sig_orbit = _conj_orbit(sig, point_gens, c_amb, frame_w)
-            if _index_in(sorted(sig_orbit), full_hnf, full_piv) == target:
+            if _index_in(sig_orbit, full_hnf, full_piv) == target:
                 w2 = wv
                 break
         if w2 is None:
@@ -416,8 +387,7 @@ def translation_generators(diagram, window):
         idx = _index_in(sig_orbit, full_hnf, full_piv)
         if idx != want:
             raise AssertionError("sigma lattice for k=%d has index %d, expected %d" % (k, idx, want))
-        h, _ = _row_hnf(sig_orbit, m + 1)
-        sigma_lattices[k] = (tuple(h), idx)
+        sigma_lattices[k] = _row_hnf(sig_orbit, m + 1)[0]
 
     return TranslationSubgroup(
         flipped=flipped, system=system, m=m, frame_diagram=frame_d, frame_window=frame_w,
@@ -506,7 +476,7 @@ def _kernel_data(tsub, s):
     for i in range(m):
         rows.append(tuple(periods[i] if t == i else 0 for t in range(m)))
     basis, pivots = _row_hnf(rows, m)
-    index = _lattice_index(basis, pivots, m)
+    index = math.prod(r[c] for r, c in zip(basis, pivots))
     if index * len(found) != box:
         raise AssertionError("kernel box count does not match the lattice index")
     return pows, tuple(basis), pivots, index
@@ -525,22 +495,19 @@ def type_vector(tsub, modulus):
 
     The kernel lattice K is carried into w coordinates, a -> sum a_i w_i,
     and compared in Hermite normal form against q times each legal
-    reference lattice L_k, in ascending k; the scale q is forced by the
-    index equation q^m . [Z^m : L_k] = [Z^m : K], so a wrong shape can never
-    match.  The w rows span the full lattice with index 1, so the indices
-    read the same in both coordinates.
+    reference lattice L_k, in ascending k.  The HNF is unique and
+    HNF(q L) = q HNF(L), so q is forced as the ratio of the leading pivots
+    of K and L_k (both span the w rows' space, so they share pivot
+    columns), and a shape matches only when that ratio divides exactly
+    and q HNF(L_k) is K's HNF.
     """
     s = _check_modulus(modulus)
-    _, basis, _, index = _kernel_data(tsub, s)
+    basis = _kernel_data(tsub, s)[1]
     m = tsub.m
-    w_basis, _ = _row_hnf(np.array(basis) @ np.array(tsub.w_rows), m + 1)
-    for k, (lam_basis, lam_index) in tsub.sigma_lattices.items():
-        if index % lam_index:
-            continue
-        q = _iroot(index // lam_index, m)
-        if q is None:
-            continue
-        if [tuple(q * x for x in row) for row in lam_basis] == w_basis:
+    w_basis, w_piv = _row_hnf(np.array(basis) @ np.array(tsub.w_rows), m + 1)
+    for k, lam in tsub.sigma_lattices.items():
+        q, rem = divmod(w_basis[0][w_piv[0]], lam[0][w_piv[0]])
+        if not rem and [tuple(q * x for x in row) for row in lam] == w_basis:
             return (q,) * k + (0,) * (m - k)
     return None
 

@@ -18,7 +18,7 @@ import modpoly.entry as entry
 import modpoly.polytopality as polytopality
 import modpoly.toroids as toroids
 from modpoly.cli import main
-from modpoly.registry import CASES, GoldenCase, get_case
+from modpoly.registry import CASES, GoldenCase
 from test_toroids import EUCLIDEAN_FIXTURES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -671,7 +671,7 @@ def test_reproduce_rows_sorted_by_id(capsys):
 
 
 def test_reproduce_tampered_expected_fails(capsys, monkeypatch):
-    case = get_case("square-1-2-1-mod4")
+    case = next(c for c in CASES if c.ident == "square-1-2-1-mod4")
     tampered = GoldenCase(case.ident, case.diagram, case.modulus,
                          case.expect_verdict, "33")
     monkeypatch.setattr(cli, "CASES", (tampered,))
@@ -802,7 +802,7 @@ def test_every_public_name_is_the_object_of_its_submodule():
     assert parse_diagram is diagram.parse_diagram
     assert verify_diagram is polytopality.verify_diagram
     assert classify is toroids.classify
-    assert len(set(modpoly.__all__)) == len(modpoly.__all__) == 37
+    assert len(set(modpoly.__all__)) == len(modpoly.__all__) == 36
     for name in modpoly.__all__:
         obj = getattr(modpoly, name)
         assert getattr(sys.modules[obj.__module__], name) is obj, name

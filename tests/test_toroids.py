@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -9,11 +10,17 @@ import modpoly.engine as engine
 import modpoly.toroids as toroids
 from modpoly.diagram import Branch, ParseError, coxeter_order, parse_diagram
 from modpoly.engine import BoundExceeded, element_period, enumerate_small
-from modpoly.matrep import embed_window_vector, radical_vector, reduce_mod, reflection_matrices
+from modpoly.matrep import (
+    _row_hnf,
+    embed_window_vector,
+    radical_vector,
+    reduce_mod,
+    reflection_matrices,
+)
 from modpoly.polytopality import verify_diagram
 from modpoly.toroids import (
+    _index_in,
     _kernel_data,
-    _lattice_coords,
     _translation_meet,
     _translation_period,
     classify,
@@ -422,7 +429,7 @@ def test_kernel_lattice_key_periods_match_the_matrix_orders():
     for diagram, window in windows:
         tsub = translation_generators(diagram, window)
         for s in range(2, 13):
-            _, basis, pivots, _ = _kernel_data(tsub, s)
+            basis = list(_kernel_data(tsub, s)[1])
             key = np.eye(tsub.frame_diagram.rank, dtype=np.int64)
             for k in range(1, tsub.m + 1):
                 key = key @ tsub.mats[k - 1] % s
@@ -430,12 +437,31 @@ def test_kernel_lattice_key_periods_match_the_matrix_orders():
                     continue
                 sigma = (1,) * k + (0,) * (tsub.m - k)
                 least = next((j for j in range(1, 2 * s + 1)
-                              if _lattice_coords([j * x for x in sigma], basis, pivots)
-                              is not None), None)
+                              if _row_hnf(basis + [tuple(j * x for x in sigma)], tsub.m)[0]
+                              == basis), None)
                 assert least == element_period(key, s), (diagram, window, s, k)
                 checked += 1
     assert len(windows) == 67
     assert checked == 1056    # 96 legal (window, k) pairs at 11 moduli
+
+
+def test_index_in_reads_the_index_from_hnf_pivots():
+    ref, ref_pivots = _row_hnf([(1, 0, 0), (0, 1, 0)], 3)
+    assert _index_in([(2, 0, 0), (0, 3, 0)], ref, ref_pivots) == 6
+    assert _index_in([(1, 1, 0), (1, -1, 0)], ref, ref_pivots) == 2
+    assert _index_in([(2, 0, 0)], ref, ref_pivots) == 0
+    with pytest.raises(ValueError, match="outside the reference lattice"):
+        _index_in([(0, 0, 1)], ref, ref_pivots)
+
+
+def test_type_vector_is_none_when_no_reference_lattice_matches():
+    # every (window, s) pair over the radius matches a legal shape, so the
+    # no-match branch is reached by withholding the shape that does match
+    diagram = parse_diagram("4 - 2 - 2 - 1 - 1")
+    tsub = translation_generators(diagram, (0, 1, 2, 3))
+    assert type_vector(tsub, 4) == (4, 4, 0)
+    lattices = {k: lam for k, lam in tsub.sigma_lattices.items() if k != 2}
+    assert type_vector(dataclasses.replace(tsub, sigma_lattices=lattices), 4) is None
 
 
 def test_radical_vector_digest():
