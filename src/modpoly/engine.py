@@ -31,6 +31,14 @@ image slot is at least its own slot.  Deeper levels keep every generator:
 there the strong generators at a level or below generate its stabilizer
 only once the chain is complete.
 
+At every level an involution g stops where its pass began.  A point y
+that g appends is y = g·x with t_y = g·t_x, so g·y = x is already in the
+orbit and s(y, g) = t_x^-1·g·g·t_x = I.  A generator's cursor therefore
+means: applied to every slot below it but the ones it found itself.  A
+chain element is stored as (mat, mat) when it is its own inverse, decided
+once when it becomes a seed or a strong generator, so a pass tells an
+involution by `gmat is ginv`.
+
 Orbit index.  Each level keeps a dict from encoded point to orbit slot, so
 the index takes memory in proportion to the orbit, not to the point space
 (the verifier keeps one chain per generator segment).  A stack of points is
@@ -202,6 +210,12 @@ class _Level:
         return np.fromiter(map(self.index.get, pts.tolist(), repeat(-1)), np.int64, pts.size)
 
 
+def _pair(mat, inv):
+    """A chain element with its inverse, (mat, mat) for an involution: the
+    inverse is then the same object (see "Level 0" in the module docstring)."""
+    return (mat, mat) if np.array_equal(mat, inv) else (mat, inv)
+
+
 def prime_factors(d):
     """The prime factors of d >= 1 with multiplicity, in increasing order."""
     out, p = [], 2
@@ -350,7 +364,7 @@ class StabChain:
 
     def _build(self, stash):
         for mats, invs in stash:
-            self.seeds += zip(mats, invs)
+            self.seeds += map(_pair, mats, invs)
         while True:
             residues = self._sift_stash(stash)
             stash = []  # blocks (mats, invs)
@@ -419,28 +433,34 @@ class StabChain:
             if not moved.size:
                 raise AssertionError("residue is identity; nothing to install")
             self.levels.append(_Level(int(moved[0]), self.space, self.identity))
-        self.gens.append((mat, inv, level))
+        self.gens.append(_pair(mat, inv) + (level,))
 
     def _process_schreier(self, stash):
         """Expand every level with its generators up to the end of its orbit:
         level 0 with the seeds, level li > 0 with the strong generators
-        installed at li or deeper (see "Level 0" in the module docstring)."""
+        installed at li or deeper (see "Level 0" in the module docstring).
+        A pass takes in the points its generator finds, except that an
+        involution stops where its pass began; either way the generator's
+        cursor then moves to the end of the orbit."""
         for li, lev in enumerate(self.levels):
             gens = self.seeds if li == 0 else [(m, i) for m, i, lvl in self.gens if lvl >= li]
             moved = True
             while moved:
                 moved = False
                 for gi, (gmat, ginv) in enumerate(gens):
-                    start = lev.cursors.get(gi, 0)
-                    if start >= lev.orbit_size:
+                    start, stop = lev.cursors.get(gi, 0), lev.orbit_size
+                    if start >= stop:
                         continue
                     moved = True
-                    # an involution's Schreier generators come in inverse pairs
-                    pairs = li == 0 and np.array_equal(gmat, ginv)
-                    while start < lev.orbit_size:
-                        end = min(start + _CHUNK, lev.orbit_size)
-                        self._expand_block(lev, gmat, ginv, start, end, stash, pairs)
+                    involution = gmat is ginv  # see _pair
+                    while start < stop:
+                        end = min(start + _CHUNK, stop)
+                        # an involution's Schreier generators come in inverse pairs
+                        self._expand_block(lev, gmat, ginv, start, end, stash,
+                                           li == 0 and involution)
                         start = end
+                        if not involution:
+                            stop = lev.orbit_size
                     lev.cursors[gi] = lev.orbit_size
 
     def _expand_block(self, lev, gmat, ginv, start, end, stash, pairs):

@@ -49,9 +49,9 @@ def build_parser():
                             help="result cache directory (reproduce always "
                                  "recomputes)")
     guard_opts = argparse.ArgumentParser(add_help=False)
-    guard_opts.add_argument("--guard-order", type=int, metavar="N",
+    guard_opts.add_argument("--guard-order", metavar="N",
                             help="abort when a group order exceeds N")
-    guard_opts.add_argument("--guard-orbit", type=int, metavar="N",
+    guard_opts.add_argument("--guard-orbit", metavar="N",
                             help="abort when an intersection orbit exceeds N")
 
     src_opts = argparse.ArgumentParser(add_help=False)
@@ -63,7 +63,7 @@ def build_parser():
 
     mod_opts = argparse.ArgumentParser(add_help=False)
     mgrp = mod_opts.add_mutually_exclusive_group(required=True)
-    mgrp.add_argument("-m", "--modulus", type=int, metavar="MOD")
+    mgrp.add_argument("-m", "--modulus", metavar="MOD")
     mgrp.add_argument("--mod-range", metavar="A..B",
                       help="inclusive modulus range, e.g. 2..12")
 
@@ -78,7 +78,7 @@ def build_parser():
     p = sub.add_parser("subgroup", parents=[src_opts, fmt_opts, cache_opts,
                                               guard_opts],
                        help="verify a subgroup given by generator words")
-    p.add_argument("-m", "--modulus", type=int, metavar="MOD", required=True)
+    p.add_argument("-m", "--modulus", metavar="MOD", required=True)
     p.add_argument("--word", action="append", metavar="INDICES", required=True,
                    help="one generator word as indices, e.g. \"2 1 2\"; repeat "
                         "per generator")
@@ -92,7 +92,7 @@ def build_parser():
 
     p = sub.add_parser("parse", parents=[src_opts, fmt_opts],
                        help="parse and normalize a diagram")
-    p.add_argument("-m", "--modulus", type=int, metavar="MOD")
+    p.add_argument("-m", "--modulus", metavar="MOD")
     p.add_argument("--dump-rep", action="store_true",
                    help="include the reflection matrices mod -m")
     return top
@@ -112,14 +112,34 @@ def _load_diagrams(args):
     return diagrams
 
 
+def _decimal(text, error):
+    """The integer that text writes in decimal digits alone, as diagrams
+    write their labels; InputError(error) for anything else, such as a sign,
+    a space or an underscore, which int() would read."""
+    if not text.isdecimal():
+        raise InputError(error)
+    return int(text)
+
+
+def _read_integers(args):
+    """Replace the text of each integer option given with its value."""
+    for name, flag in (("modulus", "-m"), ("guard_order", "--guard-order"),
+                       ("guard_orbit", "--guard-orbit")):
+        text = getattr(args, name, None)
+        if text is not None:
+            setattr(args, name, _decimal(text, "%s wants a decimal integer, got %r"
+                                               % (flag, text)))
+
+
 def _moduli(args):
     """The moduli to run, as a range; it is never listed, so a huge range
     costs nothing until the solver reaches its moduli."""
     if getattr(args, "mod_range", None):
         lo, sep, hi = args.mod_range.partition("..")
-        if not sep or not lo.isdecimal() or not hi.isdecimal():
-            raise InputError("--mod-range wants A..B, got %r" % args.mod_range)
-        lo, hi = int(lo), int(hi)
+        error = "--mod-range wants A..B, got %r" % args.mod_range
+        if not sep:
+            raise InputError(error)
+        lo, hi = _decimal(lo, error), _decimal(hi, error)
         if hi < lo:
             raise InputError("empty modulus range %d..%d" % (lo, hi))
     else:
@@ -147,10 +167,7 @@ def _parse_words(raw_words):
         toks = raw.split()
         if not toks:
             raise InputError("empty generator word")
-        try:
-            words.append(tuple(int(t) for t in toks))
-        except ValueError:
-            raise InputError("bad generator word %r" % raw)
+        words.append(tuple(_decimal(t, "bad generator word %r" % raw) for t in toks))
     return tuple(words)
 
 
@@ -196,6 +213,7 @@ class Run:
 
     def __init__(self, args):
         self.args = args
+        _read_integers(args)
         self.diagrams = _load_diagrams(args) if hasattr(args, "diagram") else None
         self.moduli = self.words = self.cache_dir = self.key = None
         self.guards = {}

@@ -94,6 +94,16 @@ def test_verify_json_byte_deterministic(capsys):
     ["parse", "-d", "1 - 2 - 1", "--guard-order", "1"],
     ["parse", "-d", "1 - 2 - 1", "--guard-orbit", "1"],
     ["parse", "-d", "1 - 2 - 1", "--cache", "cache-dir"],
+    # every integer option reads decimal digits alone, as --mod-range does:
+    # int() would read each of these
+    ["verify", "-d", "1 - 2 - 1", "-m", "1_0"],
+    ["classify", "-d", "1 - 2 - 1", "-m", " 4"],
+    ["parse", "-d", "1 - 2 - 1", "-m", "+4", "--dump-rep"],
+    ["verify", "-d", "1 - 2 - 1", "-m", "4", "--guard-order", "1_000"],
+    ["subgroup", "-d", "1 - 2 - 1", "-m", "4", "--guard-orbit", "5 ", "--word", "0"],
+    ["subgroup", "-d", "1 - 2 - 1", "-m", "4", "--word", "0_1"],
+    ["verify", "-d", "1 - 2 - 1", "--mod-range", "1_0..1_0"],
+    ["verify", "-d", "1 - 2 - 1", "--mod-range", " 4..4"],
 ])
 def test_input_errors_exit_2(capsys, argv):
     code, out, _ = run_cli(argv, capsys)
@@ -103,6 +113,8 @@ def test_input_errors_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["parse", "-d", "1 - ²"],
     ["verify", "-d", "1 - 2 - 1", "--mod-range", "²..5"],
+    ["verify", "-d", "1 - 2 - 1", "-m", "²"],
+    ["subgroup", "-d", "1 - 2 - 1", "-m", "4", "--word", "²"],
 ])
 def test_a_superscript_digit_exits_2_with_one_error_line(capsys, argv):
     # "²" is a digit to str.isdigit, but int() does not read it
@@ -760,7 +772,17 @@ def test_a_replay_loads_neither_numpy_nor_the_engine(argv, want, tmp_path):
     (["parse", "-d", "1 - 2 - 1", "-m", "1"], "error: modulus must be at least 2, got 1"),
     (["parse", "-d", "1 - 2 - 1", "--dump-rep"], "error: --dump-rep needs -m"),
     (["reproduce", "--case", "no-such-case"], "error: unknown case id 'no-such-case'"),
-], ids=["subgroup-word-range", "parse-modulus", "parse-dump-rep", "reproduce-case"])
+    (["verify", "-d", "1 - 2 - 1", "-m", "1_0"], "error: -m wants a decimal integer, got '1_0'"),
+    (["subgroup", "-f", "DIAGRAMS", "-m", " 4", "--word", "0"],
+     "error: -m wants a decimal integer, got ' 4'"),
+    (["verify", "-d", "1 - 2 - 1", "-m", "4", "--guard-order", "1_000"],
+     "error: --guard-order wants a decimal integer, got '1_000'"),
+    (["verify", "-d", "1 - 2 - 1", "-m", "4", "--guard-orbit", "-5"],
+     "error: --guard-orbit wants a decimal integer, got '-5'"),
+    (["subgroup", "-f", "DIAGRAMS", "-m", "4", "--word", "1_0"],
+     "error: bad generator word '1_0'"),
+], ids=["subgroup-word-range", "parse-modulus", "parse-dump-rep", "reproduce-case",
+        "verify-modulus", "subgroup-modulus", "guard-order", "guard-orbit", "subgroup-word"])
 def test_an_input_error_exits_2_before_the_solver_loads(argv, err, tmp_path):
     # the word fits the first diagram but not the second, so the first must
     # not be computed before the word is refused

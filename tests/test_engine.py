@@ -216,11 +216,13 @@ def test_level_0_forms_schreier_generators_from_the_inputs_once_per_pair(monkeyp
     # rank-6 `a` mod 7 has a 16,758-point first orbit.  Expanded with each of
     # its 10 strong generators, level 0 took 167,580 images and stashed
     # 83,074 nontrivial Schreier generators; with the 6 input involutions it
-    # takes 100,548 images, and one of each inverse pair leaves 16,194
+    # took 100,548 images, and one of each inverse pair leaves 16,194.  Each
+    # point but the base point is found by one involution, which no longer
+    # maps it back: 6 * 16,758 - 16,757 images
     _, expansions = level_0_expansions(monkeypatch)
     chain = chain_for("1 - 1 - 2 - 2 - 2 - 2", 7)
     assert chain.levels[0].orbit_size == 16758
-    assert sum(images for _, _, images, _ in expansions) == 6 * 16758
+    assert sum(images for _, _, images, _ in expansions) == 6 * 16758 - 16757
     assert sum(stashed for _, _, _, stashed in expansions) == 16194
 
 
@@ -238,6 +240,38 @@ def test_level_0_expands_only_what_the_chain_was_asked_to_generate(monkeypatch):
             kernel_chains.add(id(chain))
         assert any(np.array_equal(gmat, g) for g in allowed)
     assert len(kernel_chains) == 2  # mod 6, and its own kernel chain mod 2
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_no_involution_is_applied_to_the_slots_it_found(chunk, monkeypatch):
+    """An involution g that finds y = g·x stores t_y = g·t_x, so g·y = x and
+    the Schreier generator at y is the identity: no block applies g to y.
+    check() forms and sifts every Schreier generator, the skipped ones too."""
+    if chunk is not None:
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+    finders = {}  # level -> {slot: the generator that found it}
+    found_by_involutions = set()  # (modulus, level index)
+    expand = StabChain._expand_block
+
+    def record_expand(self, lev, gmat, ginv, start, end, stash, *args):
+        found = finders.setdefault(lev, {})
+        involution = np.array_equal(self._mul(gmat, gmat), self.identity)
+        if involution:
+            assert all(found.get(slot) is not gmat for slot in range(start, end))
+        before = lev.orbit_size
+        expand(self, lev, gmat, ginv, start, end, stash, *args)
+        found.update(dict.fromkeys(range(before, lev.orbit_size), gmat))
+        if involution and lev.orbit_size > before:
+            found_by_involutions.add((self.modulus, self.levels.index(lev)))
+
+    monkeypatch.setattr(StabChain, "_expand_block", record_expand)
+    chains = [chain_for("1 - 1 - 2 - 2", 5), chain_for("2 - 1 - 2", 4, order_only=True),
+              chain_for("2 - 1 - 2 - 1", 30, order_only=True)]
+    assert all(chain.check() for chain in chains)
+    assert chains[0].direct and chains[1].lift and chains[2].split
+    # involutions find slots above level 0 in the direct chain (mod 5), and
+    # at level 0 of the lifted (mod 4), split (mod 30) and kernel (mod 2) chains
+    assert {(5, 1), (4, 0), (30, 0), (2, 0)} <= found_by_involutions
 
 
 def test_known_dihedral_orders():
