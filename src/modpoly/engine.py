@@ -63,8 +63,8 @@ point to the least encoded point of g·(orbit).  A listed T (below) is
 first put in a chain of its generators.  The walk goes from T one BFS
 layer at a time under S's input generators: the products gen·rep of a
 layer, rep-major then generator, are canonicalized as one stack and
-deduplicated in that order, as one product at a time would visit them,
-and the new layer is sifted through L at once.
+deduplicated in that order by their byte keys (below), as one product at a
+time would visit them, and the new layer is sifted through L at once.
 Canonicalization works in blocks whose temporaries hold about _CHUNK*n
 entries: _CHUNK/n candidate matrices, or _CHUNK images.
 
@@ -72,9 +72,10 @@ Listed groups.  A group of a few hundred elements is cheaper to list than
 to put in a chain.  `Listed` takes the BFS closure of its generators, one
 frontier at a time, and raises BoundExceeded as soon as it holds more than
 its bound.  Its elements are int64 mod d.  The products of a frontier are
-keyed by their bytes in one pass (a void view read by tolist()), and a
-membership test is one set lookup per matrix.  `intersection_order` sifts
-the elements of a listed side through the other group.
+keyed by their bytes in one pass (a void view read by tolist()), the key
+that also dedupes the coset walk, and a membership test is one set lookup
+per matrix.  `intersection_order` sifts the elements of a listed side
+through the other group.
 
 Lifted order.  A chain built with order_only=True is asked for its order
 and memberships, never for elements or coset representatives, so when
@@ -135,7 +136,7 @@ class BoundExceeded(RuntimeError):
 
 
 class PointSpace:
-    """Bijection between Z_d^n and [0, d^n)."""
+    """Z_d^n, its points coded in [0, d^n) as little-endian mixed radix."""
 
     def __init__(self, d, n, limit=2 ** 31):
         if d < 2:
@@ -147,13 +148,6 @@ class PointSpace:
         self.n = n
         self.size = size
         self.weights = d ** np.arange(n, dtype=np.int64)
-
-    def encode(self, vecs):
-        return np.asarray(vecs, dtype=np.int64) % self.d @ self.weights
-
-    def decode(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        return (idx[..., None] // self.weights) % self.d
 
 
 class _Store:
@@ -216,6 +210,23 @@ def _pair(mat, inv):
     return (mat, mat) if np.array_equal(mat, inv) else (mat, inv)
 
 
+def _generators(gens, modulus, n):
+    """Z_d^n, checked against PointSpace's limit before any int64 product, and
+    the generators int64 mod d; n comes from them, or must be given for none."""
+    if gens:
+        n = len(gens[0])
+    elif n is None:
+        raise ValueError("empty generator list needs an explicit dimension")
+    space = PointSpace(modulus, n)
+    return space, [np.asarray(g, dtype=np.int64) % modulus for g in gens]
+
+
+def _keys(mats):
+    """The bytes of each matrix of a stack, in one list (see "Listed groups")."""
+    flat = np.ascontiguousarray(mats).reshape(-1, mats.shape[-1] ** 2)
+    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
+
+
 def prime_factors(d):
     """The prime factors of d >= 1 with multiplicity, in increasing order."""
     out, p = [], 2
@@ -245,22 +256,17 @@ class StabChain:
     """
 
     def __init__(self, gens, modulus, n=None, order_only=False):
-        gens = [np.asarray(g, dtype=np.int64) % modulus for g in gens]
-        if gens:
-            n = gens[0].shape[0]
-        elif n is None:
-            raise ValueError("empty generator list needs an explicit dimension")
+        self.space, gens = _generators(gens, modulus, n)
         self.modulus = modulus
-        self.n = n
-        self.space = PointSpace(modulus, n) if n else None
+        self.n = n = self.space.n
         # lifted: the kernel's prime p, and an F_p basis of its X's as (pivot, row)
-        self.lift = square_prime(modulus) if order_only and n else None
+        self.lift = square_prime(modulus) if order_only else None
         self.kernel = []
         # split: the kernel chain's modulus b, and that chain once it exists
         self.split = self.kernel_chain = None
         if self.lift:
             self.space = PointSpace(modulus // self.lift, n)
-        elif order_only and n and len(prime_factors(modulus)) > 1:
+        elif order_only and len(prime_factors(modulus)) > 1:
             self.space = PointSpace(prime_factors(modulus)[-1], n)
             self.split = modulus // self.space.d
         self.direct = not (self.lift or self.split)  # acts on all of Z_d^n
@@ -500,9 +506,6 @@ class StabChain:
 
     # -- queries ---------------------------------------------------------
 
-    def member(self, mat):
-        return bool(self.member_mask(np.asarray(mat)[None])[0])
-
     def member_mask(self, mats):
         """Vectorized membership for a stack of matrices (k, n, n)."""
         arr = self._own(mats).reshape(-1, self.n, self.n)
@@ -534,12 +537,11 @@ class StabChain:
 
     def check(self):
         """Re-derive the Schreier condition from scratch (test support)."""
-        for g in self.input_gens:
-            if not self.member(g):
-                raise AssertionError("input generator fails membership")
+        if not self.member_mask(np.stack(self.input_gens or [self.identity])).all():
+            raise AssertionError("input generator fails membership")
         for li, lev in enumerate(self.levels):
             trans, trans_inv = lev.trans.view(), lev.trans_inv.view()
-            pts = self.space.encode(trans[:, :, lev.beta_col])
+            pts = self._mod_space(trans[:, :, lev.beta_col]) @ self.space.weights
             if not np.array_equal(lev.lookup(pts), np.arange(lev.orbit_size)):
                 raise AssertionError("orbit index does not give each point its slot")
             if not (self._mul(trans, trans_inv) == self.identity).all():
@@ -548,7 +550,7 @@ class StabChain:
                 if glvl < li:
                     continue
                 cand = self._mul(gmat, trans)
-                slots = lev.lookup(self.space.encode(cand[:, :, lev.beta_col]))
+                slots = lev.lookup(self._mod_space(cand[:, :, lev.beta_col]) @ self.space.weights)
                 if (slots < 0).any():
                     raise AssertionError("orbit not closed under visible generator")
                 if not self.member_mask(self._mul(trans_inv[slots], cand)).all():
@@ -575,22 +577,16 @@ class Listed:
     """
 
     def __init__(self, gens, modulus, n=None, bound=256):
-        gens = [np.asarray(g, dtype=np.int64) % modulus for g in gens]
-        if gens:
-            n = gens[0].shape[0]
-        elif n is None:
-            raise ValueError("empty generator list needs an explicit dimension")
-        PointSpace(modulus, n)  # overflows where a chain would, before int64 products can
+        space, self.input_gens = _generators(gens, modulus, n)
         self.modulus = modulus
-        self.n = n
-        self.input_gens = gens
+        self.n = n = space.n
         frontier = np.eye(n, dtype=np.int64)[None]
-        blocks, self.keys = [frontier], set(self._keys(frontier))
-        stack = np.stack(gens) if gens else frontier[:0]
+        blocks, self.keys = [frontier], set(_keys(frontier))
+        stack = np.stack(self.input_gens) if self.input_gens else frontier[:0]
         while frontier.shape[0]:
             prods = (np.matmul(stack[:, None], frontier) % modulus).reshape(-1, n, n)
             # one row per distinct product, in order of first appearance
-            batch = dict(zip(self._keys(prods), range(prods.shape[0])))
+            batch = dict(zip(_keys(prods), range(prods.shape[0])))
             fresh = [i for key, i in batch.items() if key not in self.keys]
             self.keys.update(batch)
             if len(self.keys) > bound:
@@ -599,11 +595,6 @@ class Listed:
             blocks.append(frontier)
         self._elements = np.concatenate(blocks)
 
-    def _keys(self, mats):
-        """The bytes of each int64 matrix of a stack, in one list."""
-        flat = np.ascontiguousarray(mats).reshape(-1, self.n * self.n)
-        return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
-
     def order(self):
         return self._elements.shape[0]
 
@@ -611,12 +602,9 @@ class Listed:
         """All group elements as one (order, n, n) int64 array, BFS order."""
         return self._elements
 
-    def member(self, mat):
-        return bool(self.member_mask(np.asarray(mat)[None])[0])
-
     def member_mask(self, mats):
         """Vectorized membership for a stack of matrices (k, n, n)."""
-        keys = self._keys(np.asarray(mats, dtype=np.int64) % self.modulus)
+        keys = _keys(np.asarray(mats, dtype=np.int64) % self.modulus)
         return np.fromiter(map(self.keys.__contains__, keys), bool, len(keys))
 
 
@@ -646,7 +634,7 @@ def intersection_order(a, b, sub, orbit_guard=1_000_000, enum_bound=20_000):
     sub_order = 1 if sub is None else sub.order()
     n = small.n
     frontier = _canonical_coset_reps(sub, small.identity[None].copy())
-    visited, members = {frontier[0].tobytes()}, 1  # T itself lies in L
+    visited, members = set(_keys(frontier)), 1  # T itself lies in L
     gens = np.stack(small.input_gens or [small.identity])
     step = max(1, _CHUNK // (gens.shape[0] * n))  # see "Coset walk"
     while frontier.shape[0]:
@@ -655,12 +643,10 @@ def intersection_order(a, b, sub, orbit_guard=1_000_000, enum_bound=20_000):
             # candidates rep-major, then generator: gens[j] @ rep
             cands = small._mul(gens, frontier[at:at + step, None]).reshape(-1, n, n)
             cands = _canonical_coset_reps(sub, cands)
-            keep = []
-            for i, cand in enumerate(cands):
-                key = cand.tobytes()
-                if key not in visited:
-                    visited.add(key)
-                    keep.append(i)
+            # one row per new coset, in order of first appearance
+            batch = dict(zip(_keys(cands), range(cands.shape[0])))
+            keep = [i for key, i in batch.items() if key not in visited]
+            visited.update(batch)
             if len(visited) > orbit_guard:
                 raise OrbitGuardExceeded("coset orbit exceeds guard %d" % orbit_guard)
             nxt.append(cands[keep])

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (verify/subgroup: the group is a string C-group;
 reproduce: no case failed), 1 negative verdict or failed case, 2 input or
-parse error, 3 a computation guard tripped.
+parse error (a modulus of 2^63 or more, whose residues int64 cannot hold,
+among them), 3 a computation guard tripped.
 
 With a cache directory (--cache DIR), verify/classify/subgroup runs store
 their exact output bytes and exit code, one file per run; a later identical
@@ -121,14 +122,24 @@ def _decimal(text, error):
     return int(text)
 
 
+def _modulus(text, error):
+    """A modulus read by _decimal, refused from 2^63 on: its residues would
+    not fit the int64 entries of the engine's matrices."""
+    d = _decimal(text, error)
+    if d >= 2 ** 63:
+        raise InputError("modulus must be below 2^63, got %d" % d)
+    return d
+
+
 def _read_integers(args):
     """Replace the text of each integer option given with its value."""
-    for name, flag in (("modulus", "-m"), ("guard_order", "--guard-order"),
-                       ("guard_orbit", "--guard-orbit")):
+    for name, flag, read in (("modulus", "-m", _modulus),
+                             ("guard_order", "--guard-order", _decimal),
+                             ("guard_orbit", "--guard-orbit", _decimal)):
         text = getattr(args, name, None)
         if text is not None:
-            setattr(args, name, _decimal(text, "%s wants a decimal integer, got %r"
-                                               % (flag, text)))
+            setattr(args, name, read(text, "%s wants a decimal integer, got %r"
+                                           % (flag, text)))
 
 
 def _moduli(args):
@@ -139,7 +150,7 @@ def _moduli(args):
         error = "--mod-range wants A..B, got %r" % args.mod_range
         if not sep:
             raise InputError(error)
-        lo, hi = _decimal(lo, error), _decimal(hi, error)
+        lo, hi = _modulus(lo, error), _modulus(hi, error)
         if hi < lo:
             raise InputError("empty modulus range %d..%d" % (lo, hi))
     else:

@@ -35,6 +35,8 @@ def reflection_matrices(diagram):
 def reduce_mod(mats, d):
     if d < 2:
         raise ValueError("modulus must be at least 2")
+    if d >= 2 ** 63:  # past int64, where the residues are kept
+        raise ValueError("modulus must be below 2^63")
     return [np.asarray(m, dtype=np.int64) % d for m in mats]
 
 

@@ -733,7 +733,7 @@ def _translation_meet(tsub, s, lo, hi, kernel):
         if not any(rep_a):
             continue
         checked += 1
-        if group.member(_chain_power(pows, rep_a, s)):
+        if group.member_mask(_chain_power(pows, rep_a, s)[None])[0]:
             witness = list(rep_a)
             break
     return {

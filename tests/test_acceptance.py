@@ -244,8 +244,8 @@ def test_criterion_11_engine_oracle():
         assert sub_chain.order() == len(sub_set)
         for i in sorted(rng.sample(range(order), min(12, order))):
             x = els[i]
-            assert chain.member(x)
-            assert sub_chain.member(x) == (x.tobytes() in sub_set)
+            assert chain.member_mask(x[None])[0]
+            assert sub_chain.member_mask(x[None])[0] == (x.tobytes() in sub_set)
         lo2 = rng.randrange(rank)
         hi2 = rng.randrange(lo2 + 1, rank + 1)
         other = rep.mats[lo2:hi2]

@@ -104,6 +104,14 @@ def test_verify_json_byte_deterministic(capsys):
     ["subgroup", "-d", "1 - 2 - 1", "-m", "4", "--word", "0_1"],
     ["verify", "-d", "1 - 2 - 1", "--mod-range", "1_0..1_0"],
     ["verify", "-d", "1 - 2 - 1", "--mod-range", " 4..4"],
+    # a modulus of 2^63 or more, past the int64 residues, on every command
+    # and at either end of a range
+    ["verify", "-d", "1", "-m", "9223372036854775808"],
+    ["classify", "-d", "2 - 1 - 2", "-m", "100000000000000000000"],
+    ["subgroup", "-d", "1 - 1", "-m", "100000000000000000000", "--word", "0"],
+    ["parse", "-d", "1 - 1", "-m", "100000000000000000000", "--dump-rep"],
+    ["verify", "-d", "1", "--mod-range", "2..9223372036854775808"],
+    ["verify", "-d", "1", "--mod-range", "9223372036854775808..9223372036854775809"],
 ])
 def test_input_errors_exit_2(capsys, argv):
     code, out, _ = run_cli(argv, capsys)
@@ -139,6 +147,10 @@ def test_guard_exit_3(capsys):
         ["verify", "-d", "3 - 3 - 1 - 1", "-m", "4", "--guard-order", "7680"],
         capsys)
     assert code == 0
+    # 2^63 - 1 passes the input checks, and its point space overflows
+    code, out, err = run_cli(["verify", "-d", "1", "-m", str(2 ** 63 - 1)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "guard: point space %d^1 exceeds 2147483648\n" % (2 ** 63 - 1)
 
 
 def test_order_guard_trips_on_a_listed_group(capsys, monkeypatch):
@@ -781,8 +793,19 @@ def test_a_replay_loads_neither_numpy_nor_the_engine(argv, want, tmp_path):
      "error: --guard-orbit wants a decimal integer, got '-5'"),
     (["subgroup", "-f", "DIAGRAMS", "-m", "4", "--word", "1_0"],
      "error: bad generator word '1_0'"),
+    (["verify", "-d", "1", "-m", "9223372036854775808"],
+     "error: modulus must be below 2^63, got 9223372036854775808"),
+    (["classify", "-d", "2 - 1 - 2", "-m", "100000000000000000000"],
+     "error: modulus must be below 2^63, got 100000000000000000000"),
+    (["subgroup", "-f", "DIAGRAMS", "-m", "100000000000000000000", "--word", "0"],
+     "error: modulus must be below 2^63, got 100000000000000000000"),
+    (["parse", "-d", "1 - 1", "-m", "100000000000000000000", "--dump-rep"],
+     "error: modulus must be below 2^63, got 100000000000000000000"),
+    (["verify", "-d", "1", "--mod-range", "2..9223372036854775808"],
+     "error: modulus must be below 2^63, got 9223372036854775808"),
 ], ids=["subgroup-word-range", "parse-modulus", "parse-dump-rep", "reproduce-case",
-        "verify-modulus", "subgroup-modulus", "guard-order", "guard-orbit", "subgroup-word"])
+        "verify-modulus", "subgroup-modulus", "guard-order", "guard-orbit", "subgroup-word",
+        "verify-2^63", "classify-2^63", "subgroup-2^63", "parse-2^63", "mod-range-2^63"])
 def test_an_input_error_exits_2_before_the_solver_loads(argv, err, tmp_path):
     # the word fits the first diagram but not the second, so the first must
     # not be computed before the word is refused

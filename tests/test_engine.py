@@ -25,16 +25,19 @@ from modpoly.engine import (
 from modpoly.matrep import ModularRep
 
 
+def point_codes(vecs, modulus):
+    """The codes of points of Z_d^n, each point a vector along the last axis
+    (little-endian mixed radix)."""
+    vecs = np.asarray(vecs, dtype=np.int64) % modulus
+    return vecs @ modulus ** np.arange(vecs.shape[-1], dtype=np.int64)
+
+
 def as_permutations(mats, modulus, limit=2 ** 22):
     """Materialize the permutation action on Z_d^n (small spaces only)."""
     mats = [np.asarray(m, dtype=np.int64) % modulus for m in mats]
-    n = mats[0].shape[0]
-    space = PointSpace(modulus, n, limit=limit)
-    vecs = space.decode(np.arange(space.size))
-    out = []
-    for m in mats:
-        out.append(np.asarray(space.encode(vecs @ m.T % modulus), dtype=np.int32))
-    return out
+    space = PointSpace(modulus, mats[0].shape[0], limit=limit)
+    vecs = np.arange(space.size)[:, None] // space.weights % modulus
+    return [np.asarray(point_codes(vecs @ m.T, modulus), dtype=np.int32) for m in mats]
 
 
 def permutation_order(perm):
@@ -76,14 +79,8 @@ def brute_order(text, modulus, indices=None):
     return enumerate_small(mats, modulus).shape[0]
 
 
-def test_pointspace_round_trip():
-    space = PointSpace(5, 3)
-    idx = np.arange(space.size)
-    assert np.array_equal(space.encode(space.decode(idx)), idx)
-    assert space.size == 125
-
-
 def test_pointspace_overflow():
+    assert PointSpace(5, 3).size == 125
     with pytest.raises(PointSpaceOverflow):
         PointSpace(13, 9)
 
@@ -155,7 +152,7 @@ def test_chain_index_is_sized_by_the_orbit():
         size = chain.space.size
         for lev in chain.levels:
             # each orbit point once, mapped to its slot
-            pts = chain.space.encode(lev.trans.view()[:, :, lev.beta_col])
+            pts = point_codes(lev.trans.view()[:, :, lev.beta_col], chain.space.d)
             assert lev.index == dict(zip(pts.tolist(), range(lev.orbit_size)))
             for name in lev.__slots__:
                 value = getattr(lev, name, None)
@@ -183,7 +180,7 @@ def test_chain_structure_is_pinned(chunk, monkeypatch):
         chain = chain_for(text, modulus, order_only=order_only)
         for lev in chain.levels:
             digest.update(np.int64(lev.beta_col).tobytes())
-            pts = chain.space.encode(lev.trans.view()[:, :, lev.beta_col])
+            pts = point_codes(lev.trans.view()[:, :, lev.beta_col], chain.space.d)
             digest.update(pts.astype(np.int64).tobytes())
         digest.update(np.array([lvl for _, _, lvl in chain.gens], dtype=np.int64).tobytes())
         digest.update(str(chain.order()).encode())
@@ -292,11 +289,11 @@ def test_membership_agreement():
         assert elems.shape[0] == chain.order()
         assert bool(chain.member_mask(elems).all())
         for m in elems[:16]:
-            assert chain.member(m)
+            assert chain.member_mask(m[None])[0]
         # a matrix outside the group: identity scaled, when nontrivial
         fake = (2 * np.eye(chain.n, dtype=np.int64)) % modulus
         if not any(np.array_equal(fake, e) for e in elems):
-            assert not chain.member(fake)
+            assert not chain.member_mask(fake[None])[0]
 
 
 def test_elements_enumeration_matches_order():
@@ -311,7 +308,7 @@ def test_elements_enumeration_matches_order():
 def test_trivial_and_empty_chains():
     chain = StabChain([], 3, n=2)
     assert chain.order() == 1
-    assert chain.member(np.eye(2, dtype=np.int64))
+    assert chain.member_mask(np.eye(2, dtype=np.int64)[None])[0]
     ident_only = StabChain([np.eye(2, dtype=np.int64)], 3)
     assert ident_only.order() == 1
 
@@ -759,7 +756,7 @@ def test_listed_groups_match_the_chain_and_the_closure():
         assert group.order() == chain.order() == closure.shape[0], (text, modulus)
         known = {m.tobytes() for m in closure}
         assert {m.tobytes() for m in group.elements()} == known
-        assert all(group.member(m) for m in mats)
+        assert all(group.member_mask(m[None])[0] for m in mats)
         cands = np.concatenate([np.stack(mats), near_misses(group.elements(), modulus, rng)])
         oracle = np.array([m.tobytes() in known for m in cands])
         assert np.array_equal(group.member_mask(cands), oracle), (text, modulus)
@@ -774,7 +771,7 @@ def test_listed_group_bound():
     with pytest.raises(BoundExceeded):
         Listed(mats, 4, bound=31)
     trivial = Listed([], 4, n=3)
-    assert trivial.order() == 1 and trivial.member(np.eye(3, dtype=np.int64) + 4)
+    assert trivial.order() == 1 and trivial.member_mask(np.eye(3, dtype=np.int64)[None] + 4)[0]
     # a group of 4 elements over 50000^2 points, past the chains' limit
     commuting = ModularRep(parse_diagram("1 , 1"), 50_000).mats
     for build in (Listed, StabChain):
@@ -848,6 +845,65 @@ def test_intersection_order_with_listed_groups(text, modulus, left, right, monke
             for t in (sub, None):
                 assert intersection_order(x, y, t, enum_bound=1) == expected
                 assert intersection_order(y, x, t, enum_bound=1) == expected
+
+
+def walk_layers(small, sub):
+    """The BFS layers of a coset walk over small, one product at a time:
+    each coset of a layer in order, then each input generator, every coset
+    named by the scalar oracle and kept where it first appears."""
+    def name(g):
+        return g if sub is None else canonical_coset_rep(sub, g)
+
+    layer = [name(small.identity)]
+    seen, layers = {layer[0].tobytes()}, []
+    while layer:
+        nxt = []
+        for rep in layer:
+            for gen in small.input_gens:
+                coset = name(small._mul(gen, rep))
+                if coset.tobytes() not in seen:
+                    seen.add(coset.tobytes())
+                    nxt.append(coset)
+        layers.append(nxt)
+        layer = nxt
+    return layers
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("text,modulus,left,right", [
+    ("1 - 1 - 1 - 1 - 1", 3, [0, 1, 2], [2, 3, 4]),
+    ("1 = 1 - 1 = 1", 5, [0, 1, 2], [1, 2, 3]),
+])
+def test_the_coset_walk_visits_cosets_in_first_appearance_order(text, modulus, left, right,
+                                                                 chunk, monkeypatch):
+    """Each layer the walk hands to the larger group is the next BFS layer of
+    one product at a time, over a listed shared segment, a chain of it and
+    the trivial group; a small chunk walks one coset of a layer at a time."""
+    if chunk is not None:
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+    a, b = chain_for(text, modulus, left), chain_for(text, modulus, right)
+    small, large = (a, b) if a.order() <= b.order() else (b, a)
+    shared = [i for i in left if i in right]
+    listed = Listed(ModularRep(parse_diagram(text), modulus).select(shared), modulus)
+    direct = chain_for(text, modulus, shared)
+    expected = brute_intersection(text, modulus, left, right)
+    layers, member_mask = [], large.member_mask
+
+    def recording(mats):
+        layers.append(mats.tolist())
+        return member_mask(mats)
+
+    monkeypatch.setattr(large, "member_mask", recording)
+    # a walk names the cosets of a listed T through the chain of its generators
+    for sub, named_by in ((listed, StabChain(listed.input_gens, modulus, n=listed.n)),
+                          (direct, direct), (None, None)):
+        layers.clear()
+        assert intersection_order(a, b, sub, enum_bound=1) == expected
+        if sub is not None:  # the subgroup check comes first
+            assert layers.pop(0) == np.stack(sub.input_gens).tolist()
+        oracle = walk_layers(small, named_by)
+        assert layers == [[m.tolist() for m in layer] for layer in oracle]
+        assert max(map(len, layers)) > 1
 
 
 def test_a_walk_over_a_listed_sub_needs_involutions():

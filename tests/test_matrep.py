@@ -73,6 +73,11 @@ def test_reduce_mod_range_and_functoriality():
         for a, b in zip(mats, mats[1:]):
             ra, rb = reduce_mod([a, b], modulus)
             assert np.array_equal((a @ b) % modulus, ra @ rb % modulus)
+    # the residues are int64: a modulus from 2^63 on is refused, not overflowed
+    assert reduce_mod(mats, 2 ** 63 - 1)[0][0, 0] == 2 ** 63 - 2
+    for modulus in (2 ** 63, 10 ** 20):
+        with pytest.raises(ValueError):
+            reduce_mod(mats, modulus)
 
 
 def test_modular_rep_select():
