@@ -23,8 +23,8 @@ generators t_1..t_m are constructed over the integers (t_1 = r_j s_theta
 for the highest root theta of the point group; the rest by reflection
 conjugacy), and the kernel lattice K = {a : t_1^a1 ... t_m^am = e mod s}
 is enumerated exactly and compared, in Hermite normal form, against the
-scaled reference lattices q . span(orbit of t_1 ... t_k) of the legal
-shapes.  Lattices are compared in one coordinate system, that of the
+scaled reference lattices q . span(orbit of t_(m-k+1) ... t_m) of the
+legal shapes.  Lattices are compared in one coordinate system, that of the
 translation vectors w with t - e = c (x) w on the window columns: the
 orbit spans are formed there, and K is carried there by a -> sum a_i w_i.
 The integer HNF `matrep._row_hnf` is the only lattice operation: it is
@@ -209,7 +209,7 @@ class TranslationSubgroup:
 # translation generator construction
 
 def _orbit(start, images, name):
-    """Breadth-first orbit of an integer array, sorted for determinism.
+    """Breadth-first orbit of an integer array.
 
     images(x) lists the neighbours of x.  Raises BoundExceeded, naming the
     orbit, once it would exceed _ORBIT_BOUND elements.
@@ -227,7 +227,7 @@ def _orbit(start, images, name):
                     seen[key] = y
                     step.append(y)
         frontier = step
-    return sorted(seen.values(), key=lambda a: a.tobytes())
+    return list(seen.values())
 
 
 def _translation_row(mat, c_ambient, window):
@@ -271,7 +271,7 @@ def _sigma_indices(kind, m):
 
 
 def _first_translation(frame_d, frame_w, c_amb):
-    """(t_1, w_1) with t_1 = r_j s_theta, j = frame_w[0]; see translation_generators.
+    """t_1 = r_j s_theta, j = frame_w[0]; see translation_generators.
 
     theta = c - b_j is made primitive, so s_theta's coefficients 2 B(b_l, theta)
     / B(theta, theta) are integers; 2 B(b_l, v) = -a_l (C v)_l for the Gram
@@ -289,7 +289,7 @@ def _first_translation(frame_d, frame_w, c_amb):
     w1 = _translation_row(t1, c_amb, frame_w)
     if w1 is None or not any(w1):
         raise AssertionError("r_j s_theta is not a nontrivial translation")
-    return t1, w1
+    return t1
 
 
 def translation_generators(diagram, window):
@@ -302,22 +302,22 @@ def translation_generators(diagram, window):
     "Reflection Groups and Coxeter Groups" 4.2; McMullen & Schulte,
     "Abstract Regular Polytopes" ch. 6).  It is the only one of the form
     r_j h with h in the point group, since the char-0 window action is
-    faithful.  For the cubic systems the rest follow by successive reflection conjugation; for
-    [3,3,4,3] and [3,6] the mates are chosen from the conjugacy orbit of t_1
-    by the orbit-span index of the key translation t_1 t_2, and for
-    [3,3,4,3] the last two generators complete the orbit to a basis.
+    faithful.  In every system the rest follow by successive reflection
+    conjugation, t_(i+1) = r_(j+i) t_i r_(j+i), and the w rows of t_1..t_m
+    are checked to span the lattice of the conjugacy orbit of t_1.
 
     sigma_lattices holds, for each legal k, the reference lattice L_k: the
     HNF, over the m + 1 window columns, of the w rows of the conjugacy orbit
-    of t_1 ... t_k, whose index in the full translation lattice (spanned by
-    the w rows of t_1..t_m) is checked against _sigma_indices.
+    of sigma_k, the product of the last k generators, whose index in the
+    full translation lattice is checked against _sigma_indices.  The key
+    translation sigma_2 is t_(m-1) t_m: t_3 t_4 for [3,3,4,3] and t_1 t_2
+    for [3,6]; in the cubic systems any two generators give the same L_2.
     """
     win = _check_window(diagram, window)
     match = _match(diagram, win, _euclidean_system)
     if match is None:
         raise ValueError("window does not match a Euclidean basic system")
     system, flipped, frame_d, frame_w = match
-    kind = _FAMILY_KIND[system]
     m = len(frame_w) - 1
     j = frame_w[0]
 
@@ -328,45 +328,17 @@ def translation_generators(diagram, window):
     c_amb = embed_window_vector(c_win, frame_w, frame_d.rank)
 
     point_gens = [refl[i] for i in frame_w[1:]]
-    t1, w1 = _first_translation(frame_d, frame_w, c_amb)
-    orbit = _conj_orbit(t1, point_gens, c_amb, frame_w)
-    w_all = sorted(orbit)
-    full_hnf, full_piv = _row_hnf(w_all, m + 1)
+    mats = [_first_translation(frame_d, frame_w, c_amb)]
+    for i in range(1, m):
+        r = refl[j + i]
+        mats.append(r @ mats[-1] @ r)
+    orbit = _conj_orbit(mats[0], point_gens, c_amb, frame_w)
+    full_hnf, full_piv = _row_hnf(orbit, m + 1)
+    if len(full_hnf) != m:
+        raise AssertionError("translation orbit does not span rank %d" % m)
 
-    mats = [t1]
-    if kind == "cubic":
-        for i in range(1, m):
-            r = refl[j + i]
-            mats.append(r @ mats[-1] @ r)
-    elif kind != "inf":
-        if len(full_hnf) != m:
-            raise AssertionError("translation orbit does not span rank %d" % m)
-        target = 3 if kind == "hex" else 4
-        neg_w1 = tuple(-x for x in w1)
-        w2 = None
-        for wv in w_all:
-            if wv in (w1, neg_w1):
-                continue
-            sig = t1 @ orbit[wv]
-            sig_orbit = _conj_orbit(sig, point_gens, c_amb, frame_w)
-            if _index_in(sig_orbit, full_hnf, full_piv) == target:
-                w2 = wv
-                break
-        if w2 is None:
-            raise AssertionError("no orbit mate with key-translation index %d" % target)
-        mats.append(orbit[w2])
-        if kind == "f443":
-            done = None
-            for wa, wb in itertools.combinations(w_all, 2):
-                if _index_in([w1, w2, wa, wb], full_hnf, full_piv) == 1:
-                    done = (orbit[wa], orbit[wb])
-                    break
-            if done is None:
-                raise AssertionError("no orbit pair completes a translation basis")
-            mats.extend(done)
-
-    # each generator lies in the orbit (cubic ones as point-reflection
-    # conjugates); an index of 1 also shows the w rows are independent
+    # each generator lies in the orbit as a point-reflection conjugate; an
+    # index of 1 also shows the w rows are independent
     w_of = {x.tobytes(): w for w, x in orbit.items()}
     w_rows = tuple(w_of[t.tobytes()] for t in mats)
     if _index_in(w_rows, full_hnf, full_piv) != 1:
@@ -381,8 +353,8 @@ def translation_generators(diagram, window):
         raise AssertionError("generator is not unipotent of the expected depth")
 
     sigma_lattices = {}
-    for k, want in _sigma_indices(kind, m).items():
-        sig_orbit = _conj_orbit(functools.reduce(np.matmul, mats[:k]), point_gens, c_amb,
+    for k, want in _sigma_indices(_FAMILY_KIND[system], m).items():
+        sig_orbit = _conj_orbit(functools.reduce(np.matmul, mats[m - k:]), point_gens, c_amb,
                                 frame_w, "sigma")
         idx = _index_in(sig_orbit, full_hnf, full_piv)
         if idx != want:

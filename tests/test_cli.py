@@ -338,9 +338,8 @@ FIXTURE_CLASSIFY_DIGESTS = {
 
 @pytest.mark.parametrize("fmt", sorted(FIXTURE_CLASSIFY_DIGESTS))
 def test_classify_keeps_its_digests_on_the_euclidean_fixtures(fmt, tmp_path, capsysbinary):
-    # one witness per prediction row, so this reaches the sections no
-    # benchmark command reaches: the [3,3,4,3] basis completion and the
-    # P6 rows at s divisible by 3
+    # one witness per prediction row, among them the P6 rows at s divisible
+    # by 3, which no benchmark command reaches
     texts = list(dict.fromkeys(text for text, _ in EUCLIDEAN_FIXTURES))
     assert len(texts) == 24
     path = tmp_path / "fixtures.txt"
@@ -349,6 +348,45 @@ def test_classify_keeps_its_digests_on_the_euclidean_fixtures(fmt, tmp_path, cap
     out = capsysbinary.readouterr().out
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == FIXTURE_CLASSIFY_DIGESTS[fmt]
+
+
+# sha256 of `classify --mod-range 2..12 --format json` on strings with
+# longer or more embedded Euclidean windows than the fixtures: [3,3,4,3]
+# windows in either frame and beside another Euclidean or spherical window,
+# and cubic windows up to m = 4.  Each runs in a child, to keep the test
+# process small: a child of run_timed reads its parent's peak RSS as its own
+LONG_WINDOW_CLASSIFY_DIGESTS = [
+    ("1 - 1 - 2 - 2 - 2 - 2 - 2 - 2",
+     "4d2b5e24e8f970282e52149d6878281537458404f1f25e07d2c4098a04646397"),
+    ("1 - 1 - 2 - 2 - 2 - 2", "d5a61eeee2e9038944fc197313b14a61bb461cb7664e70f684249e19f9fbfa56"),
+    ("2 - 2 - 1 - 1 - 1 - 1", "c701fdd27e944ab783d654e868a025ab6cdf29eee0130aa8ee1482d178f71ade"),
+    ("1 - 2 - 2 - 2 - 1 - 1", "b5200afd300b452ce894e2b7995f131c6c44079999a86491b2dd328acbe057b6"),
+    ("4 - 2 - 2 - 2 - 1 - 1", "963814db419c87587df6d8ac57307fe146ca6c81a1587fa265acc4346f37c061"),
+    ("1 - 2 - 2 - 4 - 4", "35eeec6656b2f662e97ea19332a3a3cb50fd548e6814da116a00dc4b28310a80"),
+    ("1 - 1 - 1 - 2 - 2 - 2", "438e0cb36afda7f7b5fe449492bc4a08f56b27ff717cfb770a82842d0eb7e7ea"),
+    ("2 - 2 - 2 - 1 - 1 - 1 - 1",
+     "613814fffa806fe9d44991abc2aa5bf47f8dfb10fafa39f433b8006fe04645a4"),
+    ("1 - 1 - 1 - 2 - 2 - 4 - 4",
+     "aefe8fbedd1eda187128d0f458a07dece8da73ac0105ddc8c055e5f6fab24cfd"),
+]
+
+
+@pytest.mark.parametrize("text,expected", LONG_WINDOW_CLASSIFY_DIGESTS)
+def test_classify_keeps_its_digests_past_the_fixtures(text, expected):
+    code, out, _, _ = run_module(["classify", "-d", text, "--mod-range", "2..12",
+                                  "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == expected
+
+
+def test_a_box_guard_lists_the_equal_periods_of_conjugate_generators():
+    # the generators of the [4,3,3,3,3,3,4] window are reflection conjugates,
+    # so they share one period; the guard lists each generator's in order.
+    # The 8^7 box at s = 8 passes the guard, so this too runs in a child
+    code, out, err, _ = run_module(["classify", "-d", "1 - 2 - 2 - 2 - 2 - 2 - 2 - 1",
+                                    "--mod-range", "2..12", "--format", "json"])
+    assert (code, out) == (3, b"")
+    assert err == "guard: exponent box 9 x 9 x 9 x 9 x 9 x 9 x 9 exceeds bound 4194304\n"
 
 
 def test_classify_cubic_window_with_point_group_b5(capsys):

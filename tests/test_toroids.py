@@ -657,27 +657,84 @@ def _point_group_t1(frame_d, frame_w, c_amb):
     return found[0], len(els)
 
 
-@pytest.mark.parametrize("most,count", [(5, 501), pytest.param(7, 991, marks=pytest.mark.long)])
-def test_first_translation_matches_the_point_group_search(most, count):
-    # t_1 is the identity beyond the window's neighbours, and a "," neighbour
-    # acts as none, so the windows of 2 to 5 nodes with at most one neighbour
-    # on each side cover every embedding once the diagrams reach rank 7
-    seen = 0
+def string_windows(most):
+    """(diagram, window, match) for each Euclidean window of 2 to 5 nodes with
+    at most one neighbour on each side, in the strings up to rank most.
+
+    t_1 is the identity beyond the window's neighbours, and a "," neighbour
+    acts as none, so these cover every embedding once the diagrams reach
+    rank 7."""
     for rank in range(2, most + 1):
         for d in strings(rank, "-=", (1, 2, 3, 4)):
             for lo, hi in {(0, rank), (1, rank), (0, rank - 1), (1, rank - 1)}:
                 if not 2 <= hi - lo <= 5:
                     continue
-                match = toroids._match(d, tuple(range(lo, hi)), toroids._euclidean_system)
-                if match is None:
-                    continue
-                _, _, fd, fw = match
-                c_amb = embed_window_vector(radical_vector(fd, fw), fw, fd.rank)
-                t1, point_order = _point_group_t1(fd, fw, c_amb)
-                assert np.array_equal(toroids._first_translation(fd, fw, c_amb)[0], t1), d
-                assert coxeter_order(toroids._periods(fd, fw[1:])) == point_order, d
-                seen += 1
+                window = tuple(range(lo, hi))
+                match = toroids._match(d, window, toroids._euclidean_system)
+                if match is not None:
+                    yield d, window, match
+
+
+@pytest.mark.parametrize("most,count", [(5, 501), pytest.param(7, 991, marks=pytest.mark.long)])
+def test_first_translation_matches_the_point_group_search(most, count):
+    seen = 0
+    for d, _, (_, _, fd, fw) in string_windows(most):
+        c_amb = embed_window_vector(radical_vector(fd, fw), fw, fd.rank)
+        t1, point_order = _point_group_t1(fd, fw, c_amb)
+        assert np.array_equal(toroids._first_translation(fd, fw, c_amb), t1), d
+        assert coxeter_order(toroids._periods(fd, fw[1:])) == point_order, d
+        seen += 1
     assert seen == count
+
+
+# the orbit-span index of the key translation t_1 t_2 in the translation lattice
+KEY_INDEX = {"P4": 4, "P5": 4, "P6": 3, "P7": 3}
+
+
+def mate_search(tsub):
+    """(orbit size, HNFs of the key-translation lattices) of the search that
+    chose a [3,6] or [3,3,4,3] system's second generator among the conjugates
+    of t_1: each conjugate t whose key translation t_1 t has index
+    KEY_INDEX in the translation lattice gives the HNF of the conjugacy orbit
+    of t_1 t.  Also asserts that tsub's generators span that lattice."""
+    fd, fw = tsub.frame_diagram, tsub.frame_window
+    c_amb = radical_ambient(tsub)
+    refl = reflection_matrices(fd)
+    point = [refl[i] for i in fw[1:]]
+    t1 = tsub.mats[0]
+    orbit = toroids._conj_orbit(t1, point, c_amb, fw)
+    full, pivots = _row_hnf(orbit, tsub.m + 1)
+    assert _index_in(tsub.w_rows, full, pivots) == 1
+    found = []
+    for t in orbit.values():
+        key = toroids._conj_orbit(t1 @ t, point, c_amb, fw, "sigma")
+        if _index_in(key, full, pivots) == KEY_INDEX[tsub.system]:
+            found.append(_row_hnf(key, tsub.m + 1)[0])
+    return len(orbit), found
+
+
+@pytest.mark.parametrize("most,count", [(5, 208), pytest.param(7, 632, marks=pytest.mark.long)])
+def test_reflection_conjugates_give_the_mate_search_lattices(most, count):
+    # every [3,6] and [3,3,4,3] embedding, printed and flipped: each mate
+    # the search could have chosen gives the reference lattice L_2
+    seen = 0
+    for d, window, (system, *_) in string_windows(most):
+        if system not in KEY_INDEX:
+            continue
+        flipped = tuple(d.rank - 1 - i for i in reversed(window))
+        for diagram, win in ((d, window), (d.flip(), flipped)):
+            tsub = translation_generators(diagram, win)
+            _, found = mate_search(tsub)
+            assert found and all(hnf == tsub.sigma_lattices[2] for hnf in found), diagram
+            seen += 1
+    assert seen == count
+
+
+def test_six_of_the_p4_mates_have_key_index_4():
+    tsub = translation_generators(parse_diagram("1 - 1 - 1 - 2 - 2"), (0, 1, 2, 3, 4))
+    size, found = mate_search(tsub)
+    assert (tsub.system, size, len(found)) == ("P4", 24, 6)
+    assert all(hnf == tsub.sigma_lattices[2] for hnf in found)
 
 
 @pytest.mark.parametrize("text,row", [
