@@ -5,19 +5,19 @@ process exit code and the sha256 of the output bytes; the exact output
 bytes follow.  An entry whose bytes no longer match the digest is a miss.
 The key hashes every input that affects the output: command, canonical
 diagram text, first and last modulus, guards, words, output format, and the
-package version (stale entries die on upgrade).
+package version (stale entries die on upgrade).  It hashes their repr, not
+a JSON dump, so a replay imports no json.
 """
 
 import hashlib
-import json
 import os
 import tempfile
 
 
 def cache_key(parts):
-    """Hex digest identifying a run; parts must be JSON-serializable."""
-    blob = json.dumps(parts, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Hex digest identifying a run: the sha256 of repr(parts), which holds
+    only str, int, None, lists and tuples, so it is the same on every run."""
+    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
 
 def load(cache_dir, key):

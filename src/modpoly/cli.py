@@ -4,7 +4,8 @@
 runs (exit codes and the cache are described there); it hands every other
 run to `execute`, which computes, renders, stores and writes it.  `main` is
 `modpoly.entry.main`, the whole command line.  Importing this module loads
-the solver: numpy, the engine, polytopality, toroids and the registry.
+the solver: numpy, the engine, polytopality and toroids; `reproduce` alone
+loads the registry.
 """
 
 import sys
@@ -17,7 +18,6 @@ from .engine import (BoundExceeded, OrbitGuardExceeded, OrderGuardExceeded,
 from .entry import EXIT_GUARD, EXIT_NEGATIVE, EXIT_OK, main  # noqa: F401
 from .matrep import ModularRep
 from .polytopality import Verifier, verify_diagram, verify_words
-from .registry import CASES
 from .toroids import classify
 
 _GUARD_ERRORS = (BoundExceeded, OrbitGuardExceeded, OrderGuardExceeded,
@@ -120,6 +120,8 @@ def _run_case(case):
 
 
 def cmd_reproduce(run):
+    from .registry import CASES  # plain data that only this command reads
+
     args = run.args
     cases = CASES
     if args.case:

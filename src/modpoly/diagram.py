@@ -14,7 +14,6 @@ commute).  Labels are normalized so that each connected component has gcd 1;
 two inputs that normalize to the same labels denote the same basic system.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from math import factorial, gcd
 
@@ -81,22 +80,42 @@ def _cartan_pair(kind, a, b):
     return (ratio, 1) if a < b else (1, ratio)
 
 
-@dataclass(frozen=True)
 class Diagram:
-    labels: tuple
-    branches: tuple  # len(labels) - 1 Branch values
+    """Labels and the branches between them: an immutable value, equal and
+    hashed by its labels and branches."""
 
-    def __post_init__(self):
-        if not self.labels:
+    __slots__ = ("labels", "branches", "_pairs")
+
+    def __init__(self, labels, branches):
+        if not labels:
             raise ValueError("diagram needs at least one node")
-        if len(self.branches) != len(self.labels) - 1:
+        if len(branches) != len(labels) - 1:
             raise ValueError("need exactly one branch between consecutive nodes")
-        if min(self.labels) < 1:
+        if min(labels) < 1:
             raise ValueError("labels must be positive")
-        # the pairs are checked and kept once; they are not a field
-        object.__setattr__(self, "_pairs", tuple(
-            _cartan_pair(kind, a, b)
-            for kind, a, b in zip(self.branches, self.labels, self.labels[1:])))
+        # the pairs are checked and kept once
+        pairs = tuple(_cartan_pair(kind, a, b)
+                      for kind, a, b in zip(branches, labels, labels[1:]))
+        for name, value in zip(self.__slots__, (labels, branches, pairs)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Diagram is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (other.__class__ is Diagram and self.labels == other.labels
+                and self.branches == other.branches)
+
+    def __hash__(self):
+        return hash((self.labels, self.branches))
+
+    def __repr__(self):
+        return "Diagram(labels=%r, branches=%r)" % (self.labels, self.branches)
+
+    def __reduce__(self):
+        return Diagram, (self.labels, self.branches)
 
     @property
     def rank(self):

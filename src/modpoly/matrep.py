@@ -10,10 +10,10 @@ mod d takes entries into [0, d).
 
 The package's one exact elimination over Z or Q is the integer Hermite
 normal form `_row_hnf`: `radical_vector` reads the radical of a window's
-Gram form from it, and `modpoly.toroids` compares its lattices in it.
+Gram form from it, working on the integer form 2B = (-m_ij a_i), and
+`modpoly.toroids` compares its lattices in it.  Only the public
+`gram_matrix` writes B itself, in Fractions.
 """
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,6 +58,8 @@ class ModularRep:
 
 def gram_matrix(diagram):
     """Exact Gram form as rows of Fractions: b_i.b_i = a_i, b_i.b_j = -m_ij a_i / 2."""
+    from fractions import Fraction  # only here: no solver path needs it
+
     n = diagram.rank
     cart = diagram.cartan_matrix()
     g = [[Fraction(0)] * n for _ in range(n)]
@@ -113,9 +115,10 @@ def radical_vector(diagram, window=None):
     sign-fixed so its first nonzero entry is positive and is returned in
     window coordinates.
 
-    The rows (2B_i | e_i) of the k-node window, B its Gram form (2B is an
-    integer matrix), span {(2xB | x)}; in their Hermite normal form the rows
-    whose pivot lies past column k are (0 | c) with c a basis of the integer
+    The rows (2B_i | e_i) of the k-node window, B its Gram form, span
+    {(2xB | x)}; 2B is the integer matrix (-m_ij a_i), with 2a_i on the
+    diagonal since m_ii = -2.  In their Hermite normal form the rows whose
+    pivot lies past column k are (0 | c) with c a basis of the integer
     kernel of B.  That kernel is saturated, so a single such row is
     primitive, and its pivot, its first nonzero entry, is positive.
     """
@@ -123,8 +126,8 @@ def radical_vector(diagram, window=None):
         window = range(diagram.rank)
     sub = diagram.subdiagram(window)
     k = sub.rank
-    rows = [[int(2 * x) for x in row] + [int(i == r) for i in range(k)]
-            for r, row in enumerate(gram_matrix(sub))]
+    rows = [[-m * a for m in row] + [int(i == r) for i in range(k)]
+            for r, (row, a) in enumerate(zip(sub.cartan_matrix(), sub.labels))]
     basis, pivots = _row_hnf(rows, 2 * k)
     kernel = [row[k:] for row, p in zip(basis, pivots) if p >= k]
     if len(kernel) != 1:

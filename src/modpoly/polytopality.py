@@ -87,7 +87,6 @@ faithful and layer r fails.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -112,13 +111,13 @@ _CLOSURE_BOUND = 200_000  # closure cap for generators that are not involutions
 _LIST_BOUND = 256         # largest segment group kept as an element list
 
 
-@dataclass
 class CheckRecord:
     """One verification step: a name, a pass flag, a witness when failed."""
 
-    name: str
-    passed: bool
-    witness: dict = None
+    def __init__(self, name, passed, witness=None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
 
     def to_dict(self):
         out = {"name": self.name, "pass": self.passed}
@@ -127,15 +126,18 @@ class CheckRecord:
         return out
 
 
-@dataclass
 class VerificationReport:
-    modulus: int
-    verdict: str
-    order: int
-    schlafli: tuple
-    checks: list
-    diagram: str = None
-    words: tuple = None
+    """The verdict on one group; verify_diagram and verify_words name its
+    diagram, and verify_words its generator words."""
+
+    def __init__(self, modulus, verdict, order, schlafli, checks, diagram=None, words=None):
+        self.modulus = modulus
+        self.verdict = verdict
+        self.order = order
+        self.schlafli = schlafli
+        self.checks = checks
+        self.diagram = diagram
+        self.words = words
 
     @property
     def ok(self):

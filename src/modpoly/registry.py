@@ -8,7 +8,7 @@ the rank-6 systems mod 4 and mod 6, of orders above 10^8; the reproduce
 command skips them unless asked not to.
 """
 
-from dataclasses import dataclass
+import collections
 
 # subgroup generator words: s_i as words in the parent generators r_j
 H_WORDS = ((1,), (0,), (2, 1, 2), (3,), (4,), (5,))
@@ -35,21 +35,14 @@ G6 = 2 ** 26 * 3 ** 2 * 5      # 3019898880
 G6C = 2 ** 29 * 3 ** 2         # 4831838208
 
 
-@dataclass(frozen=True)
-class GoldenCase:
-    """One golden case: inputs plus every expected value to compare."""
+class GoldenCase(collections.namedtuple(
+        "GoldenCase", "ident diagram modulus expect_verdict expect_order words expect_index "
+                      "expect_witness_index expect_sections long note",
+        defaults=(None, None, None, None, None, (), False, ""))):
+    """One golden case: inputs plus every expected value to compare;
+    expect_sections holds ((start, end), q-vector) pairs."""
 
-    ident: str
-    diagram: str
-    modulus: int
-    expect_verdict: str = None
-    expect_order: str = None
-    words: tuple = None
-    expect_index: int = None
-    expect_witness_index: int = None
-    expect_sections: tuple = ()  # ((start, end), q-vector) pairs
-    long: bool = False
-    note: str = ""
+    __slots__ = ()
 
 
 CASES = (

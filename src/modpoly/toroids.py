@@ -39,14 +39,14 @@ period of t mod s divides 2s but can exceed s, which is exactly what the
 (s,s,0,...) and (2s) rows require.
 """
 
+import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Diagram, INFINITY, coxeter_order
+from .diagram import INFINITY, coxeter_order
 from .engine import BoundExceeded, prime_factors
 from .matrep import (
     ModularRep,
@@ -165,25 +165,17 @@ def _match(diagram, window, system):
 # ---------------------------------------------------------------------------
 # result containers
 
-@dataclass(frozen=True)
-class SectionClass:
-    """Classification of one diagram window at one modulus."""
+class SectionClass(collections.namedtuple(
+        "SectionClass", "window kind family modulus flipped collapsed predicted_order "
+                        "measured_order predicted_q measured_q constraints_row_id annotation",
+        defaults=(False, False, None, None, None, None, None, ""))):
+    """Classification of one diagram window at one modulus; kind is
+    "Spherical", "Euclidean" or "Other"."""
 
-    window: tuple
-    kind: str                # "Spherical" | "Euclidean" | "Other"
-    family: str
-    modulus: int
-    flipped: bool = False
-    collapsed: bool = False
-    predicted_order: int = None
-    measured_order: int = None
-    predicted_q: tuple = None
-    measured_q: tuple = None
-    constraints_row_id: str = None
-    annotation: str = ""
+    __slots__ = ()
 
     def to_dict(self):
-        out = dict(vars(self), window=list(self.window))
+        out = dict(self._asdict(), window=list(self.window))
         for key in ("predicted_order", "measured_order"):
             out[key] = None if out[key] is None else str(out[key])
         for key in ("predicted_q", "measured_q"):
@@ -191,18 +183,20 @@ class SectionClass:
         return out
 
 
-@dataclass
 class TranslationSubgroup:
-    """Standard integer generators of a Euclidean window's translation subgroup."""
+    """Standard integer generators of a Euclidean window's translation subgroup;
+    sigma_lattices maps k to the HNF basis of L_k in w coordinates."""
 
-    flipped: bool
-    system: str
-    m: int
-    frame_diagram: Diagram
-    frame_window: tuple
-    mats: list
-    w_rows: tuple
-    sigma_lattices: dict     # {k: HNF basis of L_k in w coordinates}
+    def __init__(self, flipped, system, m, frame_diagram, frame_window, mats, w_rows,
+                 sigma_lattices):
+        self.flipped = flipped
+        self.system = system
+        self.m = m
+        self.frame_diagram = frame_diagram
+        self.frame_window = frame_window
+        self.mats = mats
+        self.w_rows = w_rows
+        self.sigma_lattices = sigma_lattices
 
 
 # ---------------------------------------------------------------------------
@@ -716,16 +710,12 @@ def _translation_meet(tsub, s, lo, hi, kernel):
     }
 
 
-@dataclass(frozen=True)
-class QuotientResult:
-    """Outcome of the spherical-or-Euclidean facet quotient criterion."""
+class QuotientResult(collections.namedtuple(
+        "QuotientResult", "verdict case dual base_modulus modulus checks")):
+    """Outcome of the spherical-or-Euclidean facet quotient criterion; case is
+    "a", "b" or "direct"."""
 
-    verdict: str
-    case: str                # "a", "b", or "direct"
-    dual: bool
-    base_modulus: int
-    modulus: int
-    checks: tuple
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -354,7 +354,7 @@ def test_classify_keeps_its_digests_on_the_euclidean_fixtures(fmt, tmp_path, cap
 # longer or more embedded Euclidean windows than the fixtures: [3,3,4,3]
 # windows in either frame and beside another Euclidean or spherical window,
 # and cubic windows up to m = 4.  Each runs in a child, to keep the test
-# process small: a child of run_timed reads its parent's peak RSS as its own
+# process small: run in-process, the rank-8 strings lift it to about 300 MB
 LONG_WINDOW_CLASSIFY_DIGESTS = [
     ("1 - 1 - 2 - 2 - 2 - 2 - 2 - 2",
      "4d2b5e24e8f970282e52149d6878281537458404f1f25e07d2c4098a04646397"),
@@ -406,12 +406,19 @@ def test_oversized_classify_window_exits_3(capsys):
 def run_timed(argv):
     """(exit code, stdout, stderr lines, seconds, peak RSS in KiB) of a child
     `modpoly argv`, timed from the call of main."""
+    # ru_maxrss would carry this process's high-water mark across exec on
+    # Linux, so the child reads its own VmHWM where /proc has it
     script = ("import resource, sys, time\n"
               "from modpoly.entry import main\n"
               "start = time.perf_counter()\n"
               "code = main(sys.argv[1:])\n"
-              "print(time.perf_counter() - start,\n"
-              "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+              "seconds = time.perf_counter() - start\n"
+              "try:\n"
+              "    with open('/proc/self/status') as fh:\n"
+              "        peak = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+              "except (OSError, StopIteration):\n"
+              "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "print(seconds, peak, file=sys.stderr)\n"
               "sys.exit(code)\n")
     code, out, err, _ = run_python(["-c", script, *argv])
     *lines, stats = err.splitlines()
@@ -736,7 +743,7 @@ def test_reproduce_tampered_expected_fails(capsys, monkeypatch):
     case = next(c for c in CASES if c.ident == "square-1-2-1-mod4")
     tampered = GoldenCase(case.ident, case.diagram, case.modulus,
                          case.expect_verdict, "33")
-    monkeypatch.setattr(cli, "CASES", (tampered,))
+    monkeypatch.setattr("modpoly.registry.CASES", (tampered,))
     code, out, _ = run_cli(["reproduce"], capsys)
     assert code == 1
     assert "FAIL" in out
@@ -772,7 +779,9 @@ def test_cli_import_loads_only_numpy_and_the_standard_library():
         "import modpoly.cli\n"
         "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
         "extra = new - set(sys.stdlib_module_names) - {'modpoly', 'numpy'}\n"
-        "assert not extra, sorted(extra)\n")
+        "assert not extra, sorted(extra)\n"
+        "unused = {'dataclasses', 'fractions', 'modpoly.registry'} & (set(sys.modules) - before)\n"
+        "assert not unused, sorted(unused)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -796,6 +805,13 @@ def run_module(argv, importtime=False):
     return run_python(["-m", "modpoly", *argv], importtime)
 
 
+@pytest.fixture(scope="module")
+def startup_modules():
+    """The modules that `python -c pass` loads: the interpreter's site may
+    import some that modpoly itself must not, such as enum, re or typing."""
+    return run_python(["-c", "pass"], importtime=True)[3]
+
+
 def loads_solver(imported):
     return "modpoly.engine" in imported or any(
         name == "numpy" or name.startswith("numpy.") for name in imported)
@@ -806,7 +822,7 @@ def loads_solver(imported):
     (["classify", "-d", "3 - 3 - 1 - 1", "-m", "4", "--format", "json"], 0),
     (["subgroup", "-d", "1 - 2 - 1", "-m", "4", "--word", "0", "--word", "2"], 0),
 ], ids=["verify", "classify", "subgroup"])
-def test_a_replay_loads_neither_numpy_nor_the_engine(argv, want, tmp_path):
+def test_a_replay_loads_neither_numpy_nor_the_engine(argv, want, tmp_path, startup_modules):
     argv = argv + ["--cache", str(tmp_path)]
     code, cold, _, imported = run_module(argv, importtime=True)
     assert code == want and cold and loads_solver(imported)
@@ -814,6 +830,9 @@ def test_a_replay_loads_neither_numpy_nor_the_engine(argv, want, tmp_path):
     assert (code, warm) == (want, cold)
     assert not loads_solver(imported), sorted(imported)
     assert "modpoly.registry" not in imported
+    # nor the machinery a replay never uses, beyond what start-up loads
+    unused = (imported - startup_modules) & {"dataclasses", "inspect", "json", "fractions"}
+    assert not unused, sorted(unused)
 
 
 @pytest.mark.parametrize("argv,err", [

@@ -205,6 +205,22 @@ def test_flip():
     assert d.flip().flip() == d
 
 
+def test_a_diagram_is_an_immutable_value():
+    # the lru_cache of toroids._windows keys on diagrams
+    a, b = parse_diagram("2 - 1 = 1 , 3"), parse_diagram("4-2=2,3")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.flip().flip() == a and a.flip() != a and a != (a.labels, a.branches)
+    assert len({a, b, a.flip()}) == 2
+    for name in ("labels", "colour"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, (1, 1, 1, 1))
+    with pytest.raises(AttributeError):
+        del a.branches
+    assert a.labels == (2, 1, 1, 1) and a.render() == "2 - 1 = 1 , 1"
+    assert repr(a) == ("Diagram(labels=(2, 1, 1, 1), branches=(<Branch.SINGLE: '-'>, "
+                       "<Branch.DOUBLE: '='>, <Branch.NONE: ','>))")
+
+
 def test_subdiagram():
     d = parse_diagram("2 - 1 - 3 - 6")
     assert d.subdiagram(range(1, 3)).labels == (1, 3)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -461,7 +460,9 @@ def test_type_vector_is_none_when_no_reference_lattice_matches():
     tsub = translation_generators(diagram, (0, 1, 2, 3))
     assert type_vector(tsub, 4) == (4, 4, 0)
     lattices = {k: lam for k, lam in tsub.sigma_lattices.items() if k != 2}
-    assert type_vector(dataclasses.replace(tsub, sigma_lattices=lattices), 4) is None
+    withheld = toroids.TranslationSubgroup(tsub.flipped, tsub.system, tsub.m, tsub.frame_diagram,
+                                           tsub.frame_window, tsub.mats, tsub.w_rows, lattices)
+    assert type_vector(withheld, 4) is None
 
 
 def test_radical_vector_digest():
