@@ -5,7 +5,10 @@ runs (exit codes and the cache are described there); it hands every other
 run to `execute`, which computes, renders, stores and writes it.  `main` is
 `modpoly.entry.main`, the whole command line.  Importing this module loads
 the solver: numpy, the engine, polytopality and toroids; `reproduce` alone
-loads the registry.
+loads the registry.  Imported from `main` by a process that has not loaded
+numpy yet, it loads numpy with one OpenBLAS thread unless
+OPENBLAS_NUM_THREADS is set (`modpoly.entry`); imported directly, it
+leaves numpy's thread pool to the caller.
 """
 
 import sys
@@ -40,12 +43,14 @@ def cmd_classify(run):
             for diagram in run.diagrams for m in run.moduli], EXIT_OK
 
 
-def _verify_subgroup(diagram, modulus, words, **guards):
+def _verify_subgroup(diagram, modulus, words, parent=None, **guards):
     """(verify_words report, parent group order, index); the index is None
-    when the subgroup order does not divide the parent order.
+    when the subgroup order does not divide the parent order.  parent, when
+    given, is the parent group's order, already known, and is not rebuilt.
     """
-    parent = Verifier(ModularRep(diagram, modulus).mats, modulus,
-                      order_guard=guards.get("order_guard")).segment_order(0, diagram.rank)
+    if parent is None:
+        parent = Verifier(ModularRep(diagram, modulus).mats, modulus,
+                          order_guard=guards.get("order_guard")).segment_order(0, diagram.rank)
     sub = verify_words(diagram, modulus, words, **guards)
     index, rem = divmod(parent, sub.order)
     return sub, parent, None if rem else index
@@ -77,8 +82,12 @@ def cmd_parse(run):
     return payloads, EXIT_OK
 
 
-def _run_case(case):
+def _run_case(case, orders):
+    """One registry row.  orders maps (rendered diagram, modulus) to the whole
+    group's order: a whole-diagram case adds its own, and a words case reads
+    its parent's from there instead of building the parent's chain again."""
     diagram = parse_diagram(case.diagram)
+    key = diagram.render(), case.modulus
     expected, computed, diffs = {}, {}, []
 
     def check(name, want, got):
@@ -90,10 +99,12 @@ def _run_case(case):
             diffs.append("%s: expected %r, computed %r" % (name, want, got))
 
     if case.words:
-        rep, _, index = _verify_subgroup(diagram, case.modulus, case.words)
+        rep, _, index = _verify_subgroup(diagram, case.modulus, case.words,
+                                         orders.get(key))
         check("index", case.expect_index, index)
     else:
         rep = verify_diagram(diagram, case.modulus)
+        orders[key] = rep.order
     check("verdict", case.expect_verdict, rep.verdict)
     check("order", case.expect_order, str(rep.order))
     if case.expect_witness_index is not None:
@@ -126,14 +137,14 @@ def cmd_reproduce(run):
     cases = CASES
     if args.case:
         cases = [c for c in cases if c.ident in set(args.case)]
-    rows = []
+    rows, orders = [], {}
     for case in cases:
         if case.long and not args.long:
             rows.append({"id": case.ident, "status": "SKIPPED(long)",
                          "note": case.note})
             continue
         start = time.perf_counter()
-        rows.append(_run_case(case))
+        rows.append(_run_case(case, orders))
         # timings go to stderr only, so stdout stays byte-deterministic
         print("%s  %.3f" % (case.ident, time.perf_counter() - start), file=sys.stderr)
     rows.sort(key=lambda r: r["id"])

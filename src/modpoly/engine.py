@@ -52,7 +52,9 @@ its matrices as int32 and every partial sum is an integer that float32
 holds exactly: large products run in float32 (BLAS) and are converted back
 to integers before the reduction mod d, small ones in int32.  Otherwise
 the chain stores and multiplies int64.  The choice depends on n and d
-alone.
+alone.  The terms are nonnegative, so a partial sum taken in any order of
+addition is exact too: the products, and every output byte, are the same
+under any BLAS thread count or blocking.
 
 Coset walk.  `intersection_order` finds |A ∩ B| as |T| times the number of
 cosets gT of a subgroup T of A ∩ B in the smaller group S whose canonical

@@ -12,9 +12,20 @@ solver: this module parses the arguments and the diagrams, checks every
 input, looks the run up in the cache, and imports `modpoly.cli`, which
 computes, only when it has to.  A cache that cannot be written costs a run
 one `cache:` line on stderr, not its result.
+
+A process that loads numpy here, the first time, loads it with one OpenBLAS
+thread unless OPENBLAS_NUM_THREADS is already set.  OpenBLAS otherwise
+starts a worker per further CPU, and the workers spin: on a 2-CPU host the
+one worker cost a rank-8 `verify` child 0.13 s of CPU on top of its 0.22 s
+wall.  It buys nothing: the solver's only BLAS calls multiply n x n
+matrices with n at most ~20, which OpenBLAS never splits across threads,
+and their bytes do not depend on the thread count (`modpoly.engine`,
+"Arithmetic").  A caller that has loaded numpy already, such as a test or a
+library user, keeps its own pool, and its environment is left as it is.
 """
 
 import argparse
+import os
 import sys
 
 from . import __version__, cache
@@ -278,6 +289,8 @@ def main(argv=None):
         run = Run(args)
         code = run.replay()
         if code is None:
+            if "numpy" not in sys.modules:
+                os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
             from . import cli  # the solver, numpy with it, loads here
             code = cli.execute(run)
         return code

@@ -733,6 +733,31 @@ def test_reproduce_times_each_case_on_stderr_only(capsys):
     assert len(lines) == 30 and all(float(seconds) >= 0 for _, seconds in lines)
 
 
+@pytest.mark.parametrize("idents,built", [
+    (["rank6-k-words-mod3"], 1),
+    (["rank6-a-mod3", "rank6-k-words-mod3"], 0),
+    (["rank6-h-words-mod3", "rank6-b-mod3"], 0),
+], ids=["alone", "after-parent", "parent-listed-after"])
+def test_reproduce_reads_a_words_parent_order_from_an_earlier_case(
+        idents, built, capsys, monkeypatch):
+    # the registry runs a words case after the whole-diagram case of its
+    # diagram and modulus, whatever order --case names them in
+    real, parents = cli.Verifier, []
+
+    def counted(*args, **kwargs):
+        parents.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Verifier", counted)
+    argv = ["reproduce", "--format", "json"]
+    for ident in idents:
+        argv += ["--case", ident]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and len(parents) == built
+    rows = json.loads(out)["cases"]
+    assert [row["status"] for row in rows] == ["PASS"] * len(idents)
+
+
 def test_reproduce_rows_sorted_by_id(capsys):
     _, out, _ = run_cli(["reproduce", "--format", "json"], capsys)
     ids = [row["id"] for row in json.loads(out)["cases"]]
@@ -787,12 +812,18 @@ def test_cli_import_loads_only_numpy_and_the_standard_library():
     assert proc.returncode == 0, proc.stderr
 
 
-def run_python(args, importtime=False):
+def run_python(args, importtime=False, **environ):
     """`python args` on this checkout's sources:
     (exit code, stdout, stderr, modules named by -X importtime).
+    environ sets the child's variables, or removes those given as None.
     """
     env = dict(os.environ, COLUMNS="80",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    for name, value in environ.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     flags = ["-X", "importtime"] if importtime else []
     proc = subprocess.run([sys.executable, *flags, *args], capture_output=True, env=env)
     err = proc.stderr.decode()
@@ -801,8 +832,37 @@ def run_python(args, importtime=False):
     return proc.returncode, proc.stdout, err, imported
 
 
-def run_module(argv, importtime=False):
-    return run_python(["-m", "modpoly", *argv], importtime)
+def run_module(argv, importtime=False, **environ):
+    return run_python(["-m", "modpoly", *argv], importtime, **environ)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc and at least 2 usable CPUs")
+@pytest.mark.parametrize("threads,want", [(None, 1), ("2", 2)], ids=["default", "user"])
+def test_a_computing_main_loads_numpy_with_one_blas_thread(threads, want):
+    # OpenBLAS starts a spinning worker per further CPU unless told otherwise;
+    # a value the user sets is kept
+    script = ("import os\n"
+              "from modpoly.entry import main\n"
+              "code = main(['verify', '-d', '1 - 2 - 1', '-m', '4'])\n"
+              "print(code, len(os.listdir('/proc/self/task')))\n")
+    code, out, err, _ = run_python(["-c", script], OPENBLAS_NUM_THREADS=threads)
+    assert code == 0, err
+    assert out.split()[-2:] == [b"0", str(want).encode()]
+
+
+def test_an_in_process_main_leaves_the_blas_environment_alone(capsys, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert run_cli(["verify", "-d", "1 - 2 - 1", "-m", "4"], capsys)[0] == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def test_output_bytes_do_not_depend_on_the_blas_thread_count():
+    # rank-6 `a` mod 7 multiplies its chain elements through float32 BLAS
+    argv = ["verify", "-d", "1 - 1 - 2 - 2 - 2 - 2", "-m", "7", "--format", "json"]
+    one, two = (run_module(argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one[0] == 0 and json.loads(one[1])["verdict"] == "StringCGroup"
+    assert two[:2] == one[:2]
 
 
 @pytest.fixture(scope="module")
